@@ -11,7 +11,7 @@ from cdlab import (
     OrderingPolicy,
     PermInvariantQuadratic,
     closed_form_C,
-    epoch_matrix,
+    epoch_map,
     run,
     spectral_radius,
 )
@@ -19,7 +19,7 @@ from cdlab import (
 n, delta = 5, 0.5
 model = PermInvariantQuadratic(n, delta)
 
-C_split = epoch_matrix(model)
+C_split = epoch_map(model)
 C_closed = closed_form_C(n, delta)
 print(f"epoch matrix for n = {n}, delta = {delta} (forward substitution):")
 print(np.array_str(C_split, precision=4, suppress_small=True))

@@ -14,10 +14,8 @@ from .engine import (
     Trajectory,
     closed_form_C,
     derive_seed,
-    epoch_matrix,
+    epoch_map,
     expected_over_x0,
-    permuted_epoch_map,
-    rpcd_epoch_map,
     run,
 )
 from .errors import NumericalError
@@ -33,11 +31,9 @@ from .quadratic import (
     init_state,
     objective,
     quadratic_constants,
-    refresh_state,
 )
 from .rates import (
     GenericBounds,
-    RateReport,
     ccd_bounds,
     empirical_rate,
     generic_bounds,
@@ -72,10 +68,8 @@ __all__ = [
     "Trajectory",
     "closed_form_C",
     "derive_seed",
-    "epoch_matrix",
+    "epoch_map",
     "expected_over_x0",
-    "permuted_epoch_map",
-    "rpcd_epoch_map",
     "run",
     "NumericalError",
     "ComposedObjective",
@@ -93,9 +87,7 @@ __all__ = [
     "init_state",
     "objective",
     "quadratic_constants",
-    "refresh_state",
     "GenericBounds",
-    "RateReport",
     "ccd_bounds",
     "empirical_rate",
     "generic_bounds",

@@ -23,8 +23,7 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -32,15 +31,13 @@ from .engine import (
     OrderingPolicy,
     closed_form_C,
     derive_seed,
-    epoch_matrix,
+    epoch_map,
     expected_over_x0,
-    permuted_epoch_map,
     run,
 )
 from .errors import NumericalError
 from .quadratic import PermInvariantQuadratic, build_log_uniform_spectrum, quadratic_constants
 from .rates import (
-    RateReport,
     ccd_bounds,
     empirical_rate,
     generic_bounds,
@@ -73,13 +70,11 @@ class ExperimentConfig:
 
     n: int = 100
     deltas: tuple[float, ...] = TABLE1_DELTAS
-    variants: tuple[str, ...] = ("ccd", "rcd", "rpcd")
     seed: int = 0
     replicates: int = 20
     tol: float = 1e-8
     max_epochs: int = 500_000
     epochs_budget: int = 5000
-    threads: int = 1
     output_path: str | None = None
     format: str = "csv"
 
@@ -92,9 +87,6 @@ class ExperimentConfig:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        for v in self.variants:
-            if v not in VARIANT_CODE:
-                raise ValueError(f"unknown variant {v!r}")
         for d in self.deltas:
             PermInvariantQuadratic(self.n, d)  # window check
 
@@ -113,100 +105,55 @@ class Table1Row:
     rho_M: float
 
 
-def _replicate_rate(n, delta, d_idx, variant, base_seed, replicate, tol, max_epochs):
+def _replicate_rate(config: ExperimentConfig, d_idx: int, variant: str, replicate: int) -> float:
     """Rate of one seeded run; NaN when the run diverges or is too short.
 
     The generator seeds both the Gaussian starting point and the
     coordinate ordering of the run.
     """
-    rng = np.random.default_rng(derive_seed(base_seed, d_idx, VARIANT_CODE[variant], replicate))
-    x0 = rng.standard_normal(n)
-    model = PermInvariantQuadratic(n, delta)
+    rng = np.random.default_rng(derive_seed(config.seed, d_idx, VARIANT_CODE[variant], replicate))
+    x0 = rng.standard_normal(config.n)
+    model = PermInvariantQuadratic(config.n, config.deltas[d_idx])
     try:
-        traj = run(model, OrderingPolicy(variant), x0, max_epochs=max_epochs, tol=tol, seed=rng)
+        traj = run(model, OrderingPolicy(variant), x0, max_epochs=config.max_epochs,
+                   tol=config.tol, seed=rng)
         return empirical_rate(traj)
     except (NumericalError, ValueError):
         return math.nan
 
 
-def _variant_report(config: ExperimentConfig, d_idx: int, variant: str, pool) -> RateReport:
-    delta = config.deltas[d_idx]
+def _valid_rates(config: ExperimentConfig, d_idx: int, variant: str) -> np.ndarray:
+    """Finite replicate rates of one variant; cyclic descent runs once."""
     n_reps = 1 if variant == "ccd" else config.replicates
-    args = [
-        (config.n, delta, d_idx, variant, config.seed, r, config.tol, config.max_epochs)
-        for r in range(n_reps)
-    ]
-    if pool is None:
-        rates = [_replicate_rate(*a) for a in args]
-    else:
-        rates = list(pool.map(lambda a: _replicate_rate(*a), args))
-    rates = np.asarray(rates)
-    valid = rates[~np.isnan(rates)]
-    if variant == "ccd":
-        predicted = spectral_radius(closed_form_C(config.n, delta)) ** 2
-        upper, lower = ccd_bounds(config.n, delta)
-    elif variant == "rcd":
-        predicted = rcd_rates(config.n, delta)[1]
-        upper = lower = None
-    else:
-        predicted = rho_M(config.n, delta)
-        upper = lower = None
-    return RateReport(
-        variant=variant.upper(),
-        predicted=predicted,
-        empirical=float(valid.mean()) if valid.size else math.nan,
-        empirical_std=float(valid.std(ddof=1)) if valid.size > 1 else math.nan,
-        upper_bound=upper,
-        lower_bound=lower,
-        meta={
-            "n": config.n,
-            "delta": delta,
-            "seed": config.seed,
-            "tol": config.tol,
-            "max_epochs": config.max_epochs,
-            "replicates": n_reps,
-            "replicates_used": int(valid.size),
-        },
-    )
+    rates = np.array([_replicate_rate(config, d_idx, variant, r) for r in range(n_reps)])
+    return rates[~np.isnan(rates)]
 
 
 def cmd_table1(config: ExperimentConfig) -> list[Table1Row]:
     """Empirical and predicted rate columns for each delta.
 
-    Cyclic descent is run once per delta; the randomized variants are
+    Cyclic descent is run once per delta; the randomized orderings are
     run over `replicates` derived seeds and reported as replicate means
     (the permutation variant also with the replicate standard
     deviation).  A delta whose runs all fail is flagged with NaN
     empirical cells; predicted columns are always emitted.
     """
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    try:
-        rows = []
-        for d_idx, delta in enumerate(config.deltas):
-            reports = {
-                v: _variant_report(config, d_idx, v, pool)
-                for v in ("ccd", "rcd", "rpcd")
-                if v in config.variants
-            }
-            ccd = reports.get("ccd")
-            rcd = reports.get("rcd")
-            rpcd = reports.get("rpcd")
-            rows.append(
-                Table1Row(
-                    delta=delta,
-                    rho_ccd_emp=ccd.empirical if ccd else math.nan,
-                    rho_C_sq=spectral_radius(closed_form_C(config.n, delta)) ** 2,
-                    rho_rcd_emp=rcd.empirical if rcd else math.nan,
-                    rho_rcd_pred=rcd_rates(config.n, delta)[1],
-                    rho_rpcd_emp=rpcd.empirical if rpcd else math.nan,
-                    rho_rpcd_emp_std=rpcd.empirical_std if rpcd else math.nan,
-                    rho_M=rho_M(config.n, delta),
-                )
+    rows = []
+    for d_idx, delta in enumerate(config.deltas):
+        ccd, rcd, rpcd = (_valid_rates(config, d_idx, v) for v in ("ccd", "rcd", "rpcd"))
+        rows.append(
+            Table1Row(
+                delta=delta,
+                rho_ccd_emp=float(ccd.mean()) if ccd.size else math.nan,
+                rho_C_sq=spectral_radius(closed_form_C(config.n, delta)) ** 2,
+                rho_rcd_emp=float(rcd.mean()) if rcd.size else math.nan,
+                rho_rcd_pred=rcd_rates(config.n, delta)[1],
+                rho_rpcd_emp=float(rpcd.mean()) if rpcd.size else math.nan,
+                rho_rpcd_emp_std=float(rpcd.std(ddof=1)) if rpcd.size > 1 else math.nan,
+                rho_M=rho_M(config.n, delta),
             )
-        return rows
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        )
+    return rows
 
 
 def figure_lu(config: ExperimentConfig, condition: float = 1e4, sequences: int = 10):
@@ -218,7 +165,7 @@ def figure_lu(config: ExperimentConfig, condition: float = 1e4, sequences: int =
     epoch budget or when both curves fall below tol.
     """
     model = build_log_uniform_spectrum(config.n, condition, derive_seed(config.seed, 0))
-    C = epoch_matrix(model)
+    C = epoch_map(model)
     n = config.n
     f0 = 0.5 * n
     seq_rngs = [np.random.default_rng(derive_seed(config.seed, 1000 + k)) for k in range(sequences)]
@@ -230,7 +177,7 @@ def figure_lu(config: ExperimentConfig, condition: float = 1e4, sequences: int =
         ccd_val = expected_over_x0(model, (G_ccd,))
         rpcd_vals = []
         for k, rng in enumerate(seq_rngs):
-            G_seqs[k] = permuted_epoch_map(model, rng.permutation(n)) @ G_seqs[k]
+            G_seqs[k] = epoch_map(model, rng.permutation(n)) @ G_seqs[k]
             rpcd_vals.append(expected_over_x0(model, (G_seqs[k],)))
         rpcd_val = float(np.mean(rpcd_vals))
         rows.append(
@@ -411,7 +358,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-epochs", type=int, default=500_000)
     p.add_argument("--epochs-budget", type=int, default=5000)
     p.add_argument("--replicates", type=int, default=20)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, metavar="PATH")
 
@@ -425,7 +371,6 @@ def _config_from_args(args, deltas=None) -> ExperimentConfig:
         tol=args.tol,
         max_epochs=args.max_epochs,
         epochs_budget=args.epochs_budget,
-        threads=args.threads,
         output_path=args.output,
         format=args.format,
     )

@@ -4,10 +4,11 @@ One *epoch* is a block of n single-coordinate updates
 x <- x - (Ax)_i e_i.  The orderings differ only in how the coordinate
 sequence is produced per epoch: fixed 1..n (cyclic), i.i.d. uniform
 draws (with replacement), or a fresh uniform permutation (without
-replacement).  A cyclic epoch is the linear map x -> Cx with
-C = -(L+D)^{-1} L' for the splitting A = L + D + L'; an epoch visited
-in permuted order is x -> P C_P P' x, which for permutation-invariant
-models reduces to P C P' with the single closed-form C.
+replacement).  An epoch visited in order P is the linear map
+x -> P C_P P' x with C_P = -(L_P+D_P)^{-1} L_P' for the splitting
+P'AP = L_P + D_P + L_P' (`epoch_map`); the cyclic order gives
+C = -(L+D)^{-1} L'.  For permutation-invariant models C_P is the same
+closed-form C (`closed_form_C`) for every order.
 """
 
 from __future__ import annotations
@@ -24,17 +25,15 @@ __all__ = [
     "OrderingPolicy",
     "Trajectory",
     "run",
-    "epoch_matrix",
+    "epoch_map",
     "closed_form_C",
-    "rpcd_epoch_map",
-    "permuted_epoch_map",
     "expected_over_x0",
     "derive_seed",
 ]
 
 _KINDS = ("cyclic", "random_with_replacement", "random_permutation", "fixed_permutation")
 
-# CLI-facing shorthand for the three named variants.
+# CLI-facing shorthand for the three named orderings.
 VARIANT_ALIASES = {
     "ccd": "cyclic",
     "rcd": "random_with_replacement",
@@ -210,16 +209,32 @@ def run(
     )
 
 
-def epoch_matrix(model: QuadraticModel) -> np.ndarray:
-    """Single-epoch cyclic map C = -(L+D)^{-1} L' for A = L + D + L'.
+def epoch_map(model: QuadraticModel, order=None) -> np.ndarray:
+    """Epoch map P C_P P' for one epoch visiting coordinates in `order`.
 
-    Solved by forward substitution on the lower-triangular factor (no
-    explicit inverse).  One cyclic epoch from any x equals C @ x.
+    P is the permutation matrix with P[order[j], j] = 1.  The symmetrically
+    permuted matrix P'AP = L_P + D_P + L_P' is split, its cyclic map
+    C_P = -(L_P+D_P)^{-1} L_P' is solved by forward substitution (no
+    explicit inverse), and the result is scattered back to the original
+    coordinates.  `order=None` visits 0..n-1 and gives the cyclic map C.
+    One epoch from any x in that order equals epoch_map(model, order) @ x.
+    For permutation-invariant models C_P is the closed_form_C matrix for
+    every order.
     """
-    A = model.matrix()
-    L = np.tril(A, -1)
-    LD = L + np.diag(np.diag(A))
-    return solve_triangular(LD, -L.T, lower=True)
+    n = model.n
+    if order is None:
+        order = np.arange(n)
+    else:
+        order = np.asarray(order)
+        if sorted(order.tolist()) != list(range(n)):
+            raise ValueError(f"{order.tolist()} is not a permutation of 0..{n - 1}")
+    idx = np.ix_(order, order)
+    Ap = model.matrix()[idx]
+    Lp = np.tril(Ap, -1)
+    Cp = solve_triangular(Lp + np.diag(np.diag(Ap)), -Lp.T, lower=True)
+    out = np.empty_like(Cp)
+    out[idx] = Cp
+    return out
 
 
 def closed_form_C(n: int, delta: float) -> np.ndarray:
@@ -238,47 +253,6 @@ def closed_form_C(n: int, delta: float) -> np.ndarray:
     pow_i = delta ** i.astype(float)
     pow_diff = delta ** np.maximum(i - j, 0).astype(float)
     return np.where(i < j, -(1.0 - delta) * pow_i, (1.0 - delta) * (pow_diff - pow_i))
-
-
-def rpcd_epoch_map(C: np.ndarray, perm) -> np.ndarray:
-    """Epoch map P C P' for an epoch visiting coordinates in order `perm`.
-
-    P is the permutation matrix with P[perm[j], j] = 1, so the map sends
-    x to P C P' x: permute, apply the cyclic epoch, permute back.  For a
-    permutation-invariant model this equals one simulated epoch visiting
-    perm[0], perm[1], ...
-    """
-    C = np.asarray(C, dtype=float)
-    n = C.shape[0]
-    perm = np.asarray(perm)
-    if sorted(perm.tolist()) != list(range(n)):
-        raise ValueError(f"{perm.tolist()} is not a permutation of 0..{n - 1}")
-    out = np.empty_like(C)
-    out[np.ix_(perm, perm)] = C
-    return out
-
-
-def permuted_epoch_map(model: QuadraticModel, perm) -> np.ndarray:
-    """Epoch map on the original coordinates for visit order `perm`.
-
-    Splits the symmetrically permuted matrix P'AP = L_P + D_P + L_P' and
-    conjugates its cyclic map back: P C_P P'.  For permutation-invariant
-    models C_P is the same C for every permutation and this reduces to
-    rpcd_epoch_map(C, perm); for general dense models each ordering has
-    its own triangular splitting.
-    """
-    perm = np.asarray(perm)
-    n = model.n
-    if sorted(perm.tolist()) != list(range(n)):
-        raise ValueError(f"{perm.tolist()} is not a permutation of 0..{n - 1}")
-    if isinstance(model, PermInvariantQuadratic):
-        return rpcd_epoch_map(closed_form_C(n, model.delta), perm)
-    Ap = model.A[np.ix_(perm, perm)]
-    Lp = np.tril(Ap, -1)
-    Cp = solve_triangular(Lp + np.diag(np.diag(Ap)), -Lp.T, lower=True)
-    out = np.empty_like(Cp)
-    out[np.ix_(perm, perm)] = Cp
-    return out
 
 
 def expected_over_x0(model: QuadraticModel, epoch_maps) -> float:

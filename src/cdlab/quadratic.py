@@ -56,12 +56,6 @@ class PermInvariantQuadratic:
                 f"got {self.delta}"
             )
 
-    def dense(self) -> DenseQuadratic:
-        """Render the two-parameter form as an explicit DenseQuadratic."""
-        A = np.full((self.n, self.n), 1.0 - self.delta)
-        np.fill_diagonal(A, 1.0)
-        return DenseQuadratic(A)
-
     def matrix(self) -> np.ndarray:
         A = np.full((self.n, self.n), 1.0 - self.delta)
         np.fill_diagonal(A, 1.0)
@@ -118,7 +112,7 @@ class SolverState:
     For the permutation-invariant model the cache is the coordinate sum
     s = ones'x (making every coordinate gradient O(1)); for dense models
     it is the residual Ax (making it O(n) to update).  Confined to a
-    single run; not shared across threads.
+    single run.
     """
 
     x: np.ndarray
@@ -171,14 +165,6 @@ def apply_coordinate_step(model: QuadraticModel, state: SolverState, i: int, g: 
         state.coord_sum -= g
     else:
         state.residual -= g * model.A[:, i]
-
-
-def refresh_state(model: QuadraticModel, state: SolverState) -> None:
-    """Recompute the cached quantity from x, bounding incremental drift."""
-    if isinstance(model, PermInvariantQuadratic):
-        state.coord_sum = float(state.x.sum())
-    else:
-        state.residual = model.A @ state.x
 
 
 def quadratic_constants(model: QuadraticModel) -> QuadraticConstants:

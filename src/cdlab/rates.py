@@ -10,7 +10,7 @@ few recorded epochs of a trajectory to discount transients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .quadratic import QuadraticConstants
 from .recurrence import recurrence_coeffs
 
 __all__ = [
-    "RateReport",
     "GenericBounds",
     "spectral_radius",
     "rho_M",
@@ -31,19 +30,6 @@ __all__ = [
     "empirical_rate",
     "rcd_one_step_example",
 ]
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """One variant's empirical rate next to its prediction and bounds."""
-
-    variant: str  # one of CCD, RCD, RPCD, SD
-    predicted: float
-    empirical: float | None = None
-    empirical_std: float | None = None
-    upper_bound: float | None = None
-    lower_bound: float | None = None
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -122,12 +108,6 @@ def rho_M(n: int, delta: float) -> float:
 def rpcd_asymptotic_rate(n: int, delta: float) -> float:
     """Small-delta approximation 1 - 2*delta - 2*delta/n + 2*delta^2 to rho(M)."""
     return 1.0 - 2.0 * delta - 2.0 * delta / n + 2.0 * delta**2
-
-
-def _perm_invariant_consts(n: int, delta: float) -> tuple[float, float]:
-    # (L, mu) of the permutation-invariant model with unit diagonal.
-    dominant = n * (1.0 - delta) + delta
-    return max(dominant, delta), min(dominant, delta)
 
 
 def ccd_bounds(n: int, delta: float) -> tuple[float, float]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import closed_form_C
+from .engine import closed_form_C, epoch_map
 from .quadratic import PermInvariantQuadratic
 
 __all__ = [
@@ -189,16 +189,11 @@ def brute_force_abar(n: int, delta: float, t: int, max_n: int = 5, max_t: int = 
         raise ValueError(f"brute force capped at n <= {max_n}, t <= {max_t}; got n={n}, t={t}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    abar = PermInvariantQuadratic(n, delta).matrix()
+    model = PermInvariantQuadratic(n, delta)
+    abar = model.matrix()
     if t == 0:
         return abar
-    C = closed_form_C(n, delta)
-    conjugates = []
-    for perm in itertools.permutations(range(n)):
-        idx = np.asarray(perm)
-        pcp = np.empty_like(C)
-        pcp[np.ix_(idx, idx)] = C
-        conjugates.append(pcp)
+    conjugates = [epoch_map(model, perm) for perm in itertools.permutations(range(n))]
     for _ in range(t):
         abar = sum(pcp.T @ abar @ pcp for pcp in conjugates) / math.factorial(n)
     return abar

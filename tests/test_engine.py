@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cdlab import (
+    DenseQuadratic,
     NumericalError,
     OrderingPolicy,
     PermInvariantQuadratic,
@@ -10,12 +11,10 @@ from cdlab import (
     closed_form_C,
     coordinate_gradient,
     derive_seed,
-    epoch_matrix,
+    epoch_map,
     expected_over_x0,
     init_state,
     objective,
-    permuted_epoch_map,
-    rpcd_epoch_map,
     run,
 )
 from conftest import simulate_epoch
@@ -112,28 +111,28 @@ class TestEpochMatrix:
             [0.0, 0.125, 0.375],
         ])
         assert np.abs(closed_form_C(3, 0.5) - expected).max() <= 1e-15
-        assert np.abs(epoch_matrix(PermInvariantQuadratic(3, 0.5).dense()) - expected).max() <= 1e-12
+        assert np.abs(epoch_map(DenseQuadratic(PermInvariantQuadratic(3, 0.5).matrix())) - expected).max() <= 1e-12
 
     def test_identity_gives_zero_map(self):
         assert np.all(closed_form_C(5, 1.0) == 0.0)
-        assert np.abs(epoch_matrix(PermInvariantQuadratic(5, 1.0))).max() <= 1e-15
+        assert np.abs(epoch_map(PermInvariantQuadratic(5, 1.0))).max() <= 1e-15
 
     def test_first_column_zero(self):
         for n, delta in ((2, 0.01), (10, 0.5), (40, 0.99)):
             assert np.all(closed_form_C(n, delta)[:, 0] == 0.0)
         m = build_log_uniform_spectrum(8, 30.0, 1)
-        assert np.abs(epoch_matrix(m)[:, 0]).max() == 0.0
+        assert np.abs(epoch_map(m)[:, 0]).max() == 0.0
 
     def test_closed_form_matches_splitting(self):
         for n in (2, 5, 17, 50):
             for delta in (0.01, 0.5, 0.99):
-                C_split = epoch_matrix(PermInvariantQuadratic(n, delta))
+                C_split = epoch_map(PermInvariantQuadratic(n, delta))
                 assert np.abs(closed_form_C(n, delta) - C_split).max() <= 1e-12
 
     def test_one_epoch_equals_matrix_action(self):
         rng = np.random.default_rng(4)
         for model in (PermInvariantQuadratic(12, 0.3), build_log_uniform_spectrum(12, 20.0, 6)):
-            C = epoch_matrix(model)
+            C = epoch_map(model)
             x = rng.standard_normal(12)
             stepped = simulate_epoch(model, x, range(12))
             assert np.abs(stepped - C @ x).max() <= 1e-12
@@ -151,47 +150,50 @@ class TestEpochMatrix:
 
 class TestRpcdEpochMap:
     def test_identity_permutation(self):
-        C = closed_form_C(4, 0.3)
-        assert np.array_equal(rpcd_epoch_map(C, np.arange(4)), C)
+        model = PermInvariantQuadratic(4, 0.3)
+        assert np.array_equal(epoch_map(model, np.arange(4)), epoch_map(model))
 
     def test_matches_simulated_epoch(self):
         model = PermInvariantQuadratic(3, 0.5)
-        C = closed_form_C(3, 0.5)
         perm = [1, 2, 0]
         x = np.ones(3)
-        mapped = rpcd_epoch_map(C, perm) @ x
+        mapped = epoch_map(model, perm) @ x
         simulated = simulate_epoch(model, x, perm)
         assert np.abs(mapped - simulated).max() <= 1e-12
         assert objective(model, mapped) == pytest.approx(objective(model, simulated), abs=1e-12)
 
     def test_random_permutations_many_sizes(self):
+        # the delta window (0, n/(n-1)) with both edges approached, and a dense model
         rng = np.random.default_rng(10)
-        for n in (2, 6, 15):
-            model = PermInvariantQuadratic(n, 0.25)
-            C = closed_form_C(n, 0.25)
+        models = [
+            PermInvariantQuadratic(n, delta)
+            for n in (2, 3, 10, 50)
+            for delta in (0.01, 0.5, 1.0, 0.99 * n / (n - 1))
+        ]
+        models.append(build_log_uniform_spectrum(20, 1e3, 4))
+        for model in models:
             for _ in range(5):
-                perm = rng.permutation(n)
-                x = rng.standard_normal(n)
+                perm = rng.permutation(model.n)
+                x = rng.standard_normal(model.n)
                 assert np.abs(
-                    rpcd_epoch_map(C, perm) @ x - simulate_epoch(model, x, perm)
+                    epoch_map(model, perm) @ x - simulate_epoch(model, x, perm)
                 ).max() <= 1e-12
 
     def test_invalid_permutation(self):
         with pytest.raises(ValueError):
-            rpcd_epoch_map(closed_form_C(3, 0.5), [0, 0, 1])
+            epoch_map(PermInvariantQuadratic(3, 0.5), [0, 0, 1])
 
     def test_epoch_sequence_matches_map_product(self):
         # l permuted epochs equal the right-to-left product of their maps
         rng = np.random.default_rng(12)
         n, delta = 10, 0.2
         model = PermInvariantQuadratic(n, delta)
-        C = closed_form_C(n, delta)
         x = rng.standard_normal(n)
         G = np.eye(n)
         current = x.copy()
         for _ in range(6):
             perm = rng.permutation(n)
-            G = rpcd_epoch_map(C, perm) @ G
+            G = epoch_map(model, perm) @ G
             current = simulate_epoch(model, current, perm)
         assert np.abs(current - G @ x).max() <= 1e-10
 
@@ -202,11 +204,10 @@ class TestRpcdEpochMap:
         model = PermInvariantQuadratic(n, delta)
         x0 = np.random.default_rng(1).standard_normal(n)
         traj = run(model, OrderingPolicy("rpcd"), x0, max_epochs=epochs, tol=0.0, seed=99)
-        C = closed_form_C(n, delta)
         rng = np.random.default_rng(99)
         x = x0.copy()
         for _ in range(epochs):
-            x = rpcd_epoch_map(C, rng.permutation(n)) @ x
+            x = epoch_map(model, rng.permutation(n)) @ x
         assert np.abs(x - traj.final_x).max() <= 1e-10
 
 
@@ -216,14 +217,15 @@ class TestPermutedEpochMap:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(8)
         perm = rng.permutation(8)
-        mapped = permuted_epoch_map(model, perm) @ x
+        mapped = epoch_map(model, perm) @ x
         assert np.abs(mapped - simulate_epoch(model, x, perm)).max() <= 1e-12
 
     def test_reduces_to_shared_C_when_invariant(self):
         model = PermInvariantQuadratic(6, 0.4)
         perm = [3, 1, 5, 0, 2, 4]
-        expected = rpcd_epoch_map(closed_form_C(6, 0.4), perm)
-        assert np.abs(permuted_epoch_map(model, perm) - expected).max() <= 1e-12
+        expected = np.empty((6, 6))
+        expected[np.ix_(perm, perm)] = closed_form_C(6, 0.4)
+        assert np.abs(epoch_map(model, perm) - expected).max() <= 1e-12
 
 
 class TestExpectedOverX0:
@@ -243,8 +245,7 @@ class TestExpectedOverX0:
         rng = np.random.default_rng(31)
         n, delta = 20, 0.3
         model = PermInvariantQuadratic(n, delta)
-        C = closed_form_C(n, delta)
-        maps = [rpcd_epoch_map(C, rng.permutation(n)) for _ in range(3)]
+        maps = [epoch_map(model, rng.permutation(n)) for _ in range(3)]
         G = maps[2] @ maps[1] @ maps[0]
         X = rng.standard_normal((100_000, n))
         Y = X @ G.T
