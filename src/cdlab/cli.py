@@ -85,6 +85,10 @@ class ExperimentConfig:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.tol <= 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.epochs_budget < 0:
+            raise ValueError(f"epochs_budget must be >= 0, got {self.epochs_budget}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         for d in self.deltas:
@@ -392,7 +396,8 @@ def main(argv=None) -> int:
 
     p_fig = sub.add_parser("figure", help="emit data behind a standard figure")
     p_fig.add_argument("name", choices=("lu", "different_n", "expected"))
-    p_fig.add_argument("--delta", type=float, default=None)
+    p_fig.add_argument("--delta", type=float, default=None,
+                       help="delta for different_n and expected (lu rejects it)")
     p_fig.add_argument("--condition", type=float, default=1e4)
     p_fig.add_argument("--sequences", type=int, default=10,
                        help="permutation sequences averaged for the lu figure")
@@ -417,6 +422,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "figure":
+        if args.name == "lu" and args.delta is not None:
+            p_fig.error("figure lu takes no --delta: it runs on a log-uniform spectrum")
         config = _config_from_args(args)
         kwargs = {}
         if args.name == "lu":

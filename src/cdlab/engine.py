@@ -9,6 +9,15 @@ x -> P C_P P' x with C_P = -(L_P+D_P)^{-1} L_P' for the splitting
 P'AP = L_P + D_P + L_P' (`epoch_map`); the cyclic order gives
 C = -(L+D)^{-1} L'.  For permutation-invariant models C_P is the same
 closed-form C (`closed_form_C`) for every order.
+
+`run` steps random orders coordinate by coordinate.  A fixed order
+(cyclic or a fixed permutation) makes every epoch the same map M, so
+when a block of at least two n x n maps fits in about 1 MB (n <= 256)
+`run` builds M, M^2, ..., M^K once and advances K epochs with one
+matrix-vector product, stopping at the first epoch that reaches the
+tolerance.  Larger fixed-order runs keep the per-coordinate loop,
+which is O(n) per epoch for the permutation-invariant model where the
+map would be O(n^2).
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import NumericalError
-from .quadratic import PermInvariantQuadratic, QuadraticModel, objective
+from .quadratic import PermInvariantQuadratic, QuadraticModel, _objective_rows, objective
 
 __all__ = [
     "OrderingPolicy",
@@ -32,6 +41,11 @@ __all__ = [
 ]
 
 _KINDS = ("cyclic", "random_with_replacement", "random_permutation", "fixed_permutation")
+
+# Memory for one block of stacked epoch-map powers, and the most powers
+# per block.  The block path runs only when at least two maps fit.
+_BLOCK_BYTES = 1 << 20
+_BLOCK_EPOCHS = 16
 
 # CLI-facing shorthand for the three named orderings.
 VARIANT_ALIASES = {
@@ -145,6 +159,49 @@ def _epoch_dense(x: np.ndarray, A: np.ndarray, order: list[int]) -> None:
             r -= g * A[:, i]
 
 
+def _block_epochs(n: int) -> int:
+    """Epoch-map powers per block at dimension n; below 2 the block path is off."""
+    return min(_BLOCK_EPOCHS, _BLOCK_BYTES // (8 * n * n))
+
+
+def _run_blocks(model, M, x, max_epochs, tol, fs, iterates) -> tuple[np.ndarray, int]:
+    """Advance up to max_epochs epochs of the fixed map M, K per product.
+
+    The stack [M; M^2; ...; M^K] is built once, in place; each block
+    computes the next K iterates from the current one as rows of
+    (stack @ x) and their objectives in one expression.  Appends to fs
+    (and iterates) up to the first epoch with f <= tol; returns the last
+    iterate and the number of epochs run.
+    """
+    n = model.n
+    K = min(_block_epochs(n), max_epochs)
+    stack = np.empty((K, n, n))
+    stack[0] = M
+    for k in range(1, K):
+        np.matmul(M, stack[k - 1], out=stack[k])
+    stack = stack.reshape(K * n, n)
+    epochs = 0
+    while epochs < max_epochs:
+        k = min(K, max_epochs - epochs)
+        Y = (stack[: k * n] @ x).reshape(k, n)
+        fk = _objective_rows(model, Y)
+        stops = np.flatnonzero(~np.isfinite(fk) | (fk <= tol))
+        j = int(stops[0]) if stops.size else k - 1
+        fs.extend(fk[:j].tolist())
+        if not np.isfinite(fk[j]):
+            raise NumericalError(
+                f"nonfinite objective after {(epochs + j + 1) * n} iterations", fs[-1]
+            )
+        fs.append(float(fk[j]))
+        if iterates is not None:
+            iterates.extend(Y[: j + 1])
+        x = Y[j].copy()
+        epochs += j + 1
+        if stops.size:
+            break
+    return x, epochs
+
+
 def run(
     model: QuadraticModel,
     policy: OrderingPolicy,
@@ -161,10 +218,19 @@ def run(
     only randomness is the per-epoch coordinate order drawn from the
     seeded generator.
 
+    A fixed order (cyclic or fixed permutation) at n <= 256 runs as
+    blocks of stacked powers of its epoch map (see the module
+    docstring).  It draws nothing from the generator.  Its iterates agree
+    with the per-coordinate loop to rounding, but reusing one rounded map
+    lets f drift from the loop's by about 2e-17 relative per epoch (about
+    1e-12 after 60k epochs at n=100).  Random orders, and fixed orders at
+    larger n, run the loop.
+
     Raises
     ------
     ValueError
-        On dimension mismatch or negative tol.
+        On dimension mismatch, negative tol or max_epochs, or a fixed
+        permutation whose length is not n.
     NumericalError
         If a nonfinite objective value is encountered.
     """
@@ -173,6 +239,8 @@ def run(
         raise ValueError(f"x0 has shape {x0.shape}, expected ({model.n},)")
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
+    if max_epochs < 0:
+        raise ValueError(f"max_epochs must be >= 0, got {max_epochs}")
     rng = np.random.default_rng(seed)
     n = model.n
     x = x0.copy()
@@ -184,18 +252,22 @@ def run(
         raise NumericalError(f"nonfinite objective at start: {f}")
     fs = [f]
     iterates = [x.copy()] if record_iterates else None
-    iterations = 0
-    if f > tol:
+    epochs = 0
+    fixed_order = policy.kind in ("cyclic", "fixed_permutation")
+    if f > tol and max_epochs > 0 and fixed_order and _block_epochs(n) >= 2:
+        M = epoch_map(model, _epoch_order(policy, n, rng))
+        x, epochs = _run_blocks(model, M, x, max_epochs, tol, fs, iterates)
+    elif f > tol:
         for _ in range(max_epochs):
             order = _epoch_order(policy, n, rng)
             if perm_invariant:
                 _epoch_perm_invariant(x, model.delta, order)
             else:
                 _epoch_dense(x, A, order)
-            iterations += n
+            epochs += 1
             f = objective(model, x)
             if not np.isfinite(f):
-                raise NumericalError(f"nonfinite objective after {iterations} iterations", fs[-1])
+                raise NumericalError(f"nonfinite objective after {epochs * n} iterations", fs[-1])
             fs.append(f)
             if record_iterates:
                 iterates.append(x.copy())
@@ -204,7 +276,7 @@ def run(
     return Trajectory(
         f_per_epoch=np.asarray(fs),
         final_x=x,
-        iterations=iterations,
+        iterations=epochs * n,
         iterates=iterates,
     )
 

@@ -135,6 +135,14 @@ def objective(model: QuadraticModel, x: np.ndarray) -> float:
     return 0.5 * float(x @ model.A @ x)
 
 
+def _objective_rows(model: QuadraticModel, Y: np.ndarray) -> np.ndarray:
+    """`objective` of every row of a (k, n) array, in one expression."""
+    if isinstance(model, PermInvariantQuadratic):
+        s = Y.sum(axis=1)
+        return 0.5 * model.delta * np.einsum("ij,ij->i", Y, Y) + 0.5 * (1.0 - model.delta) * s * s
+    return 0.5 * np.einsum("ij,ij->i", Y @ model.A, Y)
+
+
 def init_state(model: QuadraticModel, x0: np.ndarray) -> SolverState:
     """Build a SolverState holding x0 and its cached linear quantity."""
     x = np.array(x0, dtype=float)

@@ -31,6 +31,29 @@ class TestConfig:
             ExperimentConfig(deltas=(2.5,))
         with pytest.raises(ValueError):
             ExperimentConfig(format="xml")
+        with pytest.raises(ValueError):
+            ExperimentConfig(max_epochs=-1)
+        with pytest.raises(ValueError):
+            ExperimentConfig(epochs_budget=-1)
+        ExperimentConfig(max_epochs=0, epochs_budget=0)
+
+    def test_negative_epoch_limits_fail_from_cli(self, capsys):
+        for argv in (["table1", "--max-epochs", "-3"],
+                     ["figure", "lu", "--epochs-budget", "-3"],
+                     ["solve", "--delta", "0.5", "--max-epochs", "-3"]):
+            with pytest.raises(ValueError):
+                main(argv)
+        assert capsys.readouterr().out == ""
+
+    def test_figure_lu_rejects_delta(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["figure", "lu", "--delta", "0.1", "--n", "8"])
+        assert err.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--delta" in out.err
+        main(["figure", "different_n", "--delta", "0.01", "--epochs-budget", "2",
+              "--format", "json"])
+        assert json.loads(capsys.readouterr().out)["config"]["delta"] == 0.01
 
 
 class TestTable1:

@@ -17,6 +17,8 @@ from cdlab import (
     objective,
     run,
 )
+import cdlab.engine as engine
+from cdlab.engine import _block_epochs
 from conftest import simulate_epoch
 
 
@@ -89,6 +91,14 @@ class TestRun:
         with pytest.raises(ValueError):
             run(PermInvariantQuadratic(4, 0.5), OrderingPolicy("ccd"), np.zeros(4), tol=-1.0)
 
+    def test_negative_max_epochs_rejected(self):
+        model = PermInvariantQuadratic(4, 0.5)
+        for variant in ("ccd", "rpcd"):
+            with pytest.raises(ValueError):
+                run(model, OrderingPolicy(variant), np.ones(4), max_epochs=-1)
+        traj = run(model, OrderingPolicy("ccd"), np.ones(4), max_epochs=0)
+        assert traj.epochs == 0 and traj.iterations == 0
+
     def test_nonfinite_start_raises(self):
         x0 = np.full(4, np.nan)
         with pytest.raises(NumericalError):
@@ -101,6 +111,118 @@ class TestRun:
         assert len(traj.iterates) == len(traj.f_per_epoch)
         for x, f in zip(traj.iterates, traj.f_per_epoch):
             assert objective(model, x) == pytest.approx(f, abs=1e-12)
+
+
+def _oracle_iterates(model, order, x0, epochs):
+    """x^0 and the iterate after each epoch, through the step oracle."""
+    xs = [np.array(x0, dtype=float)]
+    for _ in range(epochs):
+        xs.append(simulate_epoch(model, xs[-1], order))
+    return xs
+
+
+_N = 12
+_K = _block_epochs(_N)
+_FIXED_CASES = [
+    (model, policy)
+    for model in (PermInvariantQuadratic(_N, 0.2), build_log_uniform_spectrum(_N, 100.0, 3))
+    for policy in (
+        OrderingPolicy("ccd"),
+        OrderingPolicy.fixed_permutation(np.random.default_rng(21).permutation(_N)),
+    )
+]
+
+
+def _order(policy, n):
+    return list(range(n)) if policy.perm is None else list(policy.perm)
+
+
+@pytest.mark.parametrize("model,policy", _FIXED_CASES)
+class TestFixedOrderBlocks:
+    """Fixed orders at small n run as blocks of K stacked epoch-map powers."""
+
+    def test_max_epochs_sweep_over_block_edges(self, model, policy):
+        x0 = np.random.default_rng(22).standard_normal(_N)
+        ref = _oracle_iterates(model, _order(policy, _N), x0, 2 * _K + 1)
+        f0, scale = objective(model, x0), np.abs(x0).max()
+        for max_epochs in range(2 * _K + 2):
+            traj = run(model, policy, x0, max_epochs=max_epochs, tol=0.0, record_iterates=True)
+            assert traj.epochs == max_epochs
+            assert traj.iterations == _N * max_epochs
+            assert len(traj.iterates) == max_epochs + 1
+            for x, f, x_ref in zip(traj.iterates, traj.f_per_epoch, ref):
+                assert abs(objective(model, x) - f) <= 1e-12 * f0
+                assert abs(objective(model, x_ref) - f) <= 1e-12 * f0
+                assert np.abs(x - x_ref).max() <= 1e-12 * scale
+            assert np.array_equal(traj.final_x, traj.iterates[-1])
+
+    @pytest.mark.parametrize("stop", [1, _K // 2, _K, _K + 1, _K + _K // 2, 2 * _K])
+    def test_tolerance_stops_at_first_epoch_below(self, model, policy, stop):
+        # first, middle and last epoch of the first two blocks
+        x0 = np.random.default_rng(23).standard_normal(_N)
+        ref = _oracle_iterates(model, _order(policy, _N), x0, stop)
+        tol = 0.5 * (objective(model, ref[stop - 1]) + objective(model, ref[stop]))
+        traj = run(model, policy, x0, max_epochs=10 * _K, tol=tol)
+        assert traj.epochs == stop
+        assert traj.iterations == _N * stop
+        assert np.all(traj.f_per_epoch[:-1] > tol) and traj.f_per_epoch[-1] <= tol
+        assert np.abs(traj.final_x - ref[stop]).max() <= 1e-12 * np.abs(x0).max()
+
+    def test_draws_nothing_from_generator(self, model, policy):
+        rng = np.random.default_rng(24)
+        x0 = rng.standard_normal(_N)
+        state = rng.bit_generator.state
+        run(model, policy, x0, max_epochs=3 * _K, tol=0.0, seed=rng)
+        assert rng.bit_generator.state == state
+
+    def test_nonfinite_objective_carries_last_finite_value(self, model, policy, monkeypatch):
+        rows = engine._objective_rows
+        bad = _K + 2  # third epoch of the second block
+
+        def poisoned(model, Y):
+            fk = rows(model, Y)
+            if poisoned.calls == 1:
+                fk[bad - _K - 1] = np.nan
+            poisoned.calls += 1
+            return fk
+
+        poisoned.calls = 0
+        monkeypatch.setattr(engine, "_objective_rows", poisoned)
+        x0 = np.random.default_rng(25).standard_normal(_N)
+        with pytest.raises(NumericalError) as err:
+            run(model, policy, x0, max_epochs=3 * _K, tol=0.0)
+        ref = _oracle_iterates(model, _order(policy, _N), x0, bad - 1)
+        assert err.value.last_estimate == pytest.approx(objective(model, ref[-1]), rel=1e-12)
+        assert f"after {bad * _N} iterations" in str(err.value)
+
+
+class TestFixedOrderOutsideBlocks:
+    def test_block_size_limit(self):
+        # at least two n x n maps per block up to n = 256
+        assert _K >= 2
+        assert _block_epochs(256) == 2
+        assert _block_epochs(257) < 2
+
+    def test_wrong_length_fixed_permutation_rejected(self):
+        policy = OrderingPolicy.fixed_permutation([2, 0, 1])
+        for model in (PermInvariantQuadratic(4, 0.5), build_log_uniform_spectrum(4, 10.0, 0)):
+            with pytest.raises(ValueError):
+                run(model, policy, np.ones(4))
+
+    def test_above_block_size_limit(self):
+        # n = 300 keeps the per-coordinate loop
+        n = 300
+        assert _block_epochs(n) < 2
+        model = PermInvariantQuadratic(n, 0.1)
+        rng = np.random.default_rng(26)
+        x0 = rng.standard_normal(n)
+        perm = rng.permutation(n)
+        for policy, order in ((OrderingPolicy("ccd"), np.arange(n)),
+                              (OrderingPolicy.fixed_permutation(perm), perm)):
+            traj = run(model, policy, x0, max_epochs=3, tol=0.0, record_iterates=True)
+            ref = _oracle_iterates(model, order, x0, 3)
+            for x, x_ref in zip(traj.iterates, ref):
+                assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x0).max()
 
 
 class TestEpochMatrix:

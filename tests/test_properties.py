@@ -1,0 +1,58 @@
+"""Property tests over the whole delta window (0, n/(n-1)), edges included."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from cdlab import DenseQuadratic, OrderingPolicy, PermInvariantQuadratic, objective, run
+from conftest import simulate_epoch
+
+
+@st.composite
+def fixed_order_runs(draw):
+    """(model, policy, order, x0, epochs) for a fixed-order run."""
+    n = draw(st.integers(2, 64))
+    # delta = t * n/(n-1), with t pushed towards both open ends by a log scale
+    gap = 10.0 ** draw(st.floats(-9.0, -0.3))
+    t = draw(st.sampled_from([gap, 1.0 - gap]))
+    model = PermInvariantQuadratic(n, t * n / (n - 1))
+    if draw(st.booleans()):
+        model = DenseQuadratic(model.matrix())
+    if draw(st.booleans()):
+        order = list(range(n))
+        policy = OrderingPolicy("ccd")
+    else:
+        order = draw(st.permutations(range(n)))
+        policy = OrderingPolicy.fixed_permutation(order)
+    x0 = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    return model, policy, order, x0, draw(st.integers(1, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_order_runs())
+def test_fixed_order_run_matches_step_oracle(case):
+    model, policy, order, x0, epochs = case
+    # f is compared on the scale of the terms it sums, (1/2)|x0|'|A||x0| <=
+    # (1/2)||x0||_1^2: near either edge A is nearly singular, f(x^0) can be
+    # far below that, and the map products of the block path then move f by
+    # up to ~1e-11 f(x^0) while x stays within ~1e-13 ||x0||_inf
+    traj = run(model, policy, x0, max_epochs=epochs, tol=0.0, record_iterates=True)
+    f_scale, x_scale = 0.5 * np.abs(x0).sum() ** 2, np.abs(x0).max()
+    assert traj.epochs == epochs or traj.f_per_epoch[-1] == 0.0
+    x_ref = x0
+    for x, f in zip(traj.iterates[1:], traj.f_per_epoch[1:]):
+        x_ref = simulate_epoch(model, x_ref, order)
+        assert abs(f - objective(model, x_ref)) <= 1e-12 * f_scale
+        assert np.abs(x - x_ref).max() <= 1e-12 * x_scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_order_runs())
+def test_fixed_order_run_nonincreasing_up_to_rounding(case):
+    # f may rise only by the rounding error of evaluating (1/2) x'Ax with
+    # |A_ij| <= 1, about n*eps*||x||_1^2.  Near either edge of the window A is
+    # nearly singular, and that error exceeds 1e-10 f(x^0) on the block path
+    # and on the per-coordinate loop alike.
+    model, policy, _, x0, epochs = case
+    traj = run(model, policy, x0, max_epochs=epochs, tol=0.0, record_iterates=True)
+    slack = [2 * model.n * np.finfo(float).eps * np.abs(x).sum() ** 2 for x in traj.iterates[:-1]]
+    assert np.all(np.diff(traj.f_per_epoch) <= slack)
