@@ -9,8 +9,14 @@ figure NAME  plot data behind the three standard figures
 predict      every rate predictor for one (n, delta), as one record
 solve        a single trajectory as epoch/objective rows
 
+Each command takes exactly the flags it reads, plus --format and
+--output; a flag it does not read is an argparse usage error (exit 2),
+and so is a value outside its domain.  `predict` also accepts --seed,
+which it ignores.  The JSON `config` echo lists the effective value of
+every flag the command reads.
+
 All randomness flows from --seed through documented SeedSequence mixing
-(base seed, delta index, variant code, replicate), so identical
+(base seed, stream index, variant code, replicate), so identical
 invocations produce byte-identical output files.  Starting points are
 i.i.d. standard normal from the derived stream.
 """
@@ -23,7 +29,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -75,8 +81,6 @@ class ExperimentConfig:
     tol: float = 1e-8
     max_epochs: int = 500_000
     epochs_budget: int = 5000
-    output_path: str | None = None
-    format: str = "csv"
 
     def __post_init__(self):
         if not self.deltas:
@@ -89,8 +93,6 @@ class ExperimentConfig:
             raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.epochs_budget < 0:
             raise ValueError(f"epochs_budget must be >= 0, got {self.epochs_budget}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
         for d in self.deltas:
             PermInvariantQuadratic(self.n, d)  # window check
 
@@ -109,18 +111,25 @@ class Table1Row:
     rho_M: float
 
 
-def _replicate_rate(config: ExperimentConfig, d_idx: int, variant: str, replicate: int) -> float:
-    """Rate of one seeded run; NaN when the run diverges or is too short.
+def _seeded_run(n, delta, variant, seed, stream, *, tol, max_epochs, replicate=0,
+                x0_mode="gaussian"):
+    """One run of `variant` on the (n, delta) model from a seeded start.
 
-    The generator seeds both the Gaussian starting point and the
-    coordinate ordering of the run.
+    One generator, seeded from (seed, stream, variant code, replicate),
+    draws the Gaussian starting point and then the run's coordinate
+    orders; a zero start draws nothing before the run.
     """
-    rng = np.random.default_rng(derive_seed(config.seed, d_idx, VARIANT_CODE[variant], replicate))
-    x0 = rng.standard_normal(config.n)
-    model = PermInvariantQuadratic(config.n, config.deltas[d_idx])
+    rng = np.random.default_rng(derive_seed(seed, stream, VARIANT_CODE[variant], replicate))
+    x0 = rng.standard_normal(n) if x0_mode == "gaussian" else np.zeros(n)
+    return run(PermInvariantQuadratic(n, delta), OrderingPolicy(variant), x0,
+               max_epochs=max_epochs, tol=tol, seed=rng)
+
+
+def _replicate_rate(config: ExperimentConfig, d_idx: int, variant: str, replicate: int) -> float:
+    """Rate of one seeded run; NaN when the run diverges or is too short."""
     try:
-        traj = run(model, OrderingPolicy(variant), x0, max_epochs=config.max_epochs,
-                   tol=config.tol, seed=rng)
+        traj = _seeded_run(config.n, config.deltas[d_idx], variant, config.seed, d_idx,
+                           tol=config.tol, max_epochs=config.max_epochs, replicate=replicate)
         return empirical_rate(traj)
     except (NumericalError, ValueError):
         return math.nan
@@ -168,6 +177,8 @@ def figure_lu(config: ExperimentConfig, condition: float = 1e4, sequences: int =
     `sequences` sampled permutation-ordered products.  Stops at the
     epoch budget or when both curves fall below tol.
     """
+    if sequences < 1:
+        raise ValueError(f"sequences must be >= 1, got {sequences}")
     model = build_log_uniform_spectrum(config.n, condition, derive_seed(config.seed, 0))
     C = epoch_map(model)
     n = config.n
@@ -201,18 +212,9 @@ def figure_different_n(config: ExperimentConfig, delta: float = 0.001, ns=(10, 2
     """
     rows = []
     for n in ns:
-        PermInvariantQuadratic(n, delta)
         for variant in ("ccd", "rpcd", "rcd"):
-            rng = np.random.default_rng(derive_seed(config.seed, n, VARIANT_CODE[variant], 0))
-            x0 = rng.standard_normal(n)
-            traj = run(
-                PermInvariantQuadratic(n, delta),
-                OrderingPolicy(variant),
-                x0,
-                max_epochs=config.epochs_budget,
-                tol=config.tol,
-                seed=rng,
-            )
+            traj = _seeded_run(n, delta, variant, config.seed, n,
+                               tol=config.tol, max_epochs=config.epochs_budget)
             f0 = traj.f_per_epoch[0]
             for epoch, f in enumerate(traj.f_per_epoch):
                 rows.append(
@@ -234,16 +236,7 @@ def figure_expected(config: ExperimentConfig, delta: float = 0.05):
     recurrence matrix at every epoch.
     """
     n = config.n
-    rng = np.random.default_rng(derive_seed(config.seed, 0, VARIANT_CODE["rpcd"], 0))
-    x0 = rng.standard_normal(n)
-    traj = run(
-        PermInvariantQuadratic(n, delta),
-        OrderingPolicy("rpcd"),
-        x0,
-        max_epochs=config.max_epochs,
-        tol=config.tol,
-        seed=rng,
-    )
+    traj = _seeded_run(n, delta, "rpcd", config.seed, 0, tol=config.tol, max_epochs=config.max_epochs)
     M = recurrence_coeffs(n, delta)
     rows = []
     for epoch, f in enumerate(traj.f_per_epoch):
@@ -309,21 +302,9 @@ def cmd_solve(
     x0_mode: str = "gaussian",
 ):
     """One run; rows of (epoch, f, f_over_f0)."""
-    rng = np.random.default_rng(derive_seed(seed, 0, VARIANT_CODE[variant], 0))
-    if x0_mode == "gaussian":
-        x0 = rng.standard_normal(n)
-    elif x0_mode == "zero":
-        x0 = np.zeros(n)
-    else:
+    if x0_mode not in ("gaussian", "zero"):
         raise ValueError(f"x0_mode must be gaussian or zero, got {x0_mode!r}")
-    traj = run(
-        PermInvariantQuadratic(n, delta),
-        OrderingPolicy(variant),
-        x0,
-        max_epochs=max_epochs,
-        tol=tol,
-        seed=rng,
-    )
+    traj = _seeded_run(n, delta, variant, seed, 0, tol=tol, max_epochs=max_epochs, x0_mode=x0_mode)
     f0 = traj.f_per_epoch[0]
     return [
         {"epoch": epoch, "f": float(f), "f_over_f0": float(f / f0) if f0 > 0 else 0.0}
@@ -331,21 +312,20 @@ def cmd_solve(
     ]
 
 
-def write_rows(rows, fieldnames, fmt: str, path: str | None, config_echo: dict | None = None) -> str:
-    """Serialize rows to CSV (LF, header row) or JSON (with config echo).
+def write_rows(rows, fmt: str, path: str | None, payload: dict) -> str:
+    """Serialize `rows` as CSV (LF, header row) or `payload` as JSON.
 
-    Returns the serialized text; writes it to `path` unless path is None
-    or "-", in which case it goes to stdout.
+    Every command writes its output here.  Returns the serialized text;
+    writes it to `path` unless path is None or "-", in which case it goes
+    to stdout.
     """
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
-        payload = {"config": config_echo or {}, "rows": rows}
         text = json.dumps(payload, indent=2) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -355,112 +335,96 @@ def write_rows(rows, fieldnames, fmt: str, path: str | None, config_echo: dict |
     return text
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-epochs", type=int, default=500_000)
-    p.add_argument("--epochs-budget", type=int, default=5000)
-    p.add_argument("--replicates", type=int, default=20)
+# Every flag once, under the name its value has in the parsed arguments
+# and in the JSON config echo.  `--delta` comes in two forms: repeated
+# (table1's grid) and single.
+_FLAGS = {
+    "n": ("--n", dict(type=int, default=100)),
+    "deltas": ("--delta", dict(type=float, action="append", metavar="DELTA",
+                               help="delta value; repeat for several (default: the standard grid)")),
+    "delta": ("--delta", dict(type=float, required=True)),
+    "seed": ("--seed", dict(type=int, default=0)),
+    "replicates": ("--replicates", dict(type=int, default=20)),
+    "tol": ("--tol", dict(type=float, default=1e-8)),
+    "max_epochs": ("--max-epochs", dict(type=int, default=500_000)),
+    "epochs_budget": ("--epochs-budget", dict(type=int, default=5000)),
+    "condition": ("--condition", dict(type=float, default=1e4)),
+    "sequences": ("--sequences", dict(type=int, default=10,
+                                      help="permutation sequences averaged")),
+    "variant": ("--variant", dict(choices=tuple(VARIANT_CODE), default="ccd")),
+    "x0": ("--x0", dict(choices=("gaussian", "zero"), default="gaussian")),
+}
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
+
+def _add_command(sub, name: str, help: str, reads: tuple[str, ...], **defaults):
+    """Subcommand taking the flags named in `reads`, plus --format and --output.
+
+    A flag named in `defaults` is optional with that default.
+    """
+    p = sub.add_parser(name, help=help)
+    for flag in reads:
+        option, kwargs = _FLAGS[flag]
+        if flag in defaults:
+            kwargs = dict(kwargs, required=False, default=defaults[flag])
+        p.add_argument(option, dest=flag, **kwargs)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, metavar="PATH")
+    p.set_defaults(reads=reads)
+    return p
 
 
-def _config_from_args(args, deltas=None) -> ExperimentConfig:
-    return ExperimentConfig(
-        n=args.n,
-        deltas=tuple(deltas) if deltas is not None else TABLE1_DELTAS,
-        seed=args.seed,
-        replicates=args.replicates,
-        tol=args.tol,
-        max_epochs=args.max_epochs,
-        epochs_budget=args.epochs_budget,
-        output_path=args.output,
-        format=args.format,
-    )
-
-
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdlab",
         description="Coordinate descent ordering experiments on convex quadratics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    _add_command(sub, "table1", "observed vs predicted per-epoch rates",
+                 ("n", "deltas", "seed", "replicates", "tol", "max_epochs"))
+    figures = sub.add_parser("figure", help="emit data behind a standard figure")
+    figures = figures.add_subparsers(dest="figure", required=True)
+    _add_command(figures, "lu", "expected objective per epoch on a log-uniform spectrum",
+                 ("n", "seed", "tol", "epochs_budget", "condition", "sequences"))
+    _add_command(figures, "different_n", "traces of the three orderings at n = 10, 20, 40, 80",
+                 ("delta", "seed", "tol", "epochs_budget"), delta=0.001)
+    _add_command(figures, "expected", "one permutation-ordered run next to its closed form",
+                 ("n", "delta", "seed", "tol", "max_epochs"), delta=0.05)
+    predict = _add_command(sub, "predict", "all rate predictors for one (n, delta)", ("n", "delta"))
+    predict.add_argument("--seed", type=int, default=0, help="ignored: predict draws nothing at random")
+    _add_command(sub, "solve", "one trajectory as epoch/objective rows",
+                 ("n", "delta", "variant", "seed", "tol", "max_epochs", "x0"))
+    return parser
 
-    p_table = sub.add_parser("table1", help="observed vs predicted per-epoch rates")
-    p_table.add_argument(
-        "--delta", type=float, action="append", default=None,
-        help="delta value; repeat for several (default: the standard grid)",
-    )
-    _add_common_flags(p_table)
 
-    p_fig = sub.add_parser("figure", help="emit data behind a standard figure")
-    p_fig.add_argument("name", choices=("lu", "different_n", "expected"))
-    p_fig.add_argument("--delta", type=float, default=None,
-                       help="delta for different_n and expected (lu rejects it)")
-    p_fig.add_argument("--condition", type=float, default=1e4)
-    p_fig.add_argument("--sequences", type=int, default=10,
-                       help="permutation sequences averaged for the lu figure")
-    _add_common_flags(p_fig)
-
-    p_pred = sub.add_parser("predict", help="all rate predictors for one (n, delta)")
-    p_pred.add_argument("--delta", type=float, required=True)
-    _add_common_flags(p_pred)
-
-    p_solve = sub.add_parser("solve", help="one trajectory as epoch/objective rows")
-    p_solve.add_argument("--delta", type=float, required=True)
-    p_solve.add_argument("--variant", choices=("ccd", "rcd", "rpcd"), default="ccd")
-    p_solve.add_argument("--x0", choices=("gaussian", "zero"), default="gaussian")
-    _add_common_flags(p_solve)
-
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
-
+    echo = {name: getattr(args, name) for name in args.reads}
     if args.command == "table1":
-        config = _config_from_args(args, deltas=args.delta)
-        rows = [asdict(r) for r in cmd_table1(config)]
-        write_rows(rows, list(rows[0].keys()), args.format, args.output, asdict(config))
-        return 0
-
-    if args.command == "figure":
-        if args.name == "lu" and args.delta is not None:
-            p_fig.error("figure lu takes no --delta: it runs on a log-uniform spectrum")
-        config = _config_from_args(args)
-        kwargs = {}
-        if args.name == "lu":
-            kwargs = {"condition": args.condition, "sequences": args.sequences}
-        elif args.delta is not None:
-            kwargs = {"delta": args.delta}
-        rows = cmd_figure(args.name, config, **kwargs)
-        echo = dict(asdict(config), figure=args.name, **kwargs)
-        write_rows(rows, list(rows[0].keys()), args.format, args.output, echo)
-        return 0
-
-    if args.command == "predict":
-        report = cmd_predict(args.n, args.delta)
-        if args.format == "csv":
-            row = {k: v for k, v in report.items() if k != "sun_ye_terms"}
-            write_rows([row], list(row.keys()), "csv", args.output)
+        echo["deltas"] = tuple(args.deltas or TABLE1_DELTAS)
+    config = {k: v for k, v in echo.items() if k in _CONFIG_FIELDS}
+    # cdlab raises ValueError only for inputs outside their domain, and
+    # every input here comes from the command line.  Output is written
+    # only after the command returns.
+    try:
+        if args.command == "table1":
+            rows = [asdict(r) for r in cmd_table1(ExperimentConfig(**config))]
+        elif args.command == "figure":
+            kwargs = {k: v for k, v in echo.items() if k not in config}
+            rows = cmd_figure(args.figure, ExperimentConfig(**config), **kwargs)
+            echo = {"figure": args.figure, **echo}
+        elif args.command == "predict":
+            report = cmd_predict(args.n, args.delta)
+            rows = [{k: v for k, v in report.items() if k != "sun_ye_terms"}]
         else:
-            text = json.dumps({"config": {"n": args.n, "delta": args.delta}, "report": report},
-                              indent=2) + "\n"
-            if args.output in (None, "-"):
-                sys.stdout.write(text)
-            else:
-                with open(args.output, "w", newline="") as fh:
-                    fh.write(text)
-        return 0
-
-    if args.command == "solve":
-        rows = cmd_solve(
-            args.n, args.delta, args.variant,
-            seed=args.seed, tol=args.tol, max_epochs=args.max_epochs, x0_mode=args.x0,
-        )
-        echo = {"command": "solve", "n": args.n, "delta": args.delta, "variant": args.variant,
-                "seed": args.seed, "tol": args.tol, "max_epochs": args.max_epochs, "x0": args.x0}
-        write_rows(rows, list(rows[0].keys()), args.format, args.output, echo)
-        return 0
-
-    raise AssertionError("unreachable")
+            rows = cmd_solve(args.n, args.delta, args.variant, seed=args.seed, tol=args.tol,
+                             max_epochs=args.max_epochs, x0_mode=args.x0)
+    except ValueError as err:
+        parser.error(str(err))
+    body = {"report": report} if args.command == "predict" else {"rows": rows}
+    write_rows(rows, args.format, args.output, {"config": echo, **body})
+    return 0
 
 
 if __name__ == "__main__":

@@ -337,10 +337,12 @@ def expected_over_x0(model: QuadraticModel, epoch_maps) -> float:
     """
     A = model.matrix()
     n = A.shape[0]
-    G = np.eye(n)
+    G = None
     for M in epoch_maps:
         M = np.asarray(M, dtype=float)
         if M.shape != (n, n):
             raise ValueError(f"epoch map has shape {M.shape}, expected ({n}, {n})")
-        G = M @ G
+        G = M if G is None else M @ G
+    if G is None:
+        return 0.5 * float(np.trace(A))
     return 0.5 * float(np.sum(G * (A @ G)))

@@ -1,13 +1,18 @@
 import csv
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdlab import closed_form_C, evolve, recurrence_coeffs, spectral_radius
 from cdlab.cli import (
+    TABLE1_DELTAS,
     ExperimentConfig,
+    _parser,
     cmd_figure,
     cmd_predict,
     cmd_solve,
@@ -30,8 +35,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(deltas=(2.5,))
         with pytest.raises(ValueError):
-            ExperimentConfig(format="xml")
-        with pytest.raises(ValueError):
             ExperimentConfig(max_epochs=-1)
         with pytest.raises(ValueError):
             ExperimentConfig(epochs_budget=-1)
@@ -41,8 +44,9 @@ class TestConfig:
         for argv in (["table1", "--max-epochs", "-3"],
                      ["figure", "lu", "--epochs-budget", "-3"],
                      ["solve", "--delta", "0.5", "--max-epochs", "-3"]):
-            with pytest.raises(ValueError):
+            with pytest.raises(SystemExit) as err:
                 main(argv)
+            assert err.value.code == 2
         assert capsys.readouterr().out == ""
 
     def test_figure_lu_rejects_delta(self, capsys):
@@ -54,6 +58,79 @@ class TestConfig:
         main(["figure", "different_n", "--delta", "0.01", "--epochs-budget", "2",
               "--format", "json"])
         assert json.loads(capsys.readouterr().out)["config"]["delta"] == 0.01
+
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--epochs-budget", "5"],
+        ["figure", "lu", "--replicates", "2"],
+        ["figure", "lu", "--max-epochs", "5"],
+        ["figure", "different_n", "--n", "10"],
+        ["figure", "different_n", "--sequences", "2"],
+        ["figure", "different_n", "--condition", "10"],
+        ["figure", "different_n", "--replicates", "2"],
+        ["figure", "different_n", "--max-epochs", "5"],
+        ["figure", "expected", "--epochs-budget", "5"],
+        ["figure", "expected", "--condition", "10"],
+        ["figure", "expected", "--sequences", "2"],
+        ["figure", "expected", "--replicates", "2"],
+        ["predict", "--delta", "0.5", "--tol", "1e-6"],
+        ["predict", "--delta", "0.5", "--replicates", "2"],
+        ["predict", "--delta", "0.5", "--max-epochs", "5"],
+        ["predict", "--delta", "0.5", "--epochs-budget", "5"],
+        ["solve", "--delta", "0.5", "--replicates", "2"],
+        ["solve", "--delta", "0.5", "--epochs-budget", "5"],
+    ], ids=" ".join)
+    def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and argv[-2] in out.err
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--replicates", "0"],
+        ["table1", "--delta", "2.5"],
+        ["table1", "--tol", "0"],
+        ["figure", "lu", "--sequences", "0"],
+        ["figure", "expected", "--delta", "1.5"],
+        ["predict", "--n", "1", "--delta", "0.5"],
+    ], ids=" ".join)
+    def test_invalid_value_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "error:" in out.err
+
+    @pytest.mark.parametrize("argv, echo", [
+        (["table1", "--n", "10", "--max-epochs", "40", "--replicates", "2"],
+         {"n": 10, "deltas": list(TABLE1_DELTAS), "seed": 0, "replicates": 2, "tol": 1e-8,
+          "max_epochs": 40}),
+        (["figure", "lu", "--n", "8", "--epochs-budget", "3", "--seed", "2"],
+         {"figure": "lu", "n": 8, "seed": 2, "tol": 1e-8, "epochs_budget": 3,
+          "condition": 1e4, "sequences": 10}),
+        (["figure", "different_n", "--epochs-budget", "2"],
+         {"figure": "different_n", "delta": 0.001, "seed": 0, "tol": 1e-8, "epochs_budget": 2}),
+        (["figure", "expected", "--n", "10", "--max-epochs", "3", "--tol", "1e-6"],
+         {"figure": "expected", "n": 10, "delta": 0.05, "seed": 0, "tol": 1e-6, "max_epochs": 3}),
+        (["predict", "--n", "10", "--delta", "0.5", "--seed", "7"], {"n": 10, "delta": 0.5}),
+        (["solve", "--n", "10", "--delta", "0.5", "--max-epochs", "3", "--variant", "rpcd"],
+         {"n": 10, "delta": 0.5, "variant": "rpcd", "seed": 0, "tol": 1e-8, "max_epochs": 3,
+          "x0": "gaussian"}),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_json_config_echo_lists_the_flags_read(self, argv, echo, capsys):
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == echo
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = [line.split("#")[0]
+                    for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                    for line in block.splitlines() if line.startswith("cdlab ")]
+        assert len(commands) >= 7
+        parser = _parser()
+        for command in commands:
+            parser.parse_args(shlex.split(command)[1:])
 
 
 class TestTable1:
