@@ -35,6 +35,7 @@ import numpy as np
 
 from .engine import (
     OrderingPolicy,
+    _epoch_dense,
     closed_form_C,
     derive_seed,
     epoch_map,
@@ -53,7 +54,7 @@ from .rates import (
     sd_rate,
     spectral_radius,
 )
-from .recurrence import evolve, recurrence_coeffs
+from .recurrence import recurrence_coeffs
 
 __all__ = [
     "ExperimentConfig",
@@ -174,8 +175,10 @@ def figure_lu(config: ExperimentConfig, condition: float = 1e4, sequences: int =
 
     Emits, for each epoch, (1/2) trace(G' A G) / (n/2) with G the
     accumulated epoch product: the cyclic product C^l, and the mean over
-    `sequences` sampled permutation-ordered products.  Stops at the
-    epoch budget or when both curves fall below tol.
+    `sequences` sampled permutation-ordered products.  Each permutation
+    product is stepped in place, one coordinate row at a time, so a run
+    builds one epoch map, C.  Stops at the epoch budget or when both
+    curves fall below tol.
     """
     if sequences < 1:
         raise ValueError(f"sequences must be >= 1, got {sequences}")
@@ -191,9 +194,9 @@ def figure_lu(config: ExperimentConfig, condition: float = 1e4, sequences: int =
         G_ccd = C @ G_ccd
         ccd_val = expected_over_x0(model, (G_ccd,))
         rpcd_vals = []
-        for k, rng in enumerate(seq_rngs):
-            G_seqs[k] = epoch_map(model, rng.permutation(n)) @ G_seqs[k]
-            rpcd_vals.append(expected_over_x0(model, (G_seqs[k],)))
+        for G, rng in zip(G_seqs, seq_rngs):
+            _epoch_dense(G, model.A, rng.permutation(n).tolist())
+            rpcd_vals.append(expected_over_x0(model, (G,)))
         rpcd_val = float(np.mean(rpcd_vals))
         rows.append(
             {"epoch": epoch, "ccd_rel": ccd_val / f0, "rpcd_rel": rpcd_val / f0}
@@ -232,22 +235,17 @@ def figure_different_n(config: ExperimentConfig, delta: float = 0.001, ns=(10, 2
 def figure_expected(config: ExperimentConfig, delta: float = 0.05):
     """Realized objective of one permutation-ordered run vs its closed form.
 
-    The closed-form column is (n/2)(eta_l + nu_l), recomputed from the
-    recurrence matrix at every epoch.
+    The closed-form column is (n/2)(eta_l + nu_l), carried from row to
+    row with the update of `evolve`, so row l equals evolve(M, delta, l).
     """
     n = config.n
     traj = _seeded_run(n, delta, "rpcd", config.seed, 0, tol=config.tol, max_epochs=config.max_epochs)
     M = recurrence_coeffs(n, delta)
+    eta, nu = float(delta), 1.0 - float(delta)
     rows = []
     for epoch, f in enumerate(traj.f_per_epoch):
-        pair = evolve(M, delta, epoch)
-        rows.append(
-            {
-                "epoch": epoch,
-                "f_realized": float(f),
-                "f_expected": 0.5 * n * (pair.eta + pair.nu),
-            }
-        )
+        rows.append({"epoch": epoch, "f_realized": float(f), "f_expected": 0.5 * n * (eta + nu)})
+        eta, nu = M.d1 * eta + M.m1 * nu, M.d2 * eta + M.m2 * nu
     return rows
 
 

@@ -10,7 +10,16 @@ P'AP = L_P + D_P + L_P' (`epoch_map`); the cyclic order gives
 C = -(L+D)^{-1} L'.  For permutation-invariant models C_P is the same
 closed-form C (`closed_form_C`) for every order.
 
-`run` steps random orders coordinate by coordinate.  A fixed order
+`epoch_map` solves with `np.linalg.solve`, whose LU factorization does
+no row exchanges here: a PSD matrix with unit diagonal has
+|A_ij| <= 1 = A_ii, so in each column of the lower-triangular L+D the
+diagonal is a largest entry (ties keep the first), and eliminating
+against a row that is zero right of its diagonal leaves the rest of the
+matrix untouched.  LU is then L+D itself and the solve is the forward
+substitution.
+
+`run` steps random orders coordinate by coordinate; the dense kernel
+steps one iterate or a block of iterates, one per column.  A fixed order
 (cyclic or a fixed permutation) makes every epoch the same map M, so
 when a block of at least two n x n maps fits in about 1 MB (n <= 256)
 `run` builds M, M^2, ..., M^K once and advances K epochs with one
@@ -25,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NumericalError
 from .quadratic import PermInvariantQuadratic, QuadraticModel, _objective_rows, objective
@@ -76,18 +84,6 @@ class OrderingPolicy:
             object.__setattr__(self, "perm", perm)
         elif self.perm is not None:
             raise ValueError(f"ordering kind {kind!r} takes no permutation")
-
-    @classmethod
-    def cyclic(cls) -> OrderingPolicy:
-        return cls("cyclic")
-
-    @classmethod
-    def random_with_replacement(cls) -> OrderingPolicy:
-        return cls("random_with_replacement")
-
-    @classmethod
-    def random_permutation(cls) -> OrderingPolicy:
-        return cls("random_permutation")
 
     @classmethod
     def fixed_permutation(cls, perm) -> OrderingPolicy:
@@ -149,14 +145,11 @@ def _epoch_perm_invariant(x: np.ndarray, delta: float, order: list[int]) -> None
     x[:] = xs
 
 
-def _epoch_dense(x: np.ndarray, A: np.ndarray, order: list[int]) -> None:
-    # The residual r = Ax is rebuilt per epoch and updated in O(n) per step.
-    r = A @ x
+def _epoch_dense(X: np.ndarray, A: np.ndarray, order: list[int]) -> None:
+    # One epoch in place on an iterate (n,) or a block of iterates (n, m).
+    # With unit diagonal the exact step on coordinate i is -(AX)_i.
     for i in order:
-        g = r[i]
-        if g != 0.0:
-            x[i] -= g
-            r -= g * A[:, i]
+        X[i] -= A[i] @ X
 
 
 def _block_epochs(n: int) -> int:
@@ -288,10 +281,13 @@ def epoch_map(model: QuadraticModel, order=None) -> np.ndarray:
     permuted matrix P'AP = L_P + D_P + L_P' is split, its cyclic map
     C_P = -(L_P+D_P)^{-1} L_P' is solved by forward substitution (no
     explicit inverse), and the result is scattered back to the original
-    coordinates.  `order=None` visits 0..n-1 and gives the cyclic map C.
-    One epoch from any x in that order equals epoch_map(model, order) @ x.
-    For permutation-invariant models C_P is the closed_form_C matrix for
-    every order.
+    coordinates.  The solve is `np.linalg.solve`: with unit diagonal and
+    |A_ij| <= 1, partial pivoting keeps every diagonal pivot, so its LU
+    factorization is L_P+D_P itself and no row is exchanged (see the
+    module docstring).  `order=None` visits 0..n-1 and gives the cyclic
+    map C.  One epoch from any x in that order equals
+    epoch_map(model, order) @ x.  For permutation-invariant models C_P is
+    the closed_form_C matrix for every order.
     """
     n = model.n
     if order is None:
@@ -303,7 +299,7 @@ def epoch_map(model: QuadraticModel, order=None) -> np.ndarray:
     idx = np.ix_(order, order)
     Ap = model.matrix()[idx]
     Lp = np.tril(Ap, -1)
-    Cp = solve_triangular(Lp + np.diag(np.diag(Ap)), -Lp.T, lower=True)
+    Cp = np.linalg.solve(Lp + np.diag(np.diag(Ap)), -Lp.T)
     out = np.empty_like(Cp)
     out[idx] = Cp
     return out

@@ -1,14 +1,25 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cdlab import closed_form_C, evolve, recurrence_coeffs, spectral_radius
+from cdlab import (
+    build_log_uniform_spectrum,
+    closed_form_C,
+    derive_seed,
+    epoch_map,
+    evolve,
+    recurrence_coeffs,
+    spectral_radius,
+)
 from cdlab.cli import (
     TABLE1_DELTAS,
     ExperimentConfig,
@@ -258,6 +269,22 @@ class TestFigures:
         # expected-value curves decay monotonically for these spectra
         assert all(b <= a * (1 + 1e-12) for a, b in zip(ccd, ccd[1:]))
 
+    def test_lu_matches_epoch_map_products(self):
+        # rpcd_rel rebuilt from the same permutation streams through
+        # epoch-map products and (1/2) tr(G'AG) / (n/2)
+        n, seed, sequences = 16, 3, 4
+        cfg = ExperimentConfig(n=n, seed=seed, epochs_budget=400, tol=1e-300)
+        rows = cmd_figure("lu", cfg, condition=100.0, sequences=sequences)
+        model = build_log_uniform_spectrum(n, 100.0, derive_seed(seed, 0))
+        A = model.matrix()
+        rngs = [np.random.default_rng(derive_seed(seed, 1000 + k)) for k in range(sequences)]
+        Gs = [np.eye(n)] * sequences
+        assert len(rows) == 401
+        for r in rows[1:]:
+            Gs = [epoch_map(model, rng.permutation(n)) @ G for G, rng in zip(Gs, rngs)]
+            expected = np.mean([0.5 * np.trace(G.T @ A @ G) for G in Gs]) / (n / 2)
+            assert abs(r["rpcd_rel"] - expected) <= 1e-12 * expected
+
     def test_different_n_structure(self):
         cfg = ExperimentConfig(seed=0, epochs_budget=50)
         rows = cmd_figure("different_n", cfg, delta=0.001, ns=(10, 20))
@@ -297,3 +324,28 @@ class TestFigures:
         rows = figure_expected(ExperimentConfig(n=30, seed=8), delta=0.2)
         assert len(parsed) == len(rows)
         assert float(parsed[3]["f_expected"]) == rows[3]["f_expected"]
+
+
+def test_no_command_loads_scipy():
+    # numpy is the only runtime dependency: no command imports scipy
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = """
+import sys
+from cdlab.cli import main
+for argv in (
+    "table1 --n 20 --delta 0.5 --replicates 2",
+    "figure lu --n 8 --epochs-budget 3 --sequences 2",
+    "figure different_n --epochs-budget 3",
+    "figure expected --n 20 --delta 0.3",
+    "predict --n 20 --delta 0.3",
+    "solve --n 20 --delta 0.3 --variant ccd",
+    "solve --n 20 --delta 0.3 --variant rpcd --format json",
+):
+    main(argv.split() + ["--output", "-"])
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")), file=sys.stderr)
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "[]"
