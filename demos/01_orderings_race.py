@@ -11,12 +11,11 @@ import numpy as np
 from cdlab import (
     OrderingPolicy,
     PermInvariantQuadratic,
-    closed_form_C,
     empirical_rate,
     rcd_rates,
+    rho_C,
     rho_M,
     run,
-    spectral_radius,
 )
 
 n, delta, seed = 100, 0.05, 1
@@ -27,7 +26,7 @@ print(f"minimizing f(x) = x'Ax/2,  A = {delta}*I + {1 - delta}*ones*ones',  n = 
 print(f"start: f(x0) = {0.5 * x0 @ model.matrix() @ x0:.3f}, stopping at f <= 1e-8\n")
 
 predictions = {
-    "ccd": spectral_radius(closed_form_C(n, delta)) ** 2,
+    "ccd": rho_C(n, delta) ** 2,
     "rcd": rcd_rates(n, delta)[1],
     "rpcd": rho_M(n, delta),
 }

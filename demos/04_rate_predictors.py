@@ -7,14 +7,13 @@ shows the generic worst-case bounds for context.
 from cdlab import (
     PermInvariantQuadratic,
     ccd_bounds,
-    closed_form_C,
     generic_bounds,
     quadratic_constants,
     rcd_rates,
+    rho_C,
     rho_M,
     rpcd_asymptotic_rate,
     sd_rate,
-    spectral_radius,
 )
 
 n = 100
@@ -23,7 +22,7 @@ header = f"{'delta':>6} {'rho(C)^2':>9} {'ccd upper':>10} {'rcd':>7} {'rho(M)':>
 print(header)
 for delta in (0.80, 0.50, 0.33, 0.20, 0.10, 0.03):
     consts = quadratic_constants(PermInvariantQuadratic(n, delta))
-    rho_c2 = spectral_radius(closed_form_C(n, delta)) ** 2
+    rho_c2 = rho_C(n, delta) ** 2
     upper, _ = ccd_bounds(n, delta)
     print(
         f"{delta:>6} {rho_c2:>9.4f} {upper:>10.6f} {rcd_rates(n, delta)[1]:>7.4f} "

@@ -10,9 +10,8 @@ import numpy as np
 from cdlab import (
     OrderingPolicy,
     PermInvariantQuadratic,
-    closed_form_C,
+    rho_C,
     run,
-    spectral_radius,
 )
 
 delta, budget = 0.001, 2000
@@ -26,10 +25,10 @@ for n in (10, 20, 40, 80):
         traj = run(PermInvariantQuadratic(n, delta), OrderingPolicy(variant), x0,
                    max_epochs=budget, tol=0.0, seed=rng)
         rel[variant] = traj.f_per_epoch[-1] / traj.f_per_epoch[0]
-    gap = 1 - spectral_radius(closed_form_C(n, delta)) ** 2
+    gap = 1 - rho_C(n, delta) ** 2
     print(f"{n:>4} {rel['ccd']:>12.2e} {rel['rpcd']:>12.2e} {rel['rcd']:>12.2e} {gap:>14.2e}")
 
 print("\nratio of cyclic rate gaps when doubling n (prediction: 4):")
-gaps = {n: 1 - spectral_radius(closed_form_C(n, delta)) ** 2 for n in (10, 20, 40, 80)}
+gaps = {n: 1 - rho_C(n, delta) ** 2 for n in (10, 20, 40, 80)}
 for n in (10, 20, 40):
     print(f"  n = {n:>2} -> {2 * n:>2}:  {gaps[n] / gaps[2 * n]:.2f}")

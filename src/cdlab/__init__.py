@@ -39,6 +39,7 @@ from .rates import (
     generic_bounds,
     rcd_one_step_example,
     rcd_rates,
+    rho_C,
     rho_M,
     rpcd_asymptotic_rate,
     sd_rate,
@@ -93,6 +94,7 @@ __all__ = [
     "generic_bounds",
     "rcd_one_step_example",
     "rcd_rates",
+    "rho_C",
     "rho_M",
     "rpcd_asymptotic_rate",
     "sd_rate",

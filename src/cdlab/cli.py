@@ -9,6 +9,11 @@ figure NAME  plot data behind the three standard figures
 predict      every rate predictor for one (n, delta), as one record
 solve        a single trajectory as epoch/objective rows
 
+The predicted columns (rho_C_sq, rho_M and the recurrence coefficients)
+come from (n, delta) through `rates.rho_C` and `recurrence_coeffs`, in
+O(1) and O(n); no command builds the dense epoch matrix of the
+permutation-invariant model.
+
 Each command takes exactly the flags it reads, plus --format and
 --output; a flag it does not read is an argparse usage error (exit 2),
 and so is a value outside its domain.  `predict` also accepts --seed,
@@ -36,7 +41,6 @@ import numpy as np
 from .engine import (
     OrderingPolicy,
     _epoch_dense,
-    closed_form_C,
     derive_seed,
     epoch_map,
     expected_over_x0,
@@ -49,10 +53,10 @@ from .rates import (
     empirical_rate,
     generic_bounds,
     rcd_rates,
+    rho_C,
     rho_M,
     rpcd_asymptotic_rate,
     sd_rate,
-    spectral_radius,
 )
 from .recurrence import recurrence_coeffs
 
@@ -150,7 +154,8 @@ def cmd_table1(config: ExperimentConfig) -> list[Table1Row]:
     run over `replicates` derived seeds and reported as replicate means
     (the permutation variant also with the replicate standard
     deviation).  A delta whose runs all fail is flagged with NaN
-    empirical cells; predicted columns are always emitted.
+    empirical cells; predicted columns are always emitted, from the
+    scalar predictors rho_C(n, delta)^2 and rho_M(n, delta).
     """
     rows = []
     for d_idx, delta in enumerate(config.deltas):
@@ -159,7 +164,7 @@ def cmd_table1(config: ExperimentConfig) -> list[Table1Row]:
             Table1Row(
                 delta=delta,
                 rho_ccd_emp=float(ccd.mean()) if ccd.size else math.nan,
-                rho_C_sq=spectral_radius(closed_form_C(config.n, delta)) ** 2,
+                rho_C_sq=rho_C(config.n, delta) ** 2,
                 rho_rcd_emp=float(rcd.mean()) if rcd.size else math.nan,
                 rho_rcd_pred=rcd_rates(config.n, delta)[1],
                 rho_rpcd_emp=float(rpcd.mean()) if rpcd.size else math.nan,
@@ -261,7 +266,12 @@ def cmd_figure(name: str, config: ExperimentConfig, **kwargs):
 
 
 def cmd_predict(n: int, delta: float) -> dict:
-    """Every predictor for one (n, delta), as a flat record."""
+    """Every predictor for one (n, delta), as a flat record.
+
+    Nothing here builds an n x n matrix: rho_C_sq comes from a scalar
+    equation and the recurrence coefficients from O(n) sums, so n = 1e6
+    takes well under a second.
+    """
     model = PermInvariantQuadratic(n, delta)
     consts = quadratic_constants(model)
     M = recurrence_coeffs(n, delta)
@@ -271,7 +281,7 @@ def cmd_predict(n: int, delta: float) -> dict:
     return {
         "n": n,
         "delta": delta,
-        "rho_C_sq": spectral_radius(closed_form_C(n, delta)) ** 2,
+        "rho_C_sq": rho_C(n, delta) ** 2,
         "rho_M": rho_M(n, delta),
         "rpcd_asymptotic": rpcd_asymptotic_rate(n, delta),
         "ccd_upper": upper,

@@ -94,10 +94,14 @@ class OrderingPolicy:
 class Trajectory:
     """Per-epoch objective values of one run.
 
-    f_per_epoch[l] = f(x^{l*n}); entry 0 is f(x^0).  Values are
-    nonincreasing (exact line search never increases f) and nonnegative
-    (the minimum value is 0 for these problems).  Full iterates are kept
-    only when requested, to stay small at 1e5-epoch scale.
+    f_per_epoch[l] = f(x^{l*n}); entry 0 is f(x^0).  Exact line search
+    never increases f in exact arithmetic, but the recorded values are
+    float evaluations of f, so an epoch can raise f by the rounding of
+    evaluating it, about 2n*eps*||x||_1^2.  That happens on the block
+    path and the per-coordinate loop alike, once f nears its rounding
+    floor or A is nearly singular.  Values are nonnegative (the minimum
+    value is 0 for these problems).  Full iterates are kept only when
+    requested, to stay small at 1e5-epoch scale.
     """
 
     f_per_epoch: np.ndarray
@@ -313,7 +317,9 @@ def closed_form_C(n: int, delta: float) -> np.ndarray:
         C_ij = -(1-delta) * delta^(i-1)                    for i < j,
         C_ij =  (1-delta) * (delta^(i-j) - delta^(i-1))    for i >= j.
 
-    The first column is identically zero.
+    The first column is identically zero.  The predictors never build it:
+    `rates.rho_C` and `recurrence_coeffs` work from (n, delta) directly,
+    and this dense form is their test oracle.
     """
     PermInvariantQuadratic(n, delta)  # validate the (n, delta) window
     i = np.arange(n)[:, None]

@@ -160,6 +160,42 @@ class TestTable1:
         assert a.rho_M == b.rho_M
 
 
+class TestPredictorsWithoutDenseC:
+    @pytest.fixture
+    def no_dense_path(self, monkeypatch):
+        # every module that could reach the dense n x n epoch matrix or the
+        # repeated-squaring radius finds a function that raises instead
+        import cdlab
+        import cdlab.cli
+        import cdlab.engine
+        import cdlab.rates
+        import cdlab.recurrence
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense predictor path called")
+
+        for module in (cdlab, cdlab.cli, cdlab.engine, cdlab.rates, cdlab.recurrence):
+            for name in ("closed_form_C", "spectral_radius"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+
+    def test_commands_never_build_dense_C(self, no_dense_path):
+        report = cmd_predict(700, 0.2)
+        assert 0.0 < report["rho_C_sq"] < 1.0
+        rows = cmd_table1(ExperimentConfig(n=30, deltas=(0.5, 0.2), replicates=3))
+        assert [row.delta for row in rows] == [0.5, 0.2]
+        rows = figure_expected(ExperimentConfig(n=300))
+        assert rows[-1]["f_realized"] <= 1e-8
+
+    def test_predict_at_a_million_coordinates(self, capsys):
+        main(["predict", "--n", "1000000", "--delta", "0.5", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)["report"]
+        values = [v for key, v in report.items() if key != "sun_ye_terms"] + report["sun_ye_terms"]
+        assert all(math.isfinite(v) for v in values)
+        # the headline: random permutations contract far faster than cyclic order
+        assert 0.0 <= report["rho_M"] < report["rho_C_sq"] < 1.0
+
+
 class TestMainOutputs:
     def test_table1_byte_identical_and_round_trips(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

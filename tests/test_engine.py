@@ -225,6 +225,36 @@ class TestFixedOrderOutsideBlocks:
                 assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x0).max()
 
 
+class TestFixedOrderDrift:
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="longdouble is float64 on this platform")
+    def test_block_path_drift_is_bounded_per_epoch(self):
+        # Every block reapplies one float64-rounded map, so f drifts from
+        # the exact trajectory linearly in the epoch count (about 1.8e-17
+        # relative per epoch here).  The bound is 4e-17 per epoch on top
+        # of a few ulps of one epoch's own rounding.
+        n, delta, epochs = 100, 0.05, 4000
+        x0 = np.random.default_rng(derive_seed(3, 0, 0, 0)).standard_normal(n)  # `solve --seed 3`
+        traj = run(PermInvariantQuadratic(n, delta), OrderingPolicy("ccd"), x0,
+                   max_epochs=epochs, tol=0.0)
+        assert traj.epochs == epochs
+        ld = np.longdouble
+        d, c = ld(delta), ld(1) - ld(delta)
+        x = [ld(v) for v in x0]
+        s = sum(x, ld(0))
+        ref = []
+        for _ in range(epochs):
+            for i in range(n):
+                g = d * x[i] + c * s
+                x[i] -= g
+                s -= g
+            s = sum(x, ld(0))
+            ref.append(ld(0.5) * d * sum((v * v for v in x), ld(0)) + ld(0.5) * c * s * s)
+        ref = np.array(ref)
+        drift = np.abs(traj.f_per_epoch[1:] - ref) / ref
+        assert np.all(drift <= 4e-17 * np.arange(1, epochs + 1) + 2e-15)
+
+
 class TestEpochMatrix:
     def test_closed_form_small_case(self):
         expected = np.array([

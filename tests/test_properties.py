@@ -1,9 +1,17 @@
 """Property tests over the whole delta window (0, n/(n-1)), edges included."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cdlab import DenseQuadratic, OrderingPolicy, PermInvariantQuadratic, objective, run
+from cdlab import (
+    DenseQuadratic,
+    OrderingPolicy,
+    PermInvariantQuadratic,
+    closed_form_C,
+    objective,
+    rho_C,
+    run,
+)
 from conftest import simulate_epoch
 
 
@@ -56,3 +64,26 @@ def test_fixed_order_run_nonincreasing_up_to_rounding(case):
     traj = run(model, policy, x0, max_epochs=epochs, tol=0.0, record_iterates=True)
     slack = [2 * model.n * np.finfo(float).eps * np.abs(x).sum() ** 2 for x in traj.iterates[:-1]]
     assert np.all(np.diff(traj.f_per_epoch) <= slack)
+
+
+@st.composite
+def window_points(draw):
+    """(n, delta) over the whole window, edges and both sides of delta = 1 included."""
+    n = draw(st.integers(2, 200))
+    if draw(st.booleans()):
+        gap = 10.0 ** draw(st.floats(-12.0, np.log10(0.5)))
+        delta = draw(st.sampled_from([gap, 1.0 - gap])) * n / (n - 1)
+    else:
+        delta = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(st.integers(1, 15))
+        assume(delta < n / (n - 1))
+    return n, delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_points())
+def test_rho_C_matches_eigvals(point):
+    n, delta = point
+    rho = rho_C(n, delta)
+    ref = float(np.abs(np.linalg.eigvals(closed_form_C(n, delta))).max())
+    assert abs(rho - ref) <= 1e-11 * rho + 1e-13
+    assert rho_C(n, 1.0) == 0.0

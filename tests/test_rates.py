@@ -16,6 +16,7 @@ from cdlab import (
     rcd_one_step_example,
     rcd_rates,
     recurrence_coeffs,
+    rho_C,
     rho_M,
     rpcd_asymptotic_rate,
     run,
@@ -71,6 +72,43 @@ class TestSpectralRadius:
         with pytest.raises(NumericalError) as err:
             spectral_radius(np.eye(2) * 2.0, tol=1e-10, max_squarings=2)
         assert err.value.last_estimate == pytest.approx(2.0, rel=0.5)
+
+
+def _eig_radius(n, delta):
+    return float(np.abs(np.linalg.eigvals(closed_form_C(n, delta))).max())
+
+
+class TestRhoC:
+    def test_table_values(self):
+        paper = (0.9342, 0.9924, 0.9971, 0.9988, 0.9995, 0.9999)
+        for delta, want in zip(TABLE_DELTAS, paper):
+            assert rho_C(100, delta) ** 2 == pytest.approx(want, abs=5e-5)
+
+    def test_special_cases(self):
+        assert rho_C(2, 0.3) == (1.0 - 0.3) ** 2
+        assert rho_C(2, 1.5) == 0.25
+        assert rho_C(50, 1.0) == 0.0
+
+    def test_each_branch_matches_eigvals(self):
+        # the fixed point, the Newton fallback where the fixed point
+        # diverges (small n, delta >= 0.9), and the real root for delta > 1
+        for n, delta in ((100, 0.2), (700, 0.03), (3, 0.95), (10, 0.999999), (40, 1.01),
+                         (7, 1.0 + 1e-9)):
+            ref = _eig_radius(n, delta)
+            assert abs(rho_C(n, delta) - ref) <= 1e-11 * ref + 1e-13
+
+    def test_rejects_delta_outside_window(self):
+        for n, delta in ((100, 0.0), (100, 100 / 99), (1, 0.5)):
+            with pytest.raises(ValueError):
+                rho_C(n, delta)
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        import cdlab.rates as rates
+
+        monkeypatch.setattr(rates, "_FIXED_POINT_ITERATIONS", 3)
+        monkeypatch.setattr(rates, "_NEWTON_ITERATIONS", 2)
+        with pytest.raises(NumericalError):
+            rho_C(3, 0.95)
 
 
 class TestRhoM:

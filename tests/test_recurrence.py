@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from cdlab import (
     recurrence_coeffs,
     symmetrize,
 )
+from cdlab.recurrence import _closed_form_scalars
 from conftest import batch_rpcd_objectives, permutation_matrices, simulate_epoch
 
 
@@ -78,6 +81,41 @@ class TestEpochMatrixScalars:
             s = epoch_matrix_scalars(closed_form_C(30, delta))
             assert s.one_C_one**2 <= 30 * s.norm_Ct_one_sq * (1 + 1e-12)
             assert min(s.norm_C_one_sq, s.norm_Ct_one_sq, s.frob_sq) >= 0.0
+
+
+def _exact_scalars(n, delta):
+    """The four scalars of closed_form_C in exact rational arithmetic."""
+    d = Fraction(delta)
+    pw = [d**k for k in range(n)]
+    C = [[(1 - d) * (pw[i - j] - pw[i]) if i >= j else -(1 - d) * pw[i] for j in range(n)]
+         for i in range(n)]
+    col = [sum(C[i][j] for i in range(n)) for j in range(n)]
+    rows = [sum(r) for r in C]
+    return (sum(col), sum(r * r for r in rows), sum(c * c for c in col),
+            sum(x * x for r in C for x in r))
+
+
+class TestClosedFormScalars:
+    CASES = [
+        (n, t * n / (n - 1))
+        for n in (2, 3, 7, 40)
+        for t in (1e-12, 1e-9, 1e-3, 0.5, 1 - 1e-9, 1 - 1e-12)
+    ] + [(n, 1.0 + s) for n in (3, 7, 40) for s in (-1e-9, 1e-9, -1e-3, 1e-3)]
+
+    @pytest.mark.parametrize("n, delta", CASES)
+    def test_match_exact_rational_evaluation(self, n, delta):
+        s = _closed_form_scalars(n, delta)
+        got = (s.one_C_one, s.norm_C_one_sq, s.norm_Ct_one_sq, s.frob_sq)
+        for value, exact in zip(got, _exact_scalars(n, delta)):
+            assert abs(Fraction(value) - exact) <= Fraction(1e-13) * abs(exact)
+
+    def test_identity_model(self):
+        s = _closed_form_scalars(40, 1.0)
+        assert s.one_C_one == s.norm_C_one_sq == s.norm_Ct_one_sq == s.frob_sq == 0.0
+
+    def test_rejects_delta_outside_window(self):
+        with pytest.raises(ValueError):
+            recurrence_coeffs(10, 10 / 9)
 
 
 class TestRecurrenceCoeffs:
