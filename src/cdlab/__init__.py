@@ -9,108 +9,16 @@ bound, Polyak-Lojasiewicz certificates for composed objectives, and a
 command-line experiment harness (`cdlab`).
 """
 
-from .engine import (
-    OrderingPolicy,
-    Trajectory,
-    closed_form_C,
-    derive_seed,
-    epoch_map,
-    expected_over_x0,
-    run,
-)
-from .errors import NumericalError
-from .pl import ComposedObjective, PLCertificate, check_pl, gradient_check, pl_constant
-from .quadratic import (
-    DenseQuadratic,
-    PermInvariantQuadratic,
-    QuadraticConstants,
-    SolverState,
-    apply_coordinate_step,
-    build_log_uniform_spectrum,
-    coordinate_gradient,
-    init_state,
-    objective,
-    quadratic_constants,
-)
-from .rates import (
-    GenericBounds,
-    ccd_bounds,
-    empirical_rate,
-    generic_bounds,
-    rcd_one_step_example,
-    rcd_rates,
-    rho_C,
-    rho_M,
-    rpcd_asymptotic_rate,
-    sd_rate,
-    spectral_radius,
-)
-from .recurrence import (
-    EpochMatrixScalars,
-    RecurrenceMatrix,
-    RecurrencePair,
-    SymmetrizedForm,
-    asymptotic_coeffs,
-    brute_force_abar,
-    conditional_expected_objective,
-    epoch_matrix_scalars,
-    evolve,
-    expected_objective,
-    first_iteration_expectation,
-    first_iteration_objective,
-    recurrence_coeffs,
-    symmetrize,
-)
+from . import engine, errors, pl, quadratic, rates, recurrence
+from .engine import *
+from .errors import *
+from .pl import *
+from .quadratic import *
+from .rates import *
+from .recurrence import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "OrderingPolicy",
-    "Trajectory",
-    "closed_form_C",
-    "derive_seed",
-    "epoch_map",
-    "expected_over_x0",
-    "run",
-    "NumericalError",
-    "ComposedObjective",
-    "PLCertificate",
-    "check_pl",
-    "gradient_check",
-    "pl_constant",
-    "DenseQuadratic",
-    "PermInvariantQuadratic",
-    "QuadraticConstants",
-    "SolverState",
-    "apply_coordinate_step",
-    "build_log_uniform_spectrum",
-    "coordinate_gradient",
-    "init_state",
-    "objective",
-    "quadratic_constants",
-    "GenericBounds",
-    "ccd_bounds",
-    "empirical_rate",
-    "generic_bounds",
-    "rcd_one_step_example",
-    "rcd_rates",
-    "rho_C",
-    "rho_M",
-    "rpcd_asymptotic_rate",
-    "sd_rate",
-    "spectral_radius",
-    "EpochMatrixScalars",
-    "RecurrenceMatrix",
-    "RecurrencePair",
-    "SymmetrizedForm",
-    "asymptotic_coeffs",
-    "brute_force_abar",
-    "conditional_expected_objective",
-    "epoch_matrix_scalars",
-    "evolve",
-    "expected_objective",
-    "first_iteration_expectation",
-    "first_iteration_objective",
-    "recurrence_coeffs",
-    "symmetrize",
-]
+# The package exports exactly what its modules export.
+__all__ = [name for module in (engine, errors, pl, quadratic, rates, recurrence)
+           for name in module.__all__]

@@ -14,11 +14,13 @@ come from (n, delta) through `rates.rho_C` and `recurrence_coeffs`, in
 O(1) and O(n); no command builds the dense epoch matrix of the
 permutation-invariant model.
 
-Each command takes exactly the flags it reads, plus --format and
---output; a flag it does not read is an argparse usage error (exit 2),
-and so is a value outside its domain.  `predict` also accepts --seed,
-which it ignores.  The JSON `config` echo lists the effective value of
-every flag the command reads.
+Each command is a function whose parameters, with their defaults, are
+the flags it reads; it returns its rows as dicts (`cmd_predict` its one
+report).  Any other flag is a usage error (exit 2), and so is a value
+outside its domain: the flag table `_FLAGS` checks each as it parses,
+and the model rejects a delta outside its window.  `predict` also
+accepts --seed, which it ignores.  The JSON `config` echo lists the
+effective value of every flag the command reads.
 
 All randomness flows from --seed through documented SeedSequence mixing
 (base seed, stream index, variant code, replicate), so identical
@@ -30,11 +32,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import inspect
 import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -61,11 +64,11 @@ from .rates import (
 from .recurrence import recurrence_coeffs
 
 __all__ = [
-    "ExperimentConfig",
-    "Table1Row",
     "TABLE1_DELTAS",
     "cmd_table1",
-    "cmd_figure",
+    "figure_lu",
+    "figure_different_n",
+    "figure_expected",
     "cmd_predict",
     "cmd_solve",
     "main",
@@ -75,49 +78,7 @@ TABLE1_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
 VARIANT_CODE = {"ccd": 0, "rcd": 1, "rpcd": 2}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Shared experiment parameters; validated on construction."""
-
-    n: int = 100
-    deltas: tuple[float, ...] = TABLE1_DELTAS
-    seed: int = 0
-    replicates: int = 20
-    tol: float = 1e-8
-    max_epochs: int = 500_000
-    epochs_budget: int = 5000
-
-    def __post_init__(self):
-        if not self.deltas:
-            raise ValueError("at least one delta is required")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_epochs < 0:
-            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.epochs_budget < 0:
-            raise ValueError(f"epochs_budget must be >= 0, got {self.epochs_budget}")
-        for d in self.deltas:
-            PermInvariantQuadratic(self.n, d)  # window check
-
-
-@dataclass(frozen=True)
-class Table1Row:
-    """One delta row: empirical and predicted per-epoch rates."""
-
-    delta: float
-    rho_ccd_emp: float
-    rho_C_sq: float
-    rho_rcd_emp: float
-    rho_rcd_pred: float
-    rho_rpcd_emp: float
-    rho_rpcd_emp_std: float
-    rho_M: float
-
-
-def _seeded_run(n, delta, variant, seed, stream, *, tol, max_epochs, replicate=0,
-                x0_mode="gaussian"):
+def _seeded_run(n, delta, variant, seed, stream, *, tol, max_epochs, replicate=0, x0="gaussian"):
     """One run of `variant` on the (n, delta) model from a seeded start.
 
     One generator, seeded from (seed, stream, variant code, replicate),
@@ -125,57 +86,79 @@ def _seeded_run(n, delta, variant, seed, stream, *, tol, max_epochs, replicate=0
     orders; a zero start draws nothing before the run.
     """
     rng = np.random.default_rng(derive_seed(seed, stream, VARIANT_CODE[variant], replicate))
-    x0 = rng.standard_normal(n) if x0_mode == "gaussian" else np.zeros(n)
-    return run(PermInvariantQuadratic(n, delta), OrderingPolicy(variant), x0,
+    start = rng.standard_normal(n) if x0 == "gaussian" else np.zeros(n)
+    return run(PermInvariantQuadratic(n, delta), OrderingPolicy(variant), start,
                max_epochs=max_epochs, tol=tol, seed=rng)
 
 
-def _replicate_rate(config: ExperimentConfig, d_idx: int, variant: str, replicate: int) -> float:
-    """Rate of one seeded run; NaN when the run diverges or is too short."""
-    try:
-        traj = _seeded_run(config.n, config.deltas[d_idx], variant, config.seed, d_idx,
-                           tol=config.tol, max_epochs=config.max_epochs, replicate=replicate)
-        return empirical_rate(traj)
-    except (NumericalError, ValueError):
-        return math.nan
+def _trace_rows(traj) -> list[dict]:
+    """(epoch, f, f_over_f0) rows of one trajectory; f_over_f0 is 0 from a zero start."""
+    f0 = traj.f_per_epoch[0]
+    return [{"epoch": epoch, "f": float(f), "f_over_f0": float(f / f0) if f0 > 0 else 0.0}
+            for epoch, f in enumerate(traj.f_per_epoch)]
 
 
-def _valid_rates(config: ExperimentConfig, d_idx: int, variant: str) -> np.ndarray:
-    """Finite replicate rates of one variant; cyclic descent runs once."""
-    n_reps = 1 if variant == "ccd" else config.replicates
-    rates = np.array([_replicate_rate(config, d_idx, variant, r) for r in range(n_reps)])
-    return rates[~np.isnan(rates)]
+def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs) -> np.ndarray:
+    """Rates of the valid replicates of one variant; cyclic descent runs once.
+
+    A replicate is dropped when its run loses numerical meaning
+    (NumericalError) or its rate window is too short or not positive
+    (the ValueError of `empirical_rate`).  Any other error, such as a
+    ValueError from the input checks of `run`, propagates.  A variant
+    left with no valid replicate is reported on stderr.
+    """
+    tried = 1 if variant == "ccd" else replicates
+    rates = []
+    for replicate in range(tried):
+        try:
+            traj = _seeded_run(n, delta, variant, seed, stream, tol=tol, max_epochs=max_epochs,
+                               replicate=replicate)
+        except NumericalError:
+            continue
+        try:
+            rates.append(empirical_rate(traj))
+        except ValueError:
+            pass
+    if not rates:
+        print(f"cdlab table1: no valid {variant} replicate at delta={delta} ({tried} tried); "
+              "its empirical cells are NaN", file=sys.stderr)
+    return np.array(rates)
 
 
-def cmd_table1(config: ExperimentConfig) -> list[Table1Row]:
+def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: int = 0,
+               replicates: int = 20, tol: float = 1e-8, max_epochs: int = 500_000) -> list[dict]:
     """Empirical and predicted rate columns for each delta.
 
-    Cyclic descent is run once per delta; the randomized orderings are
-    run over `replicates` derived seeds and reported as replicate means
-    (the permutation variant also with the replicate standard
-    deviation).  A delta whose runs all fail is flagged with NaN
-    empirical cells; predicted columns are always emitted, from the
-    scalar predictors rho_C(n, delta)^2 and rho_M(n, delta).
+    Every delta is checked against the model's window before the first
+    run.  Cyclic descent is run once per delta; the randomized orderings
+    are run over `replicates` derived seeds and reported as replicate
+    means (the permutation variant also with the replicate standard
+    deviation).  A cell with no valid replicate is NaN; predicted
+    columns are always emitted, from the scalar predictors
+    rho_C(n, delta)^2 and rho_M(n, delta).
     """
+    for delta in deltas:
+        PermInvariantQuadratic(n, delta)  # window check
     rows = []
-    for d_idx, delta in enumerate(config.deltas):
-        ccd, rcd, rpcd = (_valid_rates(config, d_idx, v) for v in ("ccd", "rcd", "rpcd"))
-        rows.append(
-            Table1Row(
-                delta=delta,
-                rho_ccd_emp=float(ccd.mean()) if ccd.size else math.nan,
-                rho_C_sq=rho_C(config.n, delta) ** 2,
-                rho_rcd_emp=float(rcd.mean()) if rcd.size else math.nan,
-                rho_rcd_pred=rcd_rates(config.n, delta)[1],
-                rho_rpcd_emp=float(rpcd.mean()) if rpcd.size else math.nan,
-                rho_rpcd_emp_std=float(rpcd.std(ddof=1)) if rpcd.size > 1 else math.nan,
-                rho_M=rho_M(config.n, delta),
-            )
-        )
+    for d_idx, delta in enumerate(deltas):
+        ccd, rcd, rpcd = (_valid_rates(n, delta, d_idx, v, seed=seed, replicates=replicates,
+                                       tol=tol, max_epochs=max_epochs)
+                          for v in ("ccd", "rcd", "rpcd"))
+        rows.append({
+            "delta": delta,
+            "rho_ccd_emp": float(ccd.mean()) if ccd.size else math.nan,
+            "rho_C_sq": rho_C(n, delta) ** 2,
+            "rho_rcd_emp": float(rcd.mean()) if rcd.size else math.nan,
+            "rho_rcd_pred": rcd_rates(n, delta)[1],
+            "rho_rpcd_emp": float(rpcd.mean()) if rpcd.size else math.nan,
+            "rho_rpcd_emp_std": float(rpcd.std(ddof=1)) if rpcd.size > 1 else math.nan,
+            "rho_M": rho_M(n, delta),
+        })
     return rows
 
 
-def figure_lu(config: ExperimentConfig, condition: float = 1e4, sequences: int = 10):
+def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int = 5000,
+              condition: float = 1e4, sequences: int = 10) -> list[dict]:
     """Expected relative objective per epoch on a log-uniform spectrum.
 
     Emits, for each epoch, (1/2) trace(G' A G) / (n/2) with G the
@@ -187,15 +170,14 @@ def figure_lu(config: ExperimentConfig, condition: float = 1e4, sequences: int =
     """
     if sequences < 1:
         raise ValueError(f"sequences must be >= 1, got {sequences}")
-    model = build_log_uniform_spectrum(config.n, condition, derive_seed(config.seed, 0))
+    model = build_log_uniform_spectrum(n, condition, derive_seed(seed, 0))
     C = epoch_map(model)
-    n = config.n
     f0 = 0.5 * n
-    seq_rngs = [np.random.default_rng(derive_seed(config.seed, 1000 + k)) for k in range(sequences)]
+    seq_rngs = [np.random.default_rng(derive_seed(seed, 1000 + k)) for k in range(sequences)]
     G_ccd = np.eye(n)
     G_seqs = [np.eye(n) for _ in range(sequences)]
     rows = [{"epoch": 0, "ccd_rel": 1.0, "rpcd_rel": 1.0}]
-    for epoch in range(1, config.epochs_budget + 1):
+    for epoch in range(1, epochs_budget + 1):
         G_ccd = C @ G_ccd
         ccd_val = expected_over_x0(model, (G_ccd,))
         rpcd_vals = []
@@ -206,12 +188,13 @@ def figure_lu(config: ExperimentConfig, condition: float = 1e4, sequences: int =
         rows.append(
             {"epoch": epoch, "ccd_rel": ccd_val / f0, "rpcd_rel": rpcd_val / f0}
         )
-        if ccd_val <= config.tol and rpcd_val <= config.tol:
+        if ccd_val <= tol and rpcd_val <= tol:
             break
     return rows
 
 
-def figure_different_n(config: ExperimentConfig, delta: float = 0.001, ns=(10, 20, 40, 80)):
+def figure_different_n(delta: float = 0.001, seed: int = 0, tol: float = 1e-8,
+                       epochs_budget: int = 5000, ns=(10, 20, 40, 80)) -> list[dict]:
     """Per-epoch traces of all three orderings across dimensions.
 
     Uses a fixed epoch budget (rather than running tiny-delta cyclic
@@ -221,30 +204,19 @@ def figure_different_n(config: ExperimentConfig, delta: float = 0.001, ns=(10, 2
     rows = []
     for n in ns:
         for variant in ("ccd", "rpcd", "rcd"):
-            traj = _seeded_run(n, delta, variant, config.seed, n,
-                               tol=config.tol, max_epochs=config.epochs_budget)
-            f0 = traj.f_per_epoch[0]
-            for epoch, f in enumerate(traj.f_per_epoch):
-                rows.append(
-                    {
-                        "variant": variant,
-                        "n": n,
-                        "epoch": epoch,
-                        "f": float(f),
-                        "f_over_f0": float(f / f0) if f0 > 0 else 0.0,
-                    }
-                )
+            traj = _seeded_run(n, delta, variant, seed, n, tol=tol, max_epochs=epochs_budget)
+            rows += [{"variant": variant, "n": n, **row} for row in _trace_rows(traj)]
     return rows
 
 
-def figure_expected(config: ExperimentConfig, delta: float = 0.05):
+def figure_expected(n: int = 100, delta: float = 0.05, seed: int = 0, tol: float = 1e-8,
+                    max_epochs: int = 500_000) -> list[dict]:
     """Realized objective of one permutation-ordered run vs its closed form.
 
     The closed-form column is (n/2)(eta_l + nu_l), carried from row to
     row with the update of `evolve`, so row l equals evolve(M, delta, l).
     """
-    n = config.n
-    traj = _seeded_run(n, delta, "rpcd", config.seed, 0, tol=config.tol, max_epochs=config.max_epochs)
+    traj = _seeded_run(n, delta, "rpcd", seed, 0, tol=tol, max_epochs=max_epochs)
     M = recurrence_coeffs(n, delta)
     eta, nu = float(delta), 1.0 - float(delta)
     rows = []
@@ -252,17 +224,6 @@ def figure_expected(config: ExperimentConfig, delta: float = 0.05):
         rows.append({"epoch": epoch, "f_realized": float(f), "f_expected": 0.5 * n * (eta + nu)})
         eta, nu = M.d1 * eta + M.m1 * nu, M.d2 * eta + M.m2 * nu
     return rows
-
-
-def cmd_figure(name: str, config: ExperimentConfig, **kwargs):
-    """Dispatch to one of the figure-data generators."""
-    if name == "lu":
-        return figure_lu(config, **kwargs)
-    if name == "different_n":
-        return figure_different_n(config, **kwargs)
-    if name == "expected":
-        return figure_expected(config, **kwargs)
-    raise ValueError(f"unknown figure {name!r}; expected lu, different_n, or expected")
 
 
 def cmd_predict(n: int, delta: float) -> dict:
@@ -300,33 +261,29 @@ def cmd_predict(n: int, delta: float) -> dict:
     }
 
 
-def cmd_solve(
-    n: int,
-    delta: float,
-    variant: str,
-    seed: int = 0,
-    tol: float = 1e-8,
-    max_epochs: int = 500_000,
-    x0_mode: str = "gaussian",
-):
+def cmd_solve(n: int, delta: float, variant: str = "ccd", seed: int = 0, tol: float = 1e-8,
+              max_epochs: int = 500_000, x0: str = "gaussian") -> list[dict]:
     """One run; rows of (epoch, f, f_over_f0)."""
-    if x0_mode not in ("gaussian", "zero"):
-        raise ValueError(f"x0_mode must be gaussian or zero, got {x0_mode!r}")
-    traj = _seeded_run(n, delta, variant, seed, 0, tol=tol, max_epochs=max_epochs, x0_mode=x0_mode)
-    f0 = traj.f_per_epoch[0]
-    return [
-        {"epoch": epoch, "f": float(f), "f_over_f0": float(f / f0) if f0 > 0 else 0.0}
-        for epoch, f in enumerate(traj.f_per_epoch)
-    ]
+    if x0 not in ("gaussian", "zero"):
+        raise ValueError(f"x0 must be gaussian or zero, got {x0!r}")
+    return _trace_rows(_seeded_run(n, delta, variant, seed, 0, tol=tol, max_epochs=max_epochs,
+                                   x0=x0))
 
 
-def write_rows(rows, fmt: str, path: str | None, payload: dict) -> str:
-    """Serialize `rows` as CSV (LF, header row) or `payload` as JSON.
+def write_rows(rows, fmt: str, path: str | None, config: dict) -> str:
+    """Serialize `rows` as CSV (LF, header row) or as JSON with the `config` echo.
 
-    Every command writes its output here.  Returns the serialized text;
+    Every command writes its output here.  A dict is one report
+    (`cmd_predict`): JSON carries it whole under "report", and its one
+    CSV row holds only the scalar fields.  Returns the serialized text;
     writes it to `path` unless path is None or "-", in which case it goes
     to stdout.
     """
+    if isinstance(rows, dict):
+        body = {"report": rows}
+        rows = [{k: v for k, v in rows.items() if not isinstance(v, list)}]
+    else:
+        body = {"rows": rows}
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
@@ -334,7 +291,7 @@ def write_rows(rows, fmt: str, path: str | None, payload: dict) -> str:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps({"config": config, **body}, indent=2) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -343,42 +300,72 @@ def write_rows(rows, fmt: str, path: str | None, payload: dict) -> str:
     return text
 
 
-# Every flag once, under the name its value has in the parsed arguments
-# and in the JSON config echo.  `--delta` comes in two forms: repeated
-# (table1's grid) and single.
+def _checked(convert, ok, domain: str):
+    """Argparse type: `convert` the text, then require `ok(value)`."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+class _Repeated(argparse.Action):
+    """Collect every use of a flag in a tuple that replaces the default."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        given = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, (() if given is self.default else given) + (value,))
+
+
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_LIMIT = _checked(int, lambda v: v >= 0, ">= 0")
+
+# Every flag once, under the name of the parameter it fills and of its
+# JSON config echo, with the domain of its values.  A command function's
+# default overrides the one here.  `--delta` comes in two forms:
+# repeated (table1's grid) and single.
 _FLAGS = {
     "n": ("--n", dict(type=int, default=100)),
-    "deltas": ("--delta", dict(type=float, action="append", metavar="DELTA",
+    "deltas": ("--delta", dict(type=float, action=_Repeated, metavar="DELTA",
                                help="delta value; repeat for several (default: the standard grid)")),
     "delta": ("--delta", dict(type=float, required=True)),
-    "seed": ("--seed", dict(type=int, default=0)),
-    "replicates": ("--replicates", dict(type=int, default=20)),
-    "tol": ("--tol", dict(type=float, default=1e-8)),
-    "max_epochs": ("--max-epochs", dict(type=int, default=500_000)),
-    "epochs_budget": ("--epochs-budget", dict(type=int, default=5000)),
-    "condition": ("--condition", dict(type=float, default=1e4)),
-    "sequences": ("--sequences", dict(type=int, default=10,
-                                      help="permutation sequences averaged")),
-    "variant": ("--variant", dict(choices=tuple(VARIANT_CODE), default="ccd")),
-    "x0": ("--x0", dict(choices=("gaussian", "zero"), default="gaussian")),
+    "seed": ("--seed", dict(type=int)),
+    "replicates": ("--replicates", dict(type=_COUNT)),
+    "tol": ("--tol", dict(type=_checked(float, lambda v: v > 0, "> 0"))),
+    "max_epochs": ("--max-epochs", dict(type=_LIMIT)),
+    "epochs_budget": ("--epochs-budget", dict(type=_LIMIT)),
+    "condition": ("--condition", dict(type=float)),
+    "sequences": ("--sequences", dict(type=_COUNT, help="permutation sequences averaged")),
+    "variant": ("--variant", dict(choices=tuple(VARIANT_CODE))),
+    "x0": ("--x0", dict(choices=("gaussian", "zero"))),
 }
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
-def _add_command(sub, name: str, help: str, reads: tuple[str, ...], **defaults):
-    """Subcommand taking the flags named in `reads`, plus --format and --output.
+@functools.cache  # main() rebuilds the parser per call; each signature costs ~20 us
+def _flag_params(func) -> dict:
+    """The parameters of `func` that are flags, each with its default (or Parameter.empty)."""
+    return {name: param.default for name, param in inspect.signature(func).parameters.items()
+            if name in _FLAGS}
 
-    A flag named in `defaults` is optional with that default.
+
+def _add_command(sub, name: str, help: str, func):
+    """Subcommand calling `func` with the flags among its parameters.
+
+    A parameter with a default makes its flag optional with that default.
+    Every subcommand also takes --format and --output.
     """
     p = sub.add_parser(name, help=help)
-    for flag in reads:
+    params = _flag_params(func)
+    for flag, default in params.items():
         option, kwargs = _FLAGS[flag]
-        if flag in defaults:
-            kwargs = dict(kwargs, required=False, default=defaults[flag])
+        if default is not inspect.Parameter.empty:
+            kwargs = dict(kwargs, required=False, default=default)
         p.add_argument(option, dest=flag, **kwargs)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, metavar="PATH")
-    p.set_defaults(reads=reads)
+    p.set_defaults(func=func, reads=tuple(params))
     return p
 
 
@@ -388,50 +375,34 @@ def _parser() -> argparse.ArgumentParser:
         description="Coordinate descent ordering experiments on convex quadratics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_command(sub, "table1", "observed vs predicted per-epoch rates",
-                 ("n", "deltas", "seed", "replicates", "tol", "max_epochs"))
+    _add_command(sub, "table1", "observed vs predicted per-epoch rates", cmd_table1)
     figures = sub.add_parser("figure", help="emit data behind a standard figure")
     figures = figures.add_subparsers(dest="figure", required=True)
     _add_command(figures, "lu", "expected objective per epoch on a log-uniform spectrum",
-                 ("n", "seed", "tol", "epochs_budget", "condition", "sequences"))
+                 figure_lu)
     _add_command(figures, "different_n", "traces of the three orderings at n = 10, 20, 40, 80",
-                 ("delta", "seed", "tol", "epochs_budget"), delta=0.001)
+                 figure_different_n)
     _add_command(figures, "expected", "one permutation-ordered run next to its closed form",
-                 ("n", "delta", "seed", "tol", "max_epochs"), delta=0.05)
-    predict = _add_command(sub, "predict", "all rate predictors for one (n, delta)", ("n", "delta"))
+                 figure_expected)
+    predict = _add_command(sub, "predict", "all rate predictors for one (n, delta)", cmd_predict)
     predict.add_argument("--seed", type=int, default=0, help="ignored: predict draws nothing at random")
-    _add_command(sub, "solve", "one trajectory as epoch/objective rows",
-                 ("n", "delta", "variant", "seed", "tol", "max_epochs", "x0"))
+    _add_command(sub, "solve", "one trajectory as epoch/objective rows", cmd_solve)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    echo = {name: getattr(args, name) for name in args.reads}
-    if args.command == "table1":
-        echo["deltas"] = tuple(args.deltas or TABLE1_DELTAS)
-    config = {k: v for k, v in echo.items() if k in _CONFIG_FIELDS}
+    flags = {name: getattr(args, name) for name in args.reads}
     # cdlab raises ValueError only for inputs outside their domain, and
     # every input here comes from the command line.  Output is written
     # only after the command returns.
     try:
-        if args.command == "table1":
-            rows = [asdict(r) for r in cmd_table1(ExperimentConfig(**config))]
-        elif args.command == "figure":
-            kwargs = {k: v for k, v in echo.items() if k not in config}
-            rows = cmd_figure(args.figure, ExperimentConfig(**config), **kwargs)
-            echo = {"figure": args.figure, **echo}
-        elif args.command == "predict":
-            report = cmd_predict(args.n, args.delta)
-            rows = [{k: v for k, v in report.items() if k != "sun_ye_terms"}]
-        else:
-            rows = cmd_solve(args.n, args.delta, args.variant, seed=args.seed, tol=args.tol,
-                             max_epochs=args.max_epochs, x0_mode=args.x0)
+        rows = args.func(**flags)
     except ValueError as err:
         parser.error(str(err))
-    body = {"report": report} if args.command == "predict" else {"rows": rows}
-    write_rows(rows, args.format, args.output, {"config": echo, **body})
+    echo = {"figure": args.figure} if "figure" in args else {}
+    write_rows(rows, args.format, args.output, {**echo, **flags})
     return 0
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["NumericalError"]
+
 
 class NumericalError(RuntimeError):
     """Raised when a computation loses numerical meaning.

@@ -122,8 +122,9 @@ def rho_C(n: int, delta: float) -> float:
       any n.  Where it has
       not converged after _FIXED_POINT_ITERATIONS steps (it diverges at
       small n for delta >= 0.9), Newton's method on mu = lambda^(1/n),
-      mu^n - delta w mu^(n-1) + delta - 1 = 0 from mu = 1, gives
-      |mu|^n, accurate to about n*eps relative.
+      mu^n - delta w mu^(n-1) + delta - 1 = 0 from mu = 1, finds the
+      root; lambda = mu^n alone is good to about n*eps relative, so
+      Newton steps on the fixed-point equation polish it.
     - For delta > 1 the dominant eigenvalue is real in (0, 1).  With
       lambda = 1 - u it is the root of
       n log(1 - u/delta) - (n-1) log(1 - u) over u in (0, 1), found by
@@ -150,7 +151,13 @@ def rho_C(n: int, delta: float) -> float:
 
 
 def _rho_C_newton(n: int, delta: float, w: complex) -> float:
-    """|mu|^n for the root of mu^n - delta w mu^(n-1) + delta - 1 reached from mu = 1."""
+    """|lambda| for the root mu of mu^n - delta w mu^(n-1) + delta - 1 reached from mu = 1.
+
+    lambda = mu^n carries the rounding of mu multiplied by n (|mu|^n
+    rounds to 1.0 at n = 1e6, delta = 0.5), so three Newton steps on the
+    fixed-point equation itself, lambda - 1 + delta - delta w
+    lambda^((n-1)/n) = 0 on the same principal branch, polish it.
+    """
     dw = delta * w
 
     def step(mu):
@@ -161,9 +168,11 @@ def _rho_C_newton(n: int, delta: float, w: complex) -> float:
         s = step(mu)
         mu -= s
         if abs(s) <= 1e-14 * abs(mu):
-            mu -= step(mu)  # two polishing steps
-            mu -= step(mu)
-            return math.exp(n * math.log(abs(mu)))
+            lam = mu ** n
+            for _ in range(3):
+                lam -= ((lam - 1.0 + delta - dw * lam ** ((n - 1) / n))
+                        / (1.0 - dw * (n - 1) / n * lam ** (-1.0 / n)))
+            return abs(lam)
     raise NumericalError(
         f"rho_C did not converge at n={n}, delta={delta}", last_estimate=abs(mu) ** n
     )

@@ -33,7 +33,7 @@ from cdlab import (
     spectral_radius,
     symmetrize,
 )
-from cdlab.cli import ExperimentConfig, cmd_table1, figure_different_n, main
+from cdlab.cli import cmd_table1, figure_different_n, main
 from conftest import batch_rpcd_objectives, permutation_matrices
 
 TABLE_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
@@ -51,7 +51,7 @@ def criterion(num, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def table1_full():
     start = time.perf_counter()
-    rows = cmd_table1(ExperimentConfig())
+    rows = cmd_table1()
     return rows, time.perf_counter() - start
 
 
@@ -77,12 +77,12 @@ def test_criterion_2_empirical_rows(table1_full):
     details = []
     ok = elapsed < 300.0
     for row, rcd_ref in zip(rows, REF_RCD_EMP):
-        ccd_err = abs(row.rho_ccd_emp - row.rho_C_sq)
-        rpcd_err = abs(row.rho_rpcd_emp - row.rho_M)
-        rcd_err = abs(row.rho_rcd_emp - rcd_ref)
-        rpcd_tol = 0.03 if row.delta > 0.5 else 0.02
+        ccd_err = abs(row["rho_ccd_emp"] - row["rho_C_sq"])
+        rpcd_err = abs(row["rho_rpcd_emp"] - row["rho_M"])
+        rcd_err = abs(row["rho_rcd_emp"] - rcd_ref)
+        rpcd_tol = 0.03 if row["delta"] > 0.5 else 0.02
         ok &= ccd_err <= 2e-3 and rpcd_err <= rpcd_tol and rcd_err <= 0.05
-        details.append(f"d={row.delta}: ccd {ccd_err:.1e} rpcd {rpcd_err:.3f} rcd {rcd_err:.3f}")
+        details.append(f"d={row['delta']}: ccd {ccd_err:.1e} rpcd {rpcd_err:.3f} rcd {rcd_err:.3f}")
     criterion(2, "empirical rate rows", ok, f"{elapsed:.0f}s; " + "; ".join(details))
 
 
@@ -163,7 +163,7 @@ def test_criterion_8_dimension_scaling():
     # top eigenvalues of C are complex pairs with oscillation periods
     # beyond the budget), so the ratio is checked on the rate quantity
     # itself and the budget data must show monotone deterioration.
-    rows = figure_different_n(ExperimentConfig(seed=0, epochs_budget=5000), delta=0.001)
+    rows = figure_different_n(seed=0, epochs_budget=5000, delta=0.001)
     series = {}
     for r in rows:
         series.setdefault((r["variant"], r["n"]), []).append(r["f"])

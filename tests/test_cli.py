@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -22,13 +23,13 @@ from cdlab import (
 )
 from cdlab.cli import (
     TABLE1_DELTAS,
-    ExperimentConfig,
     _parser,
-    cmd_figure,
     cmd_predict,
     cmd_solve,
     cmd_table1,
+    figure_different_n,
     figure_expected,
+    figure_lu,
     main,
 )
 
@@ -36,21 +37,6 @@ SMALL = dict(deltas=(0.5, 0.2), replicates=3, max_epochs=30_000)
 
 
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(replicates=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(deltas=())
-        with pytest.raises(ValueError):
-            ExperimentConfig(deltas=(2.5,))
-        with pytest.raises(ValueError):
-            ExperimentConfig(max_epochs=-1)
-        with pytest.raises(ValueError):
-            ExperimentConfig(epochs_budget=-1)
-        ExperimentConfig(max_epochs=0, epochs_budget=0)
-
     def test_negative_epoch_limits_fail_from_cli(self, capsys):
         for argv in (["table1", "--max-epochs", "-3"],
                      ["figure", "lu", "--epochs-budget", "-3"],
@@ -102,9 +88,15 @@ class TestConfig:
         ["table1", "--replicates", "0"],
         ["table1", "--delta", "2.5"],
         ["table1", "--tol", "0"],
+        ["table1", "--max-epochs", "-1"],
         ["figure", "lu", "--sequences", "0"],
+        ["figure", "lu", "--tol", "0"],
+        ["figure", "different_n", "--epochs-budget", "-1"],
         ["figure", "expected", "--delta", "1.5"],
+        ["figure", "expected", "--max-epochs", "-1"],
+        ["figure", "bogus"],
         ["predict", "--n", "1", "--delta", "0.5"],
+        ["solve", "--delta", "0.5", "--tol", "0"],
     ], ids=" ".join)
     def test_invalid_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -112,6 +104,55 @@ class TestConfig:
         assert err.value.code == 2
         out = capsys.readouterr()
         assert out.out == "" and "error:" in out.err
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--replicates", "0"],
+        ["table1", "--tol", "nan"],
+        ["figure", "lu", "--sequences", "0"],
+        ["figure", "different_n", "--epochs-budget", "-1"],
+        ["solve", "--delta", "0.5", "--max-epochs", "-1"],
+    ], ids=" ".join)
+    def test_out_of_domain_value_names_its_flag(self, argv, capsys):
+        # the flag table checks each domain as it parses
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and argv[-2].lstrip("-") in out.err
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--n", "10", "--delta", "0.5", "--replicates", "2", "--max-epochs", "0"],
+        ["figure", "lu", "--n", "8", "--epochs-budget", "0"],
+        ["figure", "different_n", "--epochs-budget", "0"],
+        ["figure", "expected", "--n", "10", "--max-epochs", "0"],
+        ["solve", "--delta", "0.5", "--max-epochs", "0"],
+    ], ids=" ".join)
+    def test_zero_epoch_limits_are_accepted(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("\n") >= 2
+
+    @pytest.mark.parametrize("argv, func, reads, other_params", [
+        (["table1"], cmd_table1, ("n", "deltas", "seed", "replicates", "tol", "max_epochs"), ()),
+        (["figure", "lu"], figure_lu,
+         ("n", "seed", "tol", "epochs_budget", "condition", "sequences"), ()),
+        (["figure", "different_n"], figure_different_n,
+         ("delta", "seed", "tol", "epochs_budget"), ("ns",)),
+        (["figure", "expected"], figure_expected, ("n", "delta", "seed", "tol", "max_epochs"), ()),
+        (["predict", "--delta", "0.5"], cmd_predict, ("n", "delta"), ()),
+        (["solve", "--delta", "0.5"], cmd_solve,
+         ("n", "delta", "variant", "seed", "tol", "max_epochs", "x0"), ()),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_flag_defaults_are_function_defaults(self, argv, func, reads, other_params):
+        # an omitted flag takes the keyword default of the function the
+        # command calls, so cmd_table1() is table1 at its CLI defaults
+        args = _parser().parse_args(argv)
+        params = inspect.signature(func).parameters
+        assert args.func is func
+        assert args.reads == reads
+        assert tuple(params) == reads + other_params
+        for name in reads:
+            if params[name].default is not inspect.Parameter.empty:
+                assert getattr(args, name) == params[name].default, name
 
     @pytest.mark.parametrize("argv, echo", [
         (["table1", "--n", "10", "--max-epochs", "40", "--replicates", "2"],
@@ -146,18 +187,73 @@ class TestConfig:
 
 class TestTable1:
     def test_small_grid_rates_near_predictions(self):
-        rows = cmd_table1(ExperimentConfig(**SMALL))
+        rows = cmd_table1(**SMALL)
         for row in rows:
-            assert abs(row.rho_ccd_emp - row.rho_C_sq) <= 2e-3
-            assert abs(row.rho_rpcd_emp - row.rho_M) <= 0.03
-            assert row.rho_rpcd_emp_std >= 0.0
+            assert abs(row["rho_ccd_emp"] - row["rho_C_sq"]) <= 2e-3
+            assert abs(row["rho_rpcd_emp"] - row["rho_M"]) <= 0.03
+            assert row["rho_rpcd_emp_std"] >= 0.0
 
     def test_predicted_columns_independent_of_replicates(self):
-        a = cmd_table1(ExperimentConfig(deltas=(0.5,), replicates=2, max_epochs=30_000))[0]
-        b = cmd_table1(ExperimentConfig(deltas=(0.5,), replicates=4, max_epochs=30_000, seed=9))[0]
-        assert a.rho_C_sq == b.rho_C_sq
-        assert a.rho_rcd_pred == b.rho_rcd_pred
-        assert a.rho_M == b.rho_M
+        a = cmd_table1(deltas=(0.5,), replicates=2, max_epochs=30_000)[0]
+        b = cmd_table1(deltas=(0.5,), replicates=4, max_epochs=30_000, seed=9)[0]
+        assert a["rho_C_sq"] == b["rho_C_sq"]
+        assert a["rho_rcd_pred"] == b["rho_rcd_pred"]
+        assert a["rho_M"] == b["rho_M"]
+
+    def test_invalid_run_input_propagates(self, capsys):
+        # only a failed or too-short run drops a replicate; bad input to
+        # run() is an error, not a column of NaN
+        with pytest.raises(ValueError):
+            cmd_table1(n=10, deltas=(0.5,), replicates=2, max_epochs=-1)
+        assert capsys.readouterr().err == ""
+
+    def test_every_delta_checked_before_the_first_run(self, monkeypatch):
+        import cdlab.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run before the delta check")
+
+        monkeypatch.setattr(cdlab.cli, "run", refuse)
+        with pytest.raises(ValueError):
+            cmd_table1(n=10, deltas=(0.5, 2.0))
+
+    def test_empty_cells_reported_on_stderr(self, tmp_path, capsys):
+        argv = ["table1", "--n", "20", "--delta", "1.0", "--delta", "0.5", "--max-epochs", "5"]
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        rows = list(csv.DictReader(out.out.splitlines()))
+        assert [row["delta"] for row in rows] == ["1.0", "0.5"]
+        assert all(row[col] == "nan" for row in rows
+                   for col in ("rho_ccd_emp", "rho_rcd_emp", "rho_rpcd_emp"))
+        messages = out.err.splitlines()
+        assert len(messages) == 6
+        for delta in ("1.0", "0.5"):
+            for variant, tried in (("ccd", 1), ("rcd", 20), ("rpcd", 20)):
+                assert sum(f"{variant} replicate at delta={delta} ({tried} tried)" in m
+                           for m in messages) == 1
+        # the stderr report leaves the output file as it was
+        path = tmp_path / "t.csv"
+        assert main(argv + ["--output", str(path)]) == 0
+        assert path.read_text() == out.out
+        assert capsys.readouterr().err == out.err
+
+    def test_full_cells_report_nothing(self, capsys):
+        rows = cmd_table1(n=30, deltas=(0.5,), replicates=2)
+        assert math.isfinite(rows[0]["rho_rpcd_emp_std"])
+        assert capsys.readouterr().err == ""
+
+    def test_numerical_error_drops_the_replicate(self, monkeypatch, capsys):
+        import cdlab.cli
+        from cdlab.errors import NumericalError
+
+        def diverge(*args, **kwargs):
+            raise NumericalError("nonfinite objective")
+
+        monkeypatch.setattr(cdlab.cli, "run", diverge)
+        row = cmd_table1(n=10, deltas=(0.5,), replicates=2)[0]
+        assert math.isnan(row["rho_ccd_emp"]) and math.isnan(row["rho_rpcd_emp"])
+        assert math.isfinite(row["rho_C_sq"])
+        assert len(capsys.readouterr().err.splitlines()) == 3
 
 
 class TestPredictorsWithoutDenseC:
@@ -182,9 +278,9 @@ class TestPredictorsWithoutDenseC:
     def test_commands_never_build_dense_C(self, no_dense_path):
         report = cmd_predict(700, 0.2)
         assert 0.0 < report["rho_C_sq"] < 1.0
-        rows = cmd_table1(ExperimentConfig(n=30, deltas=(0.5, 0.2), replicates=3))
-        assert [row.delta for row in rows] == [0.5, 0.2]
-        rows = figure_expected(ExperimentConfig(n=300))
+        rows = cmd_table1(n=30, deltas=(0.5, 0.2), replicates=3)
+        assert [row["delta"] for row in rows] == [0.5, 0.2]
+        rows = figure_expected(n=300)
         assert rows[-1]["f_realized"] <= 1e-8
 
     def test_predict_at_a_million_coordinates(self, capsys):
@@ -208,13 +304,12 @@ class TestMainOutputs:
         assert "\r" not in text and text.endswith("\n")
         with open(out1, newline="") as fh:
             parsed = list(csv.DictReader(fh))
-        rows = cmd_table1(ExperimentConfig(deltas=(0.5, 0.2), replicates=3,
-                                           max_epochs=30_000, seed=1))
+        rows = cmd_table1(deltas=(0.5, 0.2), replicates=3, max_epochs=30_000, seed=1)
         assert len(parsed) == 2
         for got, want in zip(parsed, rows):
-            assert float(got["delta"]) == want.delta
-            assert float(got["rho_C_sq"]) == want.rho_C_sq
-            assert float(got["rho_rpcd_emp"]) == want.rho_rpcd_emp
+            assert float(got["delta"]) == want["delta"]
+            assert float(got["rho_C_sq"]) == want["rho_C_sq"]
+            assert float(got["rho_rpcd_emp"]) == want["rho_rpcd_emp"]
 
     def test_table1_json_config_echo(self, tmp_path):
         out = tmp_path / "t.json"
@@ -248,7 +343,7 @@ class TestMainOutputs:
 
 class TestSolve:
     def test_zero_start_single_row(self):
-        rows = cmd_solve(10, 0.3, "ccd", x0_mode="zero")
+        rows = cmd_solve(10, 0.3, "ccd", x0="zero")
         assert rows == [{"epoch": 0, "f": 0.0, "f_over_f0": 0.0}]
 
     def test_rpcd_terminates_and_first_drop_in_expectation(self):
@@ -290,13 +385,8 @@ class TestSolve:
 
 
 class TestFigures:
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            cmd_figure("bogus", ExperimentConfig())
-
     def test_lu_small(self):
-        cfg = ExperimentConfig(n=16, seed=3, epochs_budget=400, tol=1e-10)
-        rows = cmd_figure("lu", cfg, condition=100.0, sequences=4)
+        rows = figure_lu(n=16, seed=3, epochs_budget=400, tol=1e-10, condition=100.0, sequences=4)
         assert rows[0] == {"epoch": 0, "ccd_rel": 1.0, "rpcd_rel": 1.0}
         ccd = [r["ccd_rel"] for r in rows]
         rpcd = [r["rpcd_rel"] for r in rows]
@@ -309,8 +399,8 @@ class TestFigures:
         # rpcd_rel rebuilt from the same permutation streams through
         # epoch-map products and (1/2) tr(G'AG) / (n/2)
         n, seed, sequences = 16, 3, 4
-        cfg = ExperimentConfig(n=n, seed=seed, epochs_budget=400, tol=1e-300)
-        rows = cmd_figure("lu", cfg, condition=100.0, sequences=sequences)
+        rows = figure_lu(n=n, seed=seed, epochs_budget=400, tol=1e-300, condition=100.0,
+                         sequences=sequences)
         model = build_log_uniform_spectrum(n, 100.0, derive_seed(seed, 0))
         A = model.matrix()
         rngs = [np.random.default_rng(derive_seed(seed, 1000 + k)) for k in range(sequences)]
@@ -322,8 +412,7 @@ class TestFigures:
             assert abs(r["rpcd_rel"] - expected) <= 1e-12 * expected
 
     def test_different_n_structure(self):
-        cfg = ExperimentConfig(seed=0, epochs_budget=50)
-        rows = cmd_figure("different_n", cfg, delta=0.001, ns=(10, 20))
+        rows = figure_different_n(seed=0, epochs_budget=50, delta=0.001, ns=(10, 20))
         variants = {(r["variant"], r["n"]) for r in rows}
         assert variants == {(v, n) for v in ("ccd", "rpcd", "rcd") for n in (10, 20)}
         by_key = {}
@@ -334,8 +423,7 @@ class TestFigures:
             assert len(series) == 51
 
     def test_expected_realized_and_closed_form_share_slope(self):
-        cfg = ExperimentConfig(n=100, seed=2)
-        rows = figure_expected(cfg, delta=0.05)
+        rows = figure_expected(n=100, seed=2, delta=0.05)
         realized = np.array([r["f_realized"] for r in rows])
         closed = np.array([r["f_expected"] for r in rows])
         w = 10
@@ -344,8 +432,7 @@ class TestFigures:
         assert abs(rate_real - rate_closed) <= 0.02
 
     def test_expected_column_recomputes_from_recurrence(self):
-        cfg = ExperimentConfig(n=50, seed=5)
-        rows = figure_expected(cfg, delta=0.1)
+        rows = figure_expected(n=50, seed=5, delta=0.1)
         M = recurrence_coeffs(50, 0.1)
         for r in rows[:20]:
             pair = evolve(M, 0.1, r["epoch"])
@@ -357,7 +444,7 @@ class TestFigures:
               "--output", str(out)])
         with open(out, newline="") as fh:
             parsed = list(csv.DictReader(fh))
-        rows = figure_expected(ExperimentConfig(n=30, seed=8), delta=0.2)
+        rows = figure_expected(n=30, seed=8, delta=0.2)
         assert len(parsed) == len(rows)
         assert float(parsed[3]["f_expected"]) == rows[3]["f_expected"]
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -96,6 +97,15 @@ class TestRhoC:
                          (7, 1.0 + 1e-9)):
             ref = _eig_radius(n, delta)
             assert abs(rho_C(n, delta) - ref) <= 1e-11 * ref + 1e-13
+
+    @pytest.mark.parametrize("n, delta", [(10**5, 0.5), (10**6, 0.5), (10**6, 0.9)])
+    def test_newton_fallback_keeps_fixed_point_accuracy(self, n, delta):
+        # where both converge, the fallback agrees with the fixed point;
+        # |mu|^n alone is up to 3.9e-11 off here, and rounds to 1.0 at (1e6, 0.5)
+        from cdlab.rates import _rho_C_newton
+
+        got = _rho_C_newton(n, delta, cmath.exp(2j * math.pi / n))
+        assert abs(got - rho_C(n, delta)) <= 1e-14 * rho_C(n, delta)
 
     def test_rejects_delta_outside_window(self):
         for n, delta in ((100, 0.0), (100, 100 / 99), (1, 0.5)):
