@@ -32,11 +32,11 @@ print(f"  tau1 = {form.tau1:.4f}, tau2 = {form.tau2:.4f} "
 # the 2x2 recurrence vs exact enumeration over all permutations
 n, delta, t = 4, 0.3, 2
 M = recurrence_coeffs(n, delta)
-pair = evolve(M, delta, t)
+eta, nu = evolve(M, delta, t)[-1]  # row l of evolve is (eta_l, nu_l)
 exact = brute_force_abar(n, delta, t)
-dev = np.abs(exact - pair.eta * np.eye(n) - pair.nu * np.ones((n, n))).max()
+dev = np.abs(exact - eta * np.eye(n) - nu * np.ones((n, n))).max()
 print(f"recurrence after t = {t} epochs (n = {n}, delta = {delta}):")
-print(f"  (eta, nu) = ({pair.eta:.6f}, {pair.nu:.6f}); brute-force deviation {dev:.2e}\n")
+print(f"  (eta, nu) = ({eta:.6f}, {nu:.6f}); brute-force deviation {dev:.2e}\n")
 
 # expected objective vs Monte Carlo
 n, delta, ell, reps = 12, 0.15, 4, 20_000

@@ -23,7 +23,8 @@ accepts --seed, which it ignores.  The JSON `config` echo lists the
 effective value of every flag the command reads.
 
 All randomness flows from --seed through documented SeedSequence mixing
-(base seed, stream index, variant code, replicate), so identical
+(base seed, stream index, variant code, replicate), where the variant
+code is the ordering's position in `engine.ORDERINGS`, so identical
 invocations produce byte-identical output files.  Starting points are
 i.i.d. standard normal from the derived stream.
 """
@@ -37,11 +38,13 @@ import inspect
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
 from .engine import (
+    ORDERINGS,
     OrderingPolicy,
     _epoch_dense,
     derive_seed,
@@ -61,7 +64,7 @@ from .rates import (
     rpcd_asymptotic_rate,
     sd_rate,
 )
-from .recurrence import recurrence_coeffs
+from .recurrence import evolve, recurrence_coeffs
 
 __all__ = [
     "TABLE1_DELTAS",
@@ -75,7 +78,6 @@ __all__ = [
 ]
 
 TABLE1_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
-VARIANT_CODE = {"ccd": 0, "rcd": 1, "rpcd": 2}
 
 
 def _seeded_run(n, delta, variant, seed, stream, *, tol, max_epochs, replicate=0, x0="gaussian"):
@@ -85,7 +87,7 @@ def _seeded_run(n, delta, variant, seed, stream, *, tol, max_epochs, replicate=0
     draws the Gaussian starting point and then the run's coordinate
     orders; a zero start draws nothing before the run.
     """
-    rng = np.random.default_rng(derive_seed(seed, stream, VARIANT_CODE[variant], replicate))
+    rng = np.random.default_rng(derive_seed(seed, stream, ORDERINGS.index(variant), replicate))
     start = rng.standard_normal(n) if x0 == "gaussian" else np.zeros(n)
     return run(PermInvariantQuadratic(n, delta), OrderingPolicy(variant), start,
                max_epochs=max_epochs, tol=tol, seed=rng)
@@ -143,7 +145,7 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
     for d_idx, delta in enumerate(deltas):
         ccd, rcd, rpcd = (_valid_rates(n, delta, d_idx, v, seed=seed, replicates=replicates,
                                        tol=tol, max_epochs=max_epochs)
-                          for v in ("ccd", "rcd", "rpcd"))
+                          for v in ORDERINGS)
         rows.append({
             "delta": delta,
             "rho_ccd_emp": float(ccd.mean()) if ccd.size else math.nan,
@@ -179,11 +181,11 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
     rows = [{"epoch": 0, "ccd_rel": 1.0, "rpcd_rel": 1.0}]
     for epoch in range(1, epochs_budget + 1):
         G_ccd = C @ G_ccd
-        ccd_val = expected_over_x0(model, (G_ccd,))
+        ccd_val = expected_over_x0(model, G_ccd)
         rpcd_vals = []
         for G, rng in zip(G_seqs, seq_rngs):
             _epoch_dense(G, model.A, rng.permutation(n).tolist())
-            rpcd_vals.append(expected_over_x0(model, (G,)))
+            rpcd_vals.append(expected_over_x0(model, G))
         rpcd_val = float(np.mean(rpcd_vals))
         rows.append(
             {"epoch": epoch, "ccd_rel": ccd_val / f0, "rpcd_rel": rpcd_val / f0}
@@ -213,17 +215,13 @@ def figure_expected(n: int = 100, delta: float = 0.05, seed: int = 0, tol: float
                     max_epochs: int = 500_000) -> list[dict]:
     """Realized objective of one permutation-ordered run vs its closed form.
 
-    The closed-form column is (n/2)(eta_l + nu_l), carried from row to
-    row with the update of `evolve`, so row l equals evolve(M, delta, l).
+    The closed-form column is (n/2)(eta_l + nu_l), with (eta_l, nu_l)
+    the rows of one `evolve` call over the run's epochs.
     """
     traj = _seeded_run(n, delta, "rpcd", seed, 0, tol=tol, max_epochs=max_epochs)
-    M = recurrence_coeffs(n, delta)
-    eta, nu = float(delta), 1.0 - float(delta)
-    rows = []
-    for epoch, f in enumerate(traj.f_per_epoch):
-        rows.append({"epoch": epoch, "f_realized": float(f), "f_expected": 0.5 * n * (eta + nu)})
-        eta, nu = M.d1 * eta + M.m1 * nu, M.d2 * eta + M.m2 * nu
-    return rows
+    pairs = evolve(recurrence_coeffs(n, delta), delta, traj.epochs).tolist()
+    return [{"epoch": epoch, "f_realized": float(f), "f_expected": 0.5 * n * (eta + nu)}
+            for epoch, (f, (eta, nu)) in enumerate(zip(traj.f_per_epoch, pairs))]
 
 
 def cmd_predict(n: int, delta: float) -> dict:
@@ -338,9 +336,14 @@ _FLAGS = {
     "epochs_budget": ("--epochs-budget", dict(type=_LIMIT)),
     "condition": ("--condition", dict(type=float)),
     "sequences": ("--sequences", dict(type=_COUNT, help="permutation sequences averaged")),
-    "variant": ("--variant", dict(choices=tuple(VARIANT_CODE))),
+    "variant": ("--variant", dict(choices=ORDERINGS)),
     "x0": ("--x0", dict(choices=("gaussian", "zero"))),
 }
+
+
+# An argument that starts with "-" and a digit is a value, so a negative
+# one reaches its domain check; argparse's own matcher misses -1e-3.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 @functools.cache  # main() rebuilds the parser per call; each signature costs ~20 us
@@ -357,6 +360,7 @@ def _add_command(sub, name: str, help: str, func):
     Every subcommand also takes --format and --output.
     """
     p = sub.add_parser(name, help=help)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     params = _flag_params(func)
     for flag, default in params.items():
         option, kwargs = _FLAGS[flag]

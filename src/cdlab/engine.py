@@ -1,14 +1,14 @@
 """Coordinate descent with exact line search under different orderings.
 
 One *epoch* is a block of n single-coordinate updates
-x <- x - (Ax)_i e_i.  The orderings differ only in how the coordinate
-sequence is produced per epoch: fixed 1..n (cyclic), i.i.d. uniform
-draws (with replacement), or a fresh uniform permutation (without
-replacement).  An epoch visited in order P is the linear map
-x -> P C_P P' x with C_P = -(L_P+D_P)^{-1} L_P' for the splitting
-P'AP = L_P + D_P + L_P' (`epoch_map`); the cyclic order gives
-C = -(L+D)^{-1} L'.  For permutation-invariant models C_P is the same
-closed-form C (`closed_form_C`) for every order.
+x <- x - (Ax)_i e_i.  The orderings (`ORDERINGS`) differ only in how the
+coordinate sequence is produced per epoch: fixed 1..n (`ccd`, cyclic),
+i.i.d. uniform draws (`rcd`, with replacement), or a fresh uniform
+permutation (`rpcd`, without replacement).  An epoch visited in order P
+is the linear map x -> P C_P P' x with C_P = -(L_P+D_P)^{-1} L_P' for
+the splitting P'AP = L_P + D_P + L_P' (`epoch_map`); the cyclic order
+gives C = -(L+D)^{-1} L'.  For permutation-invariant models C_P is the
+same closed-form C (`closed_form_C`) for every order.
 
 `epoch_map` solves with `np.linalg.solve`, whose LU factorization does
 no row exchanges here: a PSD matrix with unit diagonal has
@@ -20,7 +20,7 @@ substitution.
 
 `run` steps random orders coordinate by coordinate; the dense kernel
 steps one iterate or a block of iterates, one per column.  A fixed order
-(cyclic or a fixed permutation) makes every epoch the same map M, so
+(`ccd` or a fixed permutation) makes every epoch the same map M, so
 when a block of at least two n x n maps fits in about 1 MB (n <= 256)
 `run` builds M, M^2, ..., M^K once and advances K epochs with one
 matrix-vector product, stopping at the first epoch that reaches the
@@ -39,6 +39,7 @@ from .errors import NumericalError
 from .quadratic import PermInvariantQuadratic, QuadraticModel, _objective_rows, objective
 
 __all__ = [
+    "ORDERINGS",
     "OrderingPolicy",
     "Trajectory",
     "run",
@@ -48,34 +49,31 @@ __all__ = [
     "derive_seed",
 ]
 
-_KINDS = ("cyclic", "random_with_replacement", "random_permutation", "fixed_permutation")
+# The three named orderings.  Their positions are the variant codes the
+# CLI mixes into every seed, so this order fixes every seeded output.
+ORDERINGS = ("ccd", "rcd", "rpcd")
 
 # Memory for one block of stacked epoch-map powers, and the most powers
 # per block.  The block path runs only when at least two maps fit.
 _BLOCK_BYTES = 1 << 20
 _BLOCK_EPOCHS = 16
 
-# CLI-facing shorthand for the three named orderings.
-VARIANT_ALIASES = {
-    "ccd": "cyclic",
-    "rcd": "random_with_replacement",
-    "rpcd": "random_permutation",
-}
-
 
 @dataclass(frozen=True)
 class OrderingPolicy:
-    """How coordinate indices are chosen within each epoch."""
+    """How coordinate indices are chosen within each epoch.
+
+    `kind` is one of `ORDERINGS` or "fixed_permutation", which visits
+    `perm` every epoch.
+    """
 
     kind: str
     perm: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        kind = VARIANT_ALIASES.get(self.kind, self.kind)
-        object.__setattr__(self, "kind", kind)
-        if kind not in _KINDS:
+        if self.kind not in ORDERINGS and self.kind != "fixed_permutation":
             raise ValueError(f"unknown ordering kind {self.kind!r}")
-        if kind == "fixed_permutation":
+        if self.kind == "fixed_permutation":
             if self.perm is None:
                 raise ValueError("fixed_permutation requires a permutation")
             perm = tuple(int(i) for i in self.perm)
@@ -83,7 +81,7 @@ class OrderingPolicy:
                 raise ValueError(f"{perm} is not a permutation of 0..{len(perm) - 1}")
             object.__setattr__(self, "perm", perm)
         elif self.perm is not None:
-            raise ValueError(f"ordering kind {kind!r} takes no permutation")
+            raise ValueError(f"ordering kind {self.kind!r} takes no permutation")
 
     @classmethod
     def fixed_permutation(cls, perm) -> OrderingPolicy:
@@ -100,14 +98,13 @@ class Trajectory:
     evaluating it, about 2n*eps*||x||_1^2.  That happens on the block
     path and the per-coordinate loop alike, once f nears its rounding
     floor or A is nearly singular.  Values are nonnegative (the minimum
-    value is 0 for these problems).  Full iterates are kept only when
-    requested, to stay small at 1e5-epoch scale.
+    value is 0 for these problems).  Only the last iterate is kept, to
+    stay small at 1e5-epoch scale; the run made epochs * n coordinate
+    updates.
     """
 
     f_per_epoch: np.ndarray
     final_x: np.ndarray
-    iterations: int
-    iterates: list[np.ndarray] | None = None
 
     @property
     def epochs(self) -> int:
@@ -125,13 +122,13 @@ def derive_seed(base_seed, *indices) -> np.random.SeedSequence:
 
 
 def _epoch_order(policy: OrderingPolicy, n: int, rng: np.random.Generator) -> list[int]:
-    if policy.kind == "cyclic":
+    if policy.kind == "ccd":
         return list(range(n))
     if policy.kind == "fixed_permutation":
         if len(policy.perm) != n:
             raise ValueError(f"fixed permutation has length {len(policy.perm)}, expected {n}")
         return list(policy.perm)
-    if policy.kind == "random_permutation":
+    if policy.kind == "rpcd":
         return rng.permutation(n).tolist()
     return rng.integers(0, n, size=n).tolist()
 
@@ -161,14 +158,14 @@ def _block_epochs(n: int) -> int:
     return min(_BLOCK_EPOCHS, _BLOCK_BYTES // (8 * n * n))
 
 
-def _run_blocks(model, M, x, max_epochs, tol, fs, iterates) -> tuple[np.ndarray, int]:
+def _run_blocks(model, M, x, max_epochs, tol, fs) -> tuple[np.ndarray, int]:
     """Advance up to max_epochs epochs of the fixed map M, K per product.
 
     The stack [M; M^2; ...; M^K] is built once, in place; each block
     computes the next K iterates from the current one as rows of
     (stack @ x) and their objectives in one expression.  Appends to fs
-    (and iterates) up to the first epoch with f <= tol; returns the last
-    iterate and the number of epochs run.
+    up to the first epoch with f <= tol; returns the last iterate and the
+    number of epochs run.
     """
     n = model.n
     K = min(_block_epochs(n), max_epochs)
@@ -190,8 +187,6 @@ def _run_blocks(model, M, x, max_epochs, tol, fs, iterates) -> tuple[np.ndarray,
                 f"nonfinite objective after {(epochs + j + 1) * n} iterations", fs[-1]
             )
         fs.append(float(fk[j]))
-        if iterates is not None:
-            iterates.extend(Y[: j + 1])
         x = Y[j].copy()
         epochs += j + 1
         if stops.size:
@@ -206,16 +201,16 @@ def run(
     max_epochs: int = 100_000,
     tol: float = 1e-8,
     seed=None,
-    record_iterates: bool = False,
 ) -> Trajectory:
     """Run coordinate descent with exact line search.
 
     Records f after every epoch and stops as soon as f(x^{l*n}) <= tol or
     the epoch budget is exhausted.  Deterministic for a fixed seed: the
     only randomness is the per-epoch coordinate order drawn from the
-    seeded generator.
+    seeded generator.  The iterate after k epochs is
+    run(..., max_epochs=k, tol=0.0).final_x.
 
-    A fixed order (cyclic or fixed permutation) at n <= 256 runs as
+    A fixed order (`ccd` or a fixed permutation) at n <= 256 runs as
     blocks of stacked powers of its epoch map (see the module
     docstring).  It draws nothing from the generator.  Its iterates agree
     with the per-coordinate loop to rounding, but reusing one rounded map
@@ -248,12 +243,11 @@ def run(
     if not np.isfinite(f):
         raise NumericalError(f"nonfinite objective at start: {f}")
     fs = [f]
-    iterates = [x.copy()] if record_iterates else None
     epochs = 0
-    fixed_order = policy.kind in ("cyclic", "fixed_permutation")
+    fixed_order = policy.kind in ("ccd", "fixed_permutation")
     if f > tol and max_epochs > 0 and fixed_order and _block_epochs(n) >= 2:
         M = epoch_map(model, _epoch_order(policy, n, rng))
-        x, epochs = _run_blocks(model, M, x, max_epochs, tol, fs, iterates)
+        x, epochs = _run_blocks(model, M, x, max_epochs, tol, fs)
     elif f > tol:
         for _ in range(max_epochs):
             order = _epoch_order(policy, n, rng)
@@ -266,16 +260,9 @@ def run(
             if not np.isfinite(f):
                 raise NumericalError(f"nonfinite objective after {epochs * n} iterations", fs[-1])
             fs.append(f)
-            if record_iterates:
-                iterates.append(x.copy())
             if f <= tol:
                 break
-    return Trajectory(
-        f_per_epoch=np.asarray(fs),
-        final_x=x,
-        iterations=epochs * n,
-        iterates=iterates,
-    )
+    return Trajectory(f_per_epoch=np.asarray(fs), final_x=x)
 
 
 def epoch_map(model: QuadraticModel, order=None) -> np.ndarray:
@@ -329,22 +316,17 @@ def closed_form_C(n: int, delta: float) -> np.ndarray:
     return np.where(i < j, -(1.0 - delta) * pow_i, (1.0 - delta) * (pow_diff - pow_i))
 
 
-def expected_over_x0(model: QuadraticModel, epoch_maps) -> float:
-    """Expected objective over standard-normal x^0 after given epochs.
+def expected_over_x0(model: QuadraticModel, G) -> float:
+    """Expected objective over standard-normal x^0 of the iterate G x^0.
 
-    For epoch maps M_1, ..., M_l applied in that order, the iterate is
-    G x^0 with G = M_l ... M_1, and E[f] over x^0 ~ N(0, I) is
-    (1/2) trace(G' A G).  An empty sequence gives (1/2) trace(A), which
-    is n/2 for unit-diagonal A.
+    G is the accumulated epoch product M_l ... M_1 of the epoch maps
+    applied so far, and E[f] over x^0 ~ N(0, I) is (1/2) trace(G' A G).
+    G = I (no epochs) gives (1/2) trace(A), which is n/2 for
+    unit-diagonal A.
     """
     A = model.matrix()
     n = A.shape[0]
-    G = None
-    for M in epoch_maps:
-        M = np.asarray(M, dtype=float)
-        if M.shape != (n, n):
-            raise ValueError(f"epoch map has shape {M.shape}, expected ({n}, {n})")
-        G = M if G is None else M @ G
-    if G is None:
-        return 0.5 * float(np.trace(A))
+    G = np.asarray(G, dtype=float)
+    if G.shape != (n, n):
+        raise ValueError(f"epoch product has shape {G.shape}, expected ({n}, {n})")
     return 0.5 * float(np.sum(G * (A @ G)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .quadratic import PermInvariantQuadratic, QuadraticConstants
+from .quadratic import PermInvariantQuadratic, QuadraticConstants, quadratic_constants
 from .recurrence import recurrence_coeffs
 
 __all__ = [
@@ -225,28 +225,22 @@ def rpcd_asymptotic_rate(n: int, delta: float) -> float:
 def ccd_bounds(n: int, delta: float) -> tuple[float, float]:
     """Worst-case (upper, lower) per-epoch rate bounds for cyclic descent.
 
-    For delta <= 3/4 the three-term exact-line-search bound simplifies to
+    The upper bound is the exact-line-search three-term bound of
+    `generic_bounds` (its `sun_ye`) at the model's constants: mu = delta
+    and L = n(1-delta)+delta for delta <= 1, the two swapped for
+    delta > 1, and unit diagonal.  It is valid over the whole window
+    (0, n/(n-1)); for delta <= 3/4 it simplifies to
+    1 - delta / (n (n(1-delta)+delta)).  The companion lower bound is
 
-        upper = 1 - delta / (n (n(1-delta)+delta));
+        lower = (1 - 2*delta*pi^2 / (n (n(1-delta)+delta)))^2,
 
-    outside that window the unsimplified three-term maximum is used.
-    The companion lower bound is
-
-        lower = (1 - 2*delta*pi^2 / (n (n(1-delta)+delta)))^2.
-
-    Together they pin the epoch-wise error decrease to 1 - c*delta/n^2
-    for moderate c when delta/n is small.
+    which tracks 1 - rho(C)^2 only in magnitude.  Together they pin the
+    epoch-wise error decrease to 1 - c*delta/n^2 for moderate c when
+    delta/n is small.
     """
-    L = n * (1.0 - delta) + delta
-    if delta <= 0.75:
-        upper = 1.0 - delta / (n * L)
-    else:
-        upper = 1.0 - max(
-            delta / (n * L),
-            delta / (L**2 * (2.0 + math.log(n) / math.pi) ** 2),
-            delta / n**2,
-        )
-    lower = (1.0 - 2.0 * delta * math.pi**2 / (n * L)) ** 2
+    consts = quadratic_constants(PermInvariantQuadratic(n, delta))
+    upper = generic_bounds(consts, n, alpha=1.0).sun_ye
+    lower = (1.0 - 2.0 * delta * math.pi**2 / (n * (n * (1.0 - delta) + delta))) ** 2
     return upper, lower
 
 

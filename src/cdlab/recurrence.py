@@ -4,13 +4,13 @@ Averaging any matrix Q over all symmetric permutations P Q P' collapses
 it to tau1*I + tau2*ones*ones'.  Applied to the epoch matrix C of the
 permutation-invariant model, this yields a 2x2 linear recurrence
 
-    (eta_{t+1), nu_{t+1})' = M (eta_t, nu_t)',    M = [[d1, m1], [d2, m2]],
+    (eta_{t+1}, nu_{t+1})' = M (eta_t, nu_t)',    M = [[d1, m1], [d2, m2]],
 
 for the coefficients of Abar^(t) = eta_t*I + nu_t*ones*ones', the
 expectation of the t-epoch quadratic form over i.i.d. uniform
-permutations.  From (eta_0, nu_0) = (delta, 1-delta) this gives closed
-forms for the expected objective after any number of epochs; the exact
-all-permutations average (factorial cost) is kept alongside as an
+permutations.  From (eta_0, nu_0) = (delta, 1-delta), `evolve` steps it
+to the closed-form expected objective after any number of epochs; the
+exact all-permutations average (factorial cost) is kept alongside as an
 oracle.  The coefficients of M take O(n) sums over the structure of C,
 never the dense matrix; `epoch_matrix_scalars(closed_form_C(n, delta))`
 is their dense cross-check.
@@ -30,7 +30,6 @@ from .quadratic import PermInvariantQuadratic
 __all__ = [
     "SymmetrizedForm",
     "RecurrenceMatrix",
-    "RecurrencePair",
     "EpochMatrixScalars",
     "symmetrize",
     "epoch_matrix_scalars",
@@ -64,15 +63,6 @@ class RecurrenceMatrix:
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.d1, self.m1], [self.d2, self.m2]])
-
-
-@dataclass(frozen=True)
-class RecurrencePair:
-    """(eta_t, nu_t) after t epochs of averaging."""
-
-    eta: float
-    nu: float
-    t: int
 
 
 @dataclass(frozen=True)
@@ -129,8 +119,11 @@ def epoch_matrix_scalars(C: np.ndarray) -> EpochMatrixScalars:
     )
 
 
-def _closed_form_scalars(n: int, delta: float) -> EpochMatrixScalars:
+def _closed_form_scalars(n: int, delta: float) -> tuple[EpochMatrixScalars, float]:
     """The scalars of `epoch_matrix_scalars(closed_form_C(n, delta))` in O(n).
+
+    Also returns the pair sum sum_{j<k} (C' ones)_j (C' ones)_k, which is
+    ((ones'C ones)^2 - ||C' ones||^2) / 2 without the cancellation.
 
     C = (1-delta)(T - p ones') with T_ij = delta^(i-j) for i >= j (zero
     above the diagonal) and p_i = delta^i, indices from 0, so
@@ -142,12 +135,13 @@ def _closed_form_scalars(n: int, delta: float) -> EpochMatrixScalars:
 
     with g(L) = sum_{t<L} delta^(2t) = (1 - delta^(2L)) / (1 - delta^2).
     Each 1 - delta^k comes from expm1, so the terms of ones'C ones,
-    ||C' ones||^2 and ||C||_F^2 share one sign and their sums do not
-    cancel as delta -> 0 or delta -> 1.
+    ||C' ones||^2, ||C||_F^2 and the pair sum share one sign (every
+    (C' ones)_j is <= 0) and their sums do not cancel as delta -> 0 or
+    delta -> 1.
     """
     PermInvariantQuadratic(n, delta)  # validate the (n, delta) window
     if delta == 1.0:
-        return EpochMatrixScalars(0.0, 0.0, 0.0, 0.0)
+        return EpochMatrixScalars(0.0, 0.0, 0.0, 0.0), 0.0
     k = np.arange(n + 1, dtype=float)
     k_log = k * math.log(delta)
     pw = np.exp(k_log)  # delta^k, k = 0..n
@@ -156,12 +150,13 @@ def _closed_form_scalars(n: int, delta: float) -> EpochMatrixScalars:
     c1 = om[1:] - n * (1.0 - delta) * pw[:n]
     g = om[n:0:-1] * (1.0 + pw[n:0:-1]) / (om[1] * (1.0 + pw[1]))
     upper = (n - 1.0 - k[:n]) @ (pw[:n] * pw[:n])
-    return EpochMatrixScalars(
+    scalars = EpochMatrixScalars(
         one_C_one=float(ct1.sum()),
         norm_C_one_sq=float(c1 @ c1),
         norm_Ct_one_sq=float(ct1 @ ct1),
         frob_sq=float((1.0 - delta) ** 2 * (om[:n] ** 2 @ g + upper)),
     )
+    return scalars, float(ct1[1:] @ np.cumsum(ct1)[:-1])
 
 
 def recurrence_coeffs(n: int, delta: float) -> RecurrenceMatrix:
@@ -171,18 +166,20 @@ def recurrence_coeffs(n: int, delta: float) -> RecurrenceMatrix:
     E_P[P'C' ones ones' C P] gives
 
         d2 = (||C ones||^2 - ||C||_F^2) / (n(n-1)),    d1 = ||C||_F^2 / n - d2,
-        m2 = ((ones'C ones)^2 - ||C' ones||^2) / (n(n-1)),
+        m2 = ((ones'C ones)^2 - ||C' ones||^2) / (n(n-1))
+           = 2 sum_{j<k} (C' ones)_j (C' ones)_k / (n(n-1)),
         m1 = ||C' ones||^2 / n - m2.
 
-    The four scalars are O(n) sums over the structure of the closed-form
-    C (not truncated series, and not the dense n x n matrix), so the
+    The scalars are O(n) sums over the structure of the closed-form C
+    (not truncated series, and not the dense n x n matrix), so the
     coefficients stay exact at large delta and cost about 0.1 s at
-    n = 1e6.
+    n = 1e6.  m2 comes from the one-sign pair sum, which does not cancel
+    as delta -> 0.
     """
-    s = _closed_form_scalars(n, delta)
+    s, pairs = _closed_form_scalars(n, delta)
     d2 = (s.norm_C_one_sq - s.frob_sq) / (n * (n - 1))
     d1 = s.frob_sq / n - d2
-    m2 = (s.one_C_one**2 - s.norm_Ct_one_sq) / (n * (n - 1))
+    m2 = 2.0 * pairs / (n * (n - 1))
     m1 = s.norm_Ct_one_sq / n - m2
     return RecurrenceMatrix(d1=d1, d2=d2, m1=m1, m2=m2)
 
@@ -208,18 +205,21 @@ def asymptotic_coeffs(n: int, delta: float) -> RecurrenceMatrix:
     )
 
 
-def evolve(M: RecurrenceMatrix, delta: float, t: int) -> RecurrencePair:
-    """Iterate the 2x2 recurrence t times from (eta_0, nu_0) = (delta, 1-delta).
+def evolve(M: RecurrenceMatrix, delta: float, t: int) -> np.ndarray:
+    """The 2x2 recurrence from (eta_0, nu_0) = (delta, 1-delta), t steps.
 
+    Returns the (t+1, 2) array whose row l is (eta_l, nu_l), l = 0..t.
     Plain repeated multiplication; no eigendecomposition, so it stays
     robust when the two eigenvalues of M nearly coincide.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     eta, nu = float(delta), 1.0 - float(delta)
+    pairs = [(eta, nu)]
     for _ in range(t):
         eta, nu = M.d1 * eta + M.m1 * nu, M.d2 * eta + M.m2 * nu
-    return RecurrencePair(eta=eta, nu=nu, t=t)
+        pairs.append((eta, nu))
+    return np.array(pairs)
 
 
 def brute_force_abar(n: int, delta: float, t: int, max_n: int = 5, max_t: int = 3) -> np.ndarray:
@@ -249,8 +249,8 @@ def expected_objective(n: int, delta: float, ell: int) -> float:
 
     Equals (n/2)(eta_l + nu_l); at l = 0 this is n/2.
     """
-    pair = evolve(recurrence_coeffs(n, delta), delta, ell)
-    return 0.5 * n * (pair.eta + pair.nu)
+    eta, nu = evolve(recurrence_coeffs(n, delta), delta, ell)[-1].tolist()
+    return 0.5 * n * (eta + nu)
 
 
 def conditional_expected_objective(n: int, delta: float, ell: int, x0: np.ndarray) -> float:
@@ -261,9 +261,9 @@ def conditional_expected_objective(n: int, delta: float, ell: int, x0: np.ndarra
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
-    pair = evolve(recurrence_coeffs(n, delta), delta, ell)
+    eta, nu = evolve(recurrence_coeffs(n, delta), delta, ell)[-1].tolist()
     s = float(x0.sum())
-    return 0.5 * (pair.eta * float(x0 @ x0) + pair.nu * s * s)
+    return 0.5 * (eta * float(x0 @ x0) + nu * s * s)
 
 
 def first_iteration_expectation(n: int, delta: float) -> float:

@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 
 from cdlab import (
+    OrderingPolicy,
+    PermInvariantQuadratic,
     build_log_uniform_spectrum,
     closed_form_C,
     derive_seed,
     epoch_map,
     evolve,
     recurrence_coeffs,
+    run,
     spectral_radius,
 )
 from cdlab.cli import (
@@ -84,26 +87,29 @@ class TestConfig:
         out = capsys.readouterr()
         assert out.out == "" and argv[-2] in out.err
 
-    @pytest.mark.parametrize("argv", [
-        ["table1", "--replicates", "0"],
-        ["table1", "--delta", "2.5"],
-        ["table1", "--tol", "0"],
-        ["table1", "--max-epochs", "-1"],
-        ["figure", "lu", "--sequences", "0"],
-        ["figure", "lu", "--tol", "0"],
-        ["figure", "different_n", "--epochs-budget", "-1"],
-        ["figure", "expected", "--delta", "1.5"],
-        ["figure", "expected", "--max-epochs", "-1"],
-        ["figure", "bogus"],
-        ["predict", "--n", "1", "--delta", "0.5"],
-        ["solve", "--delta", "0.5", "--tol", "0"],
-    ], ids=" ".join)
-    def test_invalid_value_is_usage_error(self, argv, capsys):
+    @pytest.mark.parametrize("argv, message", [pytest.param(a, m, id=" ".join(a)) for a, m in [
+        (["table1", "--replicates", "0"], "must be >= 1, got 0"),
+        (["table1", "--delta", "2.5"], "delta must lie in"),
+        (["table1", "--tol", "0"], "must be > 0, got 0"),
+        (["table1", "--tol", "-1e-3"], "must be > 0, got -1e-3"),
+        (["table1", "--max-epochs", "-1"], "must be >= 0, got -1"),
+        (["figure", "lu", "--sequences", "0"], "must be >= 1, got 0"),
+        (["figure", "lu", "--tol", "0"], "must be > 0, got 0"),
+        (["figure", "different_n", "--epochs-budget", "-1"], "must be >= 0, got -1"),
+        (["figure", "expected", "--delta", "1.5"], "delta must lie in"),
+        (["figure", "expected", "--max-epochs", "-1"], "must be >= 0, got -1"),
+        (["figure", "bogus"], "invalid choice: 'bogus'"),
+        (["predict", "--n", "1", "--delta", "0.5"], "n must be >= 2, got 1"),
+        (["solve", "--delta", "0.5", "--tol", "0"], "must be > 0, got 0"),
+        (["solve", "--delta", "-1e-3"], "delta must lie in (0, n/(n-1))"),
+    ]])
+    def test_invalid_value_is_usage_error(self, argv, message, capsys):
+        # a negative value in exponent notation reaches its domain check too
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
         out = capsys.readouterr()
-        assert out.out == "" and "error:" in out.err
+        assert out.out == "" and "error:" in out.err and message in out.err
 
     @pytest.mark.parametrize("argv", [
         ["table1", "--replicates", "0"],
@@ -342,6 +348,15 @@ class TestMainOutputs:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("variant, code", [("ccd", 0), ("rcd", 1), ("rpcd", 2)])
+    def test_seed_codes_are_pinned(self, variant, code):
+        # every seeded output depends on these codes, the positions in ORDERINGS
+        rng = np.random.default_rng(derive_seed(5, 0, code, 0))
+        traj = run(PermInvariantQuadratic(8, 0.5), OrderingPolicy(variant), rng.standard_normal(8),
+                   max_epochs=3, tol=1e-8, seed=rng)
+        rows = cmd_solve(n=8, delta=0.5, variant=variant, seed=5, max_epochs=3)
+        assert [r["f"] for r in rows] == traj.f_per_epoch.tolist()
+
     def test_zero_start_single_row(self):
         rows = cmd_solve(10, 0.3, "ccd", x0="zero")
         assert rows == [{"epoch": 0, "f": 0.0, "f_over_f0": 0.0}]
@@ -435,8 +450,8 @@ class TestFigures:
         rows = figure_expected(n=50, seed=5, delta=0.1)
         M = recurrence_coeffs(50, 0.1)
         for r in rows[:20]:
-            pair = evolve(M, 0.1, r["epoch"])
-            assert r["f_expected"] == 0.5 * 50 * (pair.eta + pair.nu)
+            eta, nu = evolve(M, 0.1, r["epoch"])[-1]
+            assert r["f_expected"] == 0.5 * 50 * (eta + nu)
 
     def test_figure_csv_round_trip(self, tmp_path):
         out = tmp_path / "fig.csv"

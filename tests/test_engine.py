@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cdlab import (
+    ORDERINGS,
     DenseQuadratic,
     NumericalError,
     OrderingPolicy,
@@ -23,17 +24,20 @@ from conftest import simulate_epoch
 
 
 class TestOrderingPolicy:
-    def test_aliases(self):
-        assert OrderingPolicy("ccd").kind == "cyclic"
-        assert OrderingPolicy("rcd").kind == "random_with_replacement"
-        assert OrderingPolicy("rpcd").kind == "random_permutation"
+    def test_orderings_are_the_only_names(self):
+        assert ORDERINGS == ("ccd", "rcd", "rpcd")
+        for kind in ORDERINGS:
+            assert OrderingPolicy(kind).kind == kind
+        for kind in ("cyclic", "random_with_replacement", "random_permutation"):
+            with pytest.raises(ValueError):
+                OrderingPolicy(kind)
 
     def test_fixed_permutation_validation(self):
         OrderingPolicy.fixed_permutation([2, 0, 1])
         with pytest.raises(ValueError):
             OrderingPolicy.fixed_permutation([0, 0, 1])
         with pytest.raises(ValueError):
-            OrderingPolicy("cyclic", perm=(0, 1))
+            OrderingPolicy("ccd", perm=(0, 1))
         with pytest.raises(ValueError):
             OrderingPolicy("bogus")
 
@@ -51,7 +55,7 @@ class TestRun:
 
     def test_start_at_minimizer_returns_immediately(self):
         traj = run(PermInvariantQuadratic(8, 0.3), OrderingPolicy("rcd"), np.zeros(8), seed=1)
-        assert traj.iterations == 0
+        assert traj.epochs == 0
         assert np.array_equal(traj.f_per_epoch, [0.0])
 
     def test_single_step_from_alternating_point(self):
@@ -97,19 +101,19 @@ class TestRun:
             with pytest.raises(ValueError):
                 run(model, OrderingPolicy(variant), np.ones(4), max_epochs=-1)
         traj = run(model, OrderingPolicy("ccd"), np.ones(4), max_epochs=0)
-        assert traj.epochs == 0 and traj.iterations == 0
+        assert traj.epochs == 0
 
     def test_nonfinite_start_raises(self):
         x0 = np.full(4, np.nan)
         with pytest.raises(NumericalError):
             run(PermInvariantQuadratic(4, 0.5), OrderingPolicy("ccd"), x0)
 
-    def test_record_iterates(self):
+    def test_final_x_after_each_epoch(self):
+        # run(..., max_epochs=k).final_x is the iterate after k epochs
         model = PermInvariantQuadratic(6, 0.4)
-        traj = run(model, OrderingPolicy("ccd"), np.ones(6), max_epochs=3, tol=0.0,
-                   record_iterates=True)
-        assert len(traj.iterates) == len(traj.f_per_epoch)
-        for x, f in zip(traj.iterates, traj.f_per_epoch):
+        traj = run(model, OrderingPolicy("ccd"), np.ones(6), max_epochs=3, tol=0.0)
+        for k, f in enumerate(traj.f_per_epoch):
+            x = run(model, OrderingPolicy("ccd"), np.ones(6), max_epochs=k, tol=0.0).final_x
             assert objective(model, x) == pytest.approx(f, abs=1e-12)
 
 
@@ -146,15 +150,13 @@ class TestFixedOrderBlocks:
         ref = _oracle_iterates(model, _order(policy, _N), x0, 2 * _K + 1)
         f0, scale = objective(model, x0), np.abs(x0).max()
         for max_epochs in range(2 * _K + 2):
-            traj = run(model, policy, x0, max_epochs=max_epochs, tol=0.0, record_iterates=True)
+            traj = run(model, policy, x0, max_epochs=max_epochs, tol=0.0)
             assert traj.epochs == max_epochs
-            assert traj.iterations == _N * max_epochs
-            assert len(traj.iterates) == max_epochs + 1
-            for x, f, x_ref in zip(traj.iterates, traj.f_per_epoch, ref):
-                assert abs(objective(model, x) - f) <= 1e-12 * f0
+            for f, x_ref in zip(traj.f_per_epoch, ref):
                 assert abs(objective(model, x_ref) - f) <= 1e-12 * f0
-                assert np.abs(x - x_ref).max() <= 1e-12 * scale
-            assert np.array_equal(traj.final_x, traj.iterates[-1])
+            x = traj.final_x
+            assert abs(objective(model, x) - traj.f_per_epoch[-1]) <= 1e-12 * f0
+            assert np.abs(x - ref[max_epochs]).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("stop", [1, _K // 2, _K, _K + 1, _K + _K // 2, 2 * _K])
     def test_tolerance_stops_at_first_epoch_below(self, model, policy, stop):
@@ -164,7 +166,6 @@ class TestFixedOrderBlocks:
         tol = 0.5 * (objective(model, ref[stop - 1]) + objective(model, ref[stop]))
         traj = run(model, policy, x0, max_epochs=10 * _K, tol=tol)
         assert traj.epochs == stop
-        assert traj.iterations == _N * stop
         assert np.all(traj.f_per_epoch[:-1] > tol) and traj.f_per_epoch[-1] <= tol
         assert np.abs(traj.final_x - ref[stop]).max() <= 1e-12 * np.abs(x0).max()
 
@@ -219,9 +220,9 @@ class TestFixedOrderOutsideBlocks:
         perm = rng.permutation(n)
         for policy, order in ((OrderingPolicy("ccd"), np.arange(n)),
                               (OrderingPolicy.fixed_permutation(perm), perm)):
-            traj = run(model, policy, x0, max_epochs=3, tol=0.0, record_iterates=True)
             ref = _oracle_iterates(model, order, x0, 3)
-            for x, x_ref in zip(traj.iterates, ref):
+            for k, x_ref in enumerate(ref):
+                x = run(model, policy, x0, max_epochs=k, tol=0.0).final_x
                 assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x0).max()
 
 
@@ -383,13 +384,14 @@ class TestPermutedEpochMap:
 class TestExpectedOverX0:
     def test_empty_sequence_gives_half_trace(self):
         model = PermInvariantQuadratic(12, 0.3)
-        assert expected_over_x0(model, ()) == pytest.approx(6.0, abs=1e-12)
+        # no epochs: the product is G = I
+        assert expected_over_x0(model, np.eye(12)) == pytest.approx(6.0, abs=1e-12)
 
     def test_single_cyclic_epoch(self):
         model = PermInvariantQuadratic(9, 0.25)
         C = closed_form_C(9, 0.25)
         A = model.matrix()
-        assert expected_over_x0(model, (C,)) == pytest.approx(
+        assert expected_over_x0(model, C) == pytest.approx(
             0.5 * np.trace(C.T @ A @ C), abs=1e-12
         )
 
@@ -404,11 +406,11 @@ class TestExpectedOverX0:
         A = model.matrix()
         f = 0.5 * np.einsum("ij,ij->i", Y, Y @ A)
         se = f.std(ddof=1) / np.sqrt(len(f))
-        assert abs(f.mean() - expected_over_x0(model, maps)) <= 3 * se
+        assert abs(f.mean() - expected_over_x0(model, G)) <= 3 * se
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            expected_over_x0(PermInvariantQuadratic(4, 0.5), (np.eye(3),))
+            expected_over_x0(PermInvariantQuadratic(4, 0.5), np.eye(3))
 
 
 class TestDeriveSeed:

@@ -42,13 +42,15 @@ def test_fixed_order_run_matches_step_oracle(case):
     # f is compared on the scale of the terms it sums, (1/2)|x0|'|A||x0| <=
     # (1/2)||x0||_1^2: near either edge A is nearly singular, f(x^0) can be
     # far below that, and the map products of the block path then move f by
-    # up to ~1e-11 f(x^0) while x stays within ~1e-13 ||x0||_inf
-    traj = run(model, policy, x0, max_epochs=epochs, tol=0.0, record_iterates=True)
+    # up to ~1e-11 f(x^0) while x stays within ~1e-13 ||x0||_inf.  The
+    # iterate after k epochs is the final_x of a k-epoch run.
+    traj = run(model, policy, x0, max_epochs=epochs, tol=0.0)
     f_scale, x_scale = 0.5 * np.abs(x0).sum() ** 2, np.abs(x0).max()
     assert traj.epochs == epochs or traj.f_per_epoch[-1] == 0.0
     x_ref = x0
-    for x, f in zip(traj.iterates[1:], traj.f_per_epoch[1:]):
+    for k, f in enumerate(traj.f_per_epoch[1:], start=1):
         x_ref = simulate_epoch(model, x_ref, order)
+        x = run(model, policy, x0, max_epochs=k, tol=0.0).final_x
         assert abs(f - objective(model, x_ref)) <= 1e-12 * f_scale
         assert np.abs(x - x_ref).max() <= 1e-12 * x_scale
 
@@ -61,8 +63,9 @@ def test_fixed_order_run_nonincreasing_up_to_rounding(case):
     # nearly singular, and that error exceeds 1e-10 f(x^0) on the block path
     # and on the per-coordinate loop alike.
     model, policy, _, x0, epochs = case
-    traj = run(model, policy, x0, max_epochs=epochs, tol=0.0, record_iterates=True)
-    slack = [2 * model.n * np.finfo(float).eps * np.abs(x).sum() ** 2 for x in traj.iterates[:-1]]
+    traj = run(model, policy, x0, max_epochs=epochs, tol=0.0)
+    iterates = [run(model, policy, x0, max_epochs=k, tol=0.0).final_x for k in range(traj.epochs)]
+    slack = [2 * model.n * np.finfo(float).eps * np.abs(x).sum() ** 2 for x in iterates]
     assert np.all(np.diff(traj.f_per_epoch) <= slack)
 
 

@@ -30,7 +30,7 @@ TABLE_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
 
 def _traj(f_values):
     f = np.asarray(f_values, dtype=float)
-    return Trajectory(f_per_epoch=f, final_x=np.zeros(1), iterations=0)
+    return Trajectory(f_per_epoch=f, final_x=np.zeros(1))
 
 
 class TestSpectralRadius:
@@ -174,6 +174,19 @@ class TestCcdBounds:
         upper, lower = ccd_bounds(100, 1e-13)
         assert upper == pytest.approx(1.0, abs=1e-12)
         assert lower == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000])
+    def test_upper_is_sun_ye_and_bounds_rho_C_sq_over_window(self, n):
+        # the three-term bound at the model's constants, for delta > 1 too,
+        # where mu and L swap roles
+        hi = n / (n - 1)
+        deltas = [t * hi for t in (1e-9, 1e-3, 0.1, 0.5, 0.75, 0.9, 1 - 1e-3, 1 - 1e-9)]
+        deltas += [0.5, 0.8, 1.0, 1.0 + 1e-9, 0.5 * (1.0 + hi)]
+        for delta in deltas:
+            upper, _ = ccd_bounds(n, delta)
+            consts = quadratic_constants(PermInvariantQuadratic(n, delta))
+            assert upper == generic_bounds(consts, n, alpha=1.0).sun_ye
+            assert upper >= rho_C(n, delta) ** 2
 
     def test_large_delta_uses_three_term_form(self):
         n, delta = 100, 0.8

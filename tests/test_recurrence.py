@@ -95,6 +95,19 @@ def _exact_scalars(n, delta):
             sum(x * x for r in C for x in r))
 
 
+def _exact_m2(n, delta):
+    """m2 of closed_form_C from its column sums, in exact integer arithmetic.
+
+    With delta = p/q, C = ((q-p)/q^(n+1)) K for the integer matrix
+    K_ij = q^n (delta^(i-j) - delta^i) (i >= j), -q^n delta^i (i < j).
+    """
+    p, q = Fraction(delta).as_integer_ratio()
+    pw = [p**k * q ** (n - k) for k in range(n)]
+    col = [sum(pw[i - j] - pw[i] if i >= j else -pw[i] for i in range(n)) for j in range(n)]
+    scale = Fraction(q - p, q ** (n + 1))
+    return scale**2 * (sum(col) ** 2 - sum(c * c for c in col)) / (n * (n - 1))
+
+
 class TestClosedFormScalars:
     CASES = [
         (n, t * n / (n - 1))
@@ -104,14 +117,25 @@ class TestClosedFormScalars:
 
     @pytest.mark.parametrize("n, delta", CASES)
     def test_match_exact_rational_evaluation(self, n, delta):
-        s = _closed_form_scalars(n, delta)
+        s, _ = _closed_form_scalars(n, delta)
         got = (s.one_C_one, s.norm_C_one_sq, s.norm_Ct_one_sq, s.frob_sq)
         for value, exact in zip(got, _exact_scalars(n, delta)):
             assert abs(Fraction(value) - exact) <= Fraction(1e-13) * abs(exact)
 
+    @pytest.mark.parametrize("n, delta", CASES + [(100, 1e-12)])
+    def test_m2_matches_exact_rational_evaluation(self, n, delta):
+        # m2 = ((ones'C ones)^2 - ||C' ones||^2) / (n(n-1)) cancels as delta -> 0;
+        # the one-sign pair sum does not
+        exact = _exact_m2(n, delta)
+        if (n, delta) in self.CASES:
+            one_C_one, _, norm_Ct_one_sq, _ = _exact_scalars(n, delta)
+            assert exact == (one_C_one**2 - norm_Ct_one_sq) / (n * (n - 1))
+        m2 = recurrence_coeffs(n, delta).m2
+        assert abs(Fraction(m2) - exact) <= Fraction(1e-13) * abs(exact)
+
     def test_identity_model(self):
-        s = _closed_form_scalars(40, 1.0)
-        assert s.one_C_one == s.norm_C_one_sq == s.norm_Ct_one_sq == s.frob_sq == 0.0
+        s, pairs = _closed_form_scalars(40, 1.0)
+        assert s.one_C_one == s.norm_C_one_sq == s.norm_Ct_one_sq == s.frob_sq == pairs == 0.0
 
     def test_rejects_delta_outside_window(self):
         with pytest.raises(ValueError):
@@ -178,19 +202,27 @@ class TestAsymptoticCoeffs:
 class TestEvolve:
     def test_initial_pair(self):
         M = recurrence_coeffs(10, 0.3)
-        pair = evolve(M, 0.3, 0)
-        assert (pair.eta, pair.nu) == (0.3, 0.7)
+        assert evolve(M, 0.3, 0).tolist() == [[0.3, 0.7]]
 
     def test_identity_model_collapses(self):
         M = recurrence_coeffs(50, 1.0)
-        pair = evolve(M, 1.0, 3)
-        assert pair.eta == 0.0 and pair.nu == 0.0
+        eta, nu = evolve(M, 1.0, 3)[-1]
+        assert eta == 0.0 and nu == 0.0
 
     def test_matches_brute_force(self):
         n, delta, t = 4, 0.5, 2
-        pair = evolve(recurrence_coeffs(n, delta), delta, t)
-        expected = pair.eta * np.eye(n) + pair.nu * np.ones((n, n))
+        eta, nu = evolve(recurrence_coeffs(n, delta), delta, t)[-1]
+        expected = eta * np.eye(n) + nu * np.ones((n, n))
         assert np.abs(brute_force_abar(n, delta, t) - expected).max() <= 1e-10
+
+    def test_rows_are_successive_steps(self):
+        M = recurrence_coeffs(10, 0.3)
+        pairs = evolve(M, 0.3, 5)
+        assert pairs.shape == (6, 2)
+        for t in range(6):
+            assert np.array_equal(pairs[t], evolve(M, 0.3, t)[-1])
+            if t:
+                assert np.allclose(pairs[t], M.as_array() @ pairs[t - 1], rtol=1e-15, atol=0)
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
@@ -200,9 +232,9 @@ class TestEvolve:
         for delta in (0.05, 0.5, 0.9):
             M = recurrence_coeffs(20, delta)
             for t in range(12):
-                pair = evolve(M, delta, t)
-                assert pair.eta >= -1e-15
-                assert pair.eta + 20 * pair.nu >= -1e-15
+                eta, nu = evolve(M, delta, t)[-1]
+                assert eta >= -1e-15
+                assert eta + 20 * nu >= -1e-15
 
 
 class TestBruteForceAbar:
