@@ -1,0 +1,139 @@
+"""Golden outputs: stdout, stderr and exit status of fixed CLI invocations.
+
+Each case runs in process through `cdlab.cli.main` and is compared with
+its file under tests/golden/.  Headers, keys, strings, integers, stderr
+and the exit status must match exactly; floats must match within 1e-12
+relative (NaN equals NaN), so the files survive a different BLAS.  A
+change that moves an output rewrites its file in the same diff.
+
+# regenerate: PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import re
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from cdlab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RTOL = 1e-12
+
+CASES = {
+    "table1": "table1",
+    "table1_seed3_json": "table1 --seed 3 --format json",
+    "table1_n20_max_epochs5": "table1 --n 20 --delta 1.0 --delta 0.5 --max-epochs 5",
+    "table1_n256": "table1 --n 256 --delta 0.5 --replicates 2",
+    "table1_n300": "table1 --n 300 --delta 0.8 --replicates 2",
+    "figure_lu": "figure lu --epochs-budget 50",
+    "figure_lu_n16_json": "figure lu --n 16 --epochs-budget 400 --seed 2 --format json",
+    "figure_different_n": "figure different_n --epochs-budget 200",
+    "figure_expected": "figure expected",
+    "figure_expected_n300_json": "figure expected --n 300 --format json",
+    "predict": "predict --n 100 --delta 0.1",
+    "predict_n700_json": "predict --n 700 --delta 0.5 --format json",
+    "predict_n1e6_json": "predict --n 1000000 --delta 0.3 --format json",
+    "predict_delta_above_1_json": "predict --n 100 --delta 1.005 --format json",
+    "solve_rpcd": "solve --n 100 --delta 0.05 --variant rpcd --seed 1",
+    "solve_ccd_n300": "solve --n 300 --delta 0.3 --variant ccd --seed 1 --max-epochs 2000",
+    "solve_rcd_zero_json": "solve --n 50 --delta 0.2 --variant rcd --seed 4 --x0 zero --format json",
+    "solve_ccd_budget": "solve --n 100 --delta 0.05 --variant ccd --seed 3 --max-epochs 5000",
+    "error_table1_tol": "table1 --tol -1e-3",
+    "error_figure_lu_delta": "figure lu --delta 0.1",
+    "error_predict_n1": "predict --n 1 --delta 0.5",
+}
+
+
+def invoke(argv: list[str]) -> dict:
+    """Exit status, stdout and stderr of `cdlab <argv>`, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps usage lines at the terminal width
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return {"exit": status, "stderr": err.getvalue(), "stdout": out.getvalue()}
+
+
+def _cell(text: str):
+    """A CSV cell as int, float or str."""
+    if re.fullmatch(r"-?\d+", text):
+        return int(text)
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _parse(stdout: str, argv: list[str]):
+    if not stdout:
+        return stdout
+    if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        return json.loads(stdout)
+    return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(stdout))]
+
+
+def assert_same(got, want, where="stdout"):
+    """Equal structure, keys, strings and ints; floats within RTOL, NaN equal to NaN."""
+    assert type(got) is type(want), f"{where}: {got!r} is not a {type(want).__name__}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{where}: keys {list(got)} != {list(want)}"
+        for key in want:
+            assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{where}: length {len(got)} != {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        if math.isnan(want):
+            assert math.isnan(got), f"{where}: {got!r} != nan"
+        else:
+            assert math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_output_matches_golden_file(name):
+    argv = CASES[name].split()
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    got = invoke(argv)
+    assert want["argv"] == argv
+    assert got["exit"] == want["exit"]
+    assert got["stderr"] == "".join(want["stderr"])
+    assert_same(_parse(got["stdout"], argv), _parse("".join(want["stdout"]), argv))
+
+
+def test_float_comparison_is_relative_and_nan_aware():
+    assert_same([1.0, math.nan, 0.0], [1.0 + 1e-13, math.nan, 0.0])
+    for got, want in [([1.0], [1.0 + 1e-11]), ([math.nan], [1.0]), ([1], [1.0]),
+                      ({"a": 1}, {"b": 1}), ([0.0], [1e-300])]:
+        with pytest.raises(AssertionError):
+            assert_same(got, want)
+
+
+def regenerate() -> None:
+    """Rewrite every golden file from the current code."""
+    GOLDEN.mkdir(exist_ok=True)
+    for name, command in CASES.items():
+        argv = command.split()
+        result = invoke(argv)
+        record = {"argv": argv, "exit": result["exit"],
+                  "stderr": result["stderr"].splitlines(keepends=True),
+                  "stdout": result["stdout"].splitlines(keepends=True)}
+        (GOLDEN / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n")
+        print(f"{name}: exit {result['exit']}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    regenerate()
