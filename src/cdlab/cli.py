@@ -46,6 +46,8 @@ import numpy as np
 from .engine import (
     ORDERINGS,
     OrderingPolicy,
+    _block_epochs,
+    _cyclic_tail,
     _epoch_dense,
     derive_seed,
     epoch_map,
@@ -80,15 +82,23 @@ __all__ = [
 TABLE1_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
 
 
+def _seeded_start(n, variant, seed, stream, replicate=0, x0="gaussian"):
+    """The generator of one seeded run, and the starting point it draws first.
+
+    The generator is seeded from (seed, stream, variant code, replicate);
+    a zero start draws nothing.
+    """
+    rng = np.random.default_rng(derive_seed(seed, stream, ORDERINGS.index(variant), replicate))
+    return rng, rng.standard_normal(n) if x0 == "gaussian" else np.zeros(n)
+
+
 def _seeded_run(n, delta, variant, seed, stream, *, tol, max_epochs, replicate=0, x0="gaussian"):
     """One run of `variant` on the (n, delta) model from a seeded start.
 
-    One generator, seeded from (seed, stream, variant code, replicate),
-    draws the Gaussian starting point and then the run's coordinate
-    orders; a zero start draws nothing before the run.
+    The generator of `_seeded_start` draws the starting point and then
+    the run's coordinate orders.
     """
-    rng = np.random.default_rng(derive_seed(seed, stream, ORDERINGS.index(variant), replicate))
-    start = rng.standard_normal(n) if x0 == "gaussian" else np.zeros(n)
+    rng, start = _seeded_start(n, variant, seed, stream, replicate, x0)
     return run(PermInvariantQuadratic(n, delta), OrderingPolicy(variant), start,
                max_epochs=max_epochs, tol=tol, seed=rng)
 
@@ -103,6 +113,10 @@ def _trace_rows(traj) -> list[dict]:
 def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs) -> np.ndarray:
     """Rates of the valid replicates of one variant; cyclic descent runs once.
 
+    Where `run` would step cyclic descent by blocks of epoch-map powers
+    (n <= 256), its rate comes from `_cyclic_tail`: the stop epoch and
+    the objective over the rate window, found by squaring the map.
+
     A replicate is dropped when its run loses numerical meaning
     (NumericalError) or its rate window is too short or not positive
     (the ValueError of `empirical_rate`).  Any other error, such as a
@@ -110,15 +124,20 @@ def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs
     left with no valid replicate is reported on stderr.
     """
     tried = 1 if variant == "ccd" else replicates
+    tail_only = variant == "ccd" and _block_epochs(n) >= 2
     rates = []
     for replicate in range(tried):
         try:
-            traj = _seeded_run(n, delta, variant, seed, stream, tol=tol, max_epochs=max_epochs,
-                               replicate=replicate)
+            if tail_only:
+                _, start = _seeded_start(n, variant, seed, stream)
+                f = _cyclic_tail(PermInvariantQuadratic(n, delta), start, max_epochs, tol)[1]
+            else:
+                f = _seeded_run(n, delta, variant, seed, stream, tol=tol, max_epochs=max_epochs,
+                                replicate=replicate).f_per_epoch
         except NumericalError:
             continue
         try:
-            rates.append(empirical_rate(traj))
+            rates.append(empirical_rate(f))
         except ValueError:
             pass
     if not rates:
@@ -132,10 +151,12 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
     """Empirical and predicted rate columns for each delta.
 
     Every delta is checked against the model's window before the first
-    run.  Cyclic descent is run once per delta; the randomized orderings
-    are run over `replicates` derived seeds and reported as replicate
-    means (the permutation variant also with the replicate standard
-    deviation).  A cell with no valid replicate is NaN; predicted
+    run.  Cyclic descent is run once per delta; at n <= 256 its rate
+    comes from the stop epoch alone (`engine._cyclic_tail` squares the
+    epoch map rather than stepping every epoch).  The randomized
+    orderings are run over `replicates` derived seeds and reported as
+    replicate means (the permutation variant also with the replicate
+    standard deviation).  A cell with no valid replicate is NaN; predicted
     columns are always emitted, from the scalar predictors
     rho_C(n, delta)^2 and rho_M(n, delta).
     """

@@ -27,6 +27,11 @@ matrix-vector product, stopping at the first epoch that reaches the
 tolerance.  Larger fixed-order runs keep the per-coordinate loop,
 which is O(n) per epoch for the permutation-invariant model where the
 map would be O(n^2).
+
+A rate over the last epochs of a cyclic run needs only its stop epoch
+and those epochs.  `_cyclic_tail` finds both from the powers
+M^(2^j), built by squaring, in O(log L) matrix products instead of L
+epochs; Table 1's cyclic column uses it where the block path would run.
 """
 
 from __future__ import annotations
@@ -36,7 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .quadratic import PermInvariantQuadratic, QuadraticModel, _objective_rows, objective
+from .quadratic import (
+    PermInvariantQuadratic,
+    QuadraticModel,
+    _objective_centred,
+    _objective_rows,
+    objective,
+)
 
 __all__ = [
     "ORDERINGS",
@@ -194,6 +205,18 @@ def _run_blocks(model, M, x, max_epochs, tol, fs) -> tuple[np.ndarray, int]:
     return x, epochs
 
 
+def _checked_start(model, x0, max_epochs, tol) -> np.ndarray:
+    """A float copy of x0, after the input checks of `run`."""
+    x = np.array(x0, dtype=float)
+    if x.shape != (model.n,):
+        raise ValueError(f"x0 has shape {x.shape}, expected ({model.n},)")
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if max_epochs < 0:
+        raise ValueError(f"max_epochs must be >= 0, got {max_epochs}")
+    return x
+
+
 def run(
     model: QuadraticModel,
     policy: OrderingPolicy,
@@ -226,16 +249,9 @@ def run(
     NumericalError
         If a nonfinite objective value is encountered.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({model.n},)")
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    if max_epochs < 0:
-        raise ValueError(f"max_epochs must be >= 0, got {max_epochs}")
+    x = _checked_start(model, x0, max_epochs, tol)
     rng = np.random.default_rng(seed)
     n = model.n
-    x = x0.copy()
     perm_invariant = isinstance(model, PermInvariantQuadratic)
     A = None if perm_invariant else model.A
 
@@ -263,6 +279,68 @@ def run(
             if f <= tol:
                 break
     return Trajectory(f_per_epoch=np.asarray(fs), final_x=x)
+
+
+def _cyclic_tail(model, x0, max_epochs, tol, window=10) -> tuple[int, np.ndarray]:
+    """Stop epoch L of the cyclic `run` from x0, and f at epochs max(0, L-window)..L.
+
+    These are all a rate over the last `window` epochs needs, and they
+    come without stepping the L epochs: with M = epoch_map(model) the
+    iterate after e epochs is M^e x0.  The powers P_j = M^(2^j) are
+    built by squaring while 2^j <= max_epochs - 1 and f(P_j x0) > tol;
+    f is nonincreasing along the run, so no larger jump could be taken,
+    and capping there keeps the powers away from subnormals.  A greedy
+    descent over j, largest first, takes every jump x <- P_j x that keeps
+    f > tol and e + 2^j <= max_epochs - 1.  It ends at the last epoch e
+    with f > tol, so the run stops at L = e + 1 (or at the budget).  The
+    iterate at L - window is rebuilt from x0 by the binary digits of
+    L - window and stepped to L with M.
+
+    f is evaluated without cancellation (`_objective_centred`).  L equals
+    `run`'s (the first epoch with f <= tol, or max_epochs) and the window
+    its f, up to the rounding of a different product of the same map and
+    of f: `run`'s f loses digits as A nears singular, this one does not.
+    Takes `run`'s inputs and raises as it does; NumericalError also when
+    f at L - 1 and L does not bracket tol, which only rounding can cause.
+    """
+    x0 = _checked_start(model, x0, max_epochs, tol)
+
+    def f(y):
+        value = _objective_centred(model, y)
+        if not np.all(np.isfinite(value)):
+            raise NumericalError(f"nonfinite objective on the cyclic run: {value}")
+        return value
+
+    f0 = f(x0)
+    if f0 <= tol or max_epochs == 0:
+        return 0, np.array([f0])
+    last = max_epochs - 1  # the largest e whose f the descent may read
+    M = epoch_map(model)
+    powers = [M]
+    while 2 ** len(powers) <= last and f(powers[-1] @ x0) > tol:
+        powers.append(powers[-1] @ powers[-1])
+    e, x = 0, x0
+    for j in reversed(range(len(powers))):
+        if e + 2**j <= last:
+            y = powers[j] @ x
+            if f(y) > tol:
+                e, x = e + 2**j, y
+    stop = e + 1
+    start = stop - min(window, stop)
+    x = x0
+    for j in reversed(range(len(powers))):
+        if start >> j & 1:
+            x = powers[j] @ x
+    Y = np.empty((stop - start + 1, model.n))
+    Y[0] = x
+    for k in range(stop - start):
+        Y[k + 1] = M @ Y[k]
+    fs = f(Y)
+    if not (fs[-2] > tol and (fs[-1] <= tol or stop == max_epochs)):
+        raise NumericalError(
+            f"f at epochs {stop - 1} and {stop} is {fs[-2]}, {fs[-1]}: it does not cross "
+            f"tol={tol} there, so rounding decides the stop epoch", fs[-1])
+    return stop, fs
 
 
 def epoch_map(model: QuadraticModel, order=None) -> np.ndarray:

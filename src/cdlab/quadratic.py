@@ -12,6 +12,7 @@ line search along coordinate i is always the unit step -(Ax)_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +142,26 @@ def _objective_rows(model: QuadraticModel, Y: np.ndarray) -> np.ndarray:
         s = Y.sum(axis=1)
         return 0.5 * model.delta * np.einsum("ij,ij->i", Y, Y) + 0.5 * (1.0 - model.delta) * s * s
     return 0.5 * np.einsum("ij,ij->i", Y @ model.A, Y)
+
+
+def _objective_centred(model: QuadraticModel, Y: np.ndarray) -> np.ndarray:
+    """`objective` of an iterate (n,) or of each row of (k, n), without cancellation.
+
+    For the permutation-invariant model x'Ax = delta ||x - xbar||^2 + lam s^2/n,
+    with s = ones'x, xbar = s/n and lam = n(1-delta)+delta the eigenvalue
+    of the ones vector (summed exactly).  Both terms are nonnegative, so
+    f keeps its relative accuracy as A nears singular (delta -> n/(n-1)),
+    where the two terms of the form in `objective` cancel: there that form
+    loses about log10(delta/lam) digits.  Dense models use `objective`'s
+    form.
+    """
+    if not isinstance(model, PermInvariantQuadratic):
+        return 0.5 * np.einsum("...i,...i->...", Y @ model.A, Y)
+    n, delta = model.n, model.delta
+    lam = math.fsum([delta] + [1.0 - delta] * n)
+    s = Y.sum(axis=-1)
+    R = Y - (s / n)[..., None]
+    return 0.5 * delta * np.einsum("...i,...i->...", R, R) + 0.5 * lam * s * s / n
 
 
 def init_state(model: QuadraticModel, x0: np.ndarray) -> SolverState:

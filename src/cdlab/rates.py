@@ -292,12 +292,13 @@ def sd_rate(consts: QuadraticConstants) -> float:
 def empirical_rate(traj, window: int = 10) -> float:
     """Average per-epoch decrease factor over the last `window` epochs.
 
-    Returns (f_L / f_{L-window})^(1/window) with L the last recorded
-    epoch, discounting the early transient.  Requires at least window+1
-    recorded epochs with strictly positive objective values in the
-    window.
+    `traj` is a Trajectory, or its per-epoch objective values (at least
+    the last ones).  Returns (f_L / f_{L-window})^(1/window) with L the
+    last recorded epoch, discounting the early transient.  Requires at
+    least window+1 recorded epochs with strictly positive objective
+    values in the window.
     """
-    f = np.asarray(traj.f_per_epoch, dtype=float)
+    f = np.asarray(getattr(traj, "f_per_epoch", traj), dtype=float)
     if len(f) < window + 1:
         raise ValueError(f"need at least {window + 1} recorded epochs, got {len(f)}")
     tail = f[-(window + 1):]

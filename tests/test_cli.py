@@ -255,11 +255,30 @@ class TestTable1:
         def diverge(*args, **kwargs):
             raise NumericalError("nonfinite objective")
 
+        # the cyclic cell at n <= 256 comes from _cyclic_tail, not run()
         monkeypatch.setattr(cdlab.cli, "run", diverge)
+        monkeypatch.setattr(cdlab.cli, "_cyclic_tail", diverge)
         row = cmd_table1(n=10, deltas=(0.5,), replicates=2)[0]
         assert math.isnan(row["rho_ccd_emp"]) and math.isnan(row["rho_rpcd_emp"])
         assert math.isfinite(row["rho_C_sq"])
         assert len(capsys.readouterr().err.splitlines()) == 3
+
+
+    def test_default_table_runs_only_the_random_orders(self, monkeypatch):
+        # cyclic descent is one call of _cyclic_tail per delta; run() steps
+        # only the 20 replicates of rcd and of rpcd at each of the 6 deltas
+        import cdlab.cli
+
+        calls = []
+
+        def counted(model, policy, *args, **kwargs):
+            calls.append(policy.kind)
+            return run(model, policy, *args, **kwargs)
+
+        monkeypatch.setattr(cdlab.cli, "run", counted)
+        cmd_table1()
+        assert len(calls) == 240
+        assert calls.count("rcd") == calls.count("rpcd") == 120
 
 
 class TestPredictorsWithoutDenseC:

@@ -14,12 +14,13 @@ from cdlab import (
     derive_seed,
     epoch_map,
     expected_over_x0,
+    empirical_rate,
     init_state,
     objective,
     run,
 )
 import cdlab.engine as engine
-from cdlab.engine import _block_epochs
+from cdlab.engine import _block_epochs, _cyclic_tail
 from conftest import simulate_epoch
 
 
@@ -254,6 +255,95 @@ class TestFixedOrderDrift:
         ref = np.array(ref)
         drift = np.abs(traj.f_per_epoch[1:] - ref) / ref
         assert np.all(drift <= 4e-17 * np.arange(1, epochs + 1) + 2e-15)
+
+
+def _longdouble_f(n, delta, x0, epochs):
+    """f at epochs 0..epochs of cyclic descent in extended precision, without cancellation."""
+    ld = np.longdouble
+    d = ld(delta)
+    lam = sum([ld(1) - d] * n, ld(0)) + d  # eigenvalue of the ones vector
+    x = np.array(x0, dtype=ld)
+    fs = []
+    for epoch in range(epochs + 1):
+        s = x.sum()
+        r = x - s / n
+        fs.append(d / 2 * (r @ r) + lam / 2 * s * s / n)
+        for i in range(n if epoch < epochs else 0):
+            g = d * x[i] + (ld(1) - d) * s
+            x[i] -= g
+            s -= g
+    return np.array(fs)
+
+
+class TestCyclicTail:
+    """`_cyclic_tail`, table1's cyclic column: the stop epoch and rate window of `run`."""
+
+    @pytest.mark.parametrize("max_epochs", [1, 2, 3, 4, 15, 16, 17, 31, 32, 33, 1023, 1024, 1025])
+    def test_budget_next_to_powers_of_two(self, max_epochs):
+        # delta this small never reaches tol, so the run stops at the budget
+        model = PermInvariantQuadratic(10, 1e-3)
+        x0 = np.random.default_rng(max_epochs).standard_normal(10)
+        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=max_epochs, tol=1e-8)
+        stop, f_tail = _cyclic_tail(model, x0, max_epochs, 1e-8)
+        assert stop == traj.epochs == max_epochs
+        tail = traj.f_per_epoch[-len(f_tail):]
+        assert len(f_tail) == min(stop, 10) + 1
+        assert np.allclose(f_tail, tail, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="longdouble is float64 on this platform")
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7, 1e-9])
+    def test_near_upper_edge_against_extended_precision(self, gap):
+        # delta = (1 - gap) n/(n-1): the smallest eigenvalue of A is n*gap,
+        # so the form of f in `objective` loses about log10(1/(n*gap))
+        # digits and run()'s rate with it.  The rate of _cyclic_tail must
+        # be no farther from the extended-precision one than run()'s.
+        for n, tol, max_epochs in [(2, 1e-14, 300), (3, 1e-14, 12), (7, 1e-14, 300),
+                                   (20, 1e-8, 300), (64, 1e-8, 12), (64, 1e-14, 300)]:
+            model = PermInvariantQuadratic(n, (1.0 - gap) * n / (n - 1))
+            x0 = np.random.default_rng(n).standard_normal(n)
+            traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=max_epochs, tol=tol)
+            stop, f_tail = _cyclic_tail(model, x0, max_epochs, tol)
+            assert stop == traj.epochs >= 10
+            ref = empirical_rate(_longdouble_f(n, model.delta, x0, stop).astype(float))
+            tail_err = abs(empirical_rate(f_tail) - ref)
+            assert tail_err <= abs(empirical_rate(traj) - ref)
+            assert tail_err <= 1e-14 * ref
+
+    def test_rate_equals_run_at_table1_defaults(self):
+        # the default grid at CLI seed 0: same stop epochs, rates within a few ulps
+        for stream, delta in enumerate((0.8, 0.5, 0.33, 0.2, 0.1, 0.03)):
+            model = PermInvariantQuadratic(100, delta)
+            x0 = np.random.default_rng(derive_seed(0, stream, 0, 0)).standard_normal(100)
+            traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=500_000, tol=1e-8)
+            stop, f_tail = _cyclic_tail(model, x0, 500_000, 1e-8)
+            assert stop == traj.epochs
+            assert empirical_rate(f_tail) == pytest.approx(empirical_rate(traj), rel=1e-15)
+
+    def test_inputs_and_nonfinite_start_raise_as_run_does(self):
+        model = PermInvariantQuadratic(4, 0.5)
+        for args in [(np.ones(3), 5, 1e-8), (np.ones(4), -1, 1e-8), (np.ones(4), 5, -1.0)]:
+            with pytest.raises(ValueError) as ours:
+                _cyclic_tail(model, *args)
+            with pytest.raises(ValueError) as theirs:
+                run(model, OrderingPolicy("ccd"), args[0], max_epochs=args[1], tol=args[2])
+            assert str(ours.value) == str(theirs.value)
+        with pytest.raises(NumericalError):
+            _cyclic_tail(model, np.array([1.0, np.nan, 0.0, 0.0]), 5, 1e-8)
+
+    def test_converged_start_and_zero_budget_stop_at_epoch_zero(self):
+        model = PermInvariantQuadratic(4, 0.5)
+        assert _cyclic_tail(model, np.zeros(4), 5, 1e-8)[0] == 0
+        stop, f_tail = _cyclic_tail(model, np.ones(4), 0, 1e-8)
+        assert stop == 0 and np.array_equal(f_tail, [objective(model, np.ones(4))])
+
+    def test_dense_model_matches_run(self):
+        model = build_log_uniform_spectrum(12, 1e2, derive_seed(1, 0))
+        x0 = np.random.default_rng(2).standard_normal(12)
+        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=5000, tol=1e-10)
+        stop, f_tail = _cyclic_tail(model, x0, 5000, 1e-10)
+        assert stop == traj.epochs
+        assert np.allclose(f_tail, traj.f_per_epoch[-11:], rtol=1e-12, atol=0.0)
 
 
 class TestEpochMatrix:

@@ -8,10 +8,12 @@ from cdlab import (
     OrderingPolicy,
     PermInvariantQuadratic,
     closed_form_C,
+    empirical_rate,
     objective,
     rho_C,
     run,
 )
+from cdlab.engine import _cyclic_tail
 from conftest import simulate_epoch
 
 
@@ -90,3 +92,45 @@ def test_rho_C_matches_eigvals(point):
     ref = float(np.abs(np.linalg.eigvals(closed_form_C(n, delta))).max())
     assert abs(rho - ref) <= 1e-11 * rho + 1e-13
     assert rho_C(n, 1.0) == 0.0
+
+
+@st.composite
+def cyclic_cases(draw):
+    """(model, x0, max_epochs, tol) for table1's cyclic column, delta up to 1e-3 below the edge.
+
+    Closer to the upper edge `run`'s f loses more than 1e-12 of its
+    digits; `TestCyclicTail` in test_engine checks that range against an
+    extended-precision loop.
+    """
+    n = draw(st.integers(2, 64))
+    top = (1.0 - 1e-3) * n / (n - 1)
+    delta = draw(st.one_of(
+        st.floats(0.0, top, exclude_min=True),
+        st.floats(-300.0, -0.3).map(lambda e: 10.0**e),
+        st.sampled_from([5e-324, 1.0, top]),
+    ))
+    x0 = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    max_epochs = draw(st.sampled_from([0, 1, 5, 10, 11, 12, 300]))
+    return PermInvariantQuadratic(n, delta), x0, max_epochs, draw(st.sampled_from([1e-14, 1e-8, 1e-3]))
+
+
+def _rate_or_none(f):
+    try:
+        return empirical_rate(f)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclic_cases())
+def test_cyclic_tail_matches_run(case):
+    # the stop epoch, whether the rate window is usable, and the rate
+    model, x0, max_epochs, tol = case
+    traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=max_epochs, tol=tol)
+    stop, f_tail = _cyclic_tail(model, x0, max_epochs, tol)
+    assert stop == traj.epochs
+    assert len(f_tail) == min(stop, 10) + 1
+    rate, tail_rate = _rate_or_none(traj), _rate_or_none(f_tail)
+    assert (rate is None) == (tail_rate is None)
+    if rate is not None:
+        assert abs(tail_rate - rate) <= 1e-12 * rate
