@@ -218,8 +218,14 @@ def rho_M(n: int, delta: float) -> float:
 
 
 def rpcd_asymptotic_rate(n: int, delta: float) -> float:
-    """Small-delta approximation 1 - 2*delta - 2*delta/n + 2*delta^2 to rho(M)."""
-    return 1.0 - 2.0 * delta - 2.0 * delta / n + 2.0 * delta**2
+    """Small-delta approximation 1 - 2*delta - 2*delta/n + 2*delta^2 to rho(M).
+
+    Its domain is where that value is a rate, in [0, 1]: it exceeds 1 for
+    delta > 1 + 1/n (near the upper edge of every window) and is negative
+    around delta = 3/4 at n = 2.  Outside it the result is NaN.
+    """
+    rate = 1.0 - 2.0 * delta - 2.0 * delta / n + 2.0 * delta**2
+    return rate if 0.0 <= rate <= 1.0 else math.nan
 
 
 def ccd_bounds(n: int, delta: float) -> tuple[float, float]:
@@ -232,15 +238,19 @@ def ccd_bounds(n: int, delta: float) -> tuple[float, float]:
     (0, n/(n-1)); for delta <= 3/4 it simplifies to
     1 - delta / (n (n(1-delta)+delta)).  The companion lower bound is
 
-        lower = (1 - 2*delta*pi^2 / (n (n(1-delta)+delta)))^2,
+        lower = (1 - 2*delta*pi^2 / (n L))^2,   L = n(1-delta)+delta,
 
     which tracks 1 - rho(C)^2 only in magnitude.  Together they pin the
     epoch-wise error decrease to 1 - c*delta/n^2 for moderate c when
-    delta/n is small.
+    delta/n is small.  Its domain is delta <= 1, where L is the largest
+    eigenvalue, and a nonnegative base 1 - 2*delta*pi^2/(n L) (which
+    fails at small n and large delta, e.g. n = 5, delta = 0.9).  Outside
+    it `lower` is NaN.
     """
     consts = quadratic_constants(PermInvariantQuadratic(n, delta))
     upper = generic_bounds(consts, n, alpha=1.0).sun_ye
-    lower = (1.0 - 2.0 * delta * math.pi**2 / (n * (n * (1.0 - delta) + delta))) ** 2
+    base = 1.0 - 2.0 * delta * math.pi**2 / (n * (n * (1.0 - delta) + delta))
+    lower = base**2 if delta <= 1.0 and base >= 0.0 else math.nan
     return upper, lower
 
 

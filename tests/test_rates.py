@@ -200,6 +200,25 @@ class TestCcdBounds:
         assert upper == pytest.approx(expected, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 100, 1000])
+def test_lower_and_asymptotic_are_rates_or_nan_over_window(n):
+    # each is NaN outside its stated domain, never a value outside [0, 1]
+    hi = n / (n - 1)
+    deltas = [t * hi for t in np.linspace(0.0, 1.0, 201)[1:-1]]
+    deltas += [t * hi for t in (1e-9, 1 - 1e-9)] + [0.9, 1.0, 1.0 + 1.0 / n, 1.0 + 1e-9]
+    for delta in deltas:
+        for value in (ccd_bounds(n, delta)[1], rpcd_asymptotic_rate(n, delta)):
+            assert math.isnan(value) or 0.0 <= value <= 1.0, (n, delta, value)
+    assert math.isnan(ccd_bounds(n, 0.5 * (1.0 + hi))[1])  # delta > 1
+
+
+def test_lower_and_asymptotic_outside_their_domains():
+    assert all(math.isnan(ccd_bounds(n, delta)[1]) for n, delta in [(10, 1.1), (2, 0.9), (5, 0.9)])
+    assert math.isnan(rpcd_asymptotic_rate(2, 0.9)) and math.isnan(rpcd_asymptotic_rate(10, 1.1))
+    assert ccd_bounds(100, 1.0)[1] == pytest.approx((1.0 - 2.0 * math.pi**2 / 100) ** 2)
+    assert rpcd_asymptotic_rate(3, 0.75) == pytest.approx(1.0 - 1.5 - 0.5 + 1.125)
+
+
 class TestRcdRates:
     def test_table_values(self):
         assert rcd_rates(100, 0.8)[1] == pytest.approx(0.4095, abs=5e-5)
