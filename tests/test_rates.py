@@ -107,6 +107,24 @@ class TestRhoC:
         got = _rho_C_newton(n, delta, cmath.exp(2j * math.pi / n))
         assert abs(got - rho_C(n, delta)) <= 1e-14 * rho_C(n, delta)
 
+    @pytest.mark.parametrize("n, delta, root, rel, abs_", [
+        (10**6, 0.9999, "0.9980897209401161589241018754052390133892", 1e-12, math.inf),
+        (10**6, 1.0 - 1e-12, "5.889382638207808885757932033597090238285e-8", math.inf, 1e-11),
+    ])
+    def test_newton_near_delta_one_keeps_pinned_accuracy(self, n, delta, root, rel, abs_):
+        # |lambda| for the root reached from mu = 1, to 40 digits: Newton on
+        # mu^n - delta w mu^(n-1) + delta - 1 at 60 digits (mpmath) from the
+        # float delta, checked against eigvals at n = 1000.  As delta -> 1
+        # the lambda polish is ill-conditioned; today it is 5.6e-13 relative
+        # off at the first point, and 5.1e-12 absolute (8.7e-5 relative) at
+        # the second.  A fix tightens these bounds.
+        from cdlab.rates import _rho_C_newton
+
+        got = _rho_C_newton(n, delta, cmath.exp(2j * math.pi / n))
+        assert got == rho_C(n, delta)
+        assert abs(got - float(root)) <= rel * float(root)
+        assert abs(got - float(root)) <= abs_
+
     def test_rejects_delta_outside_window(self):
         for n, delta in ((100, 0.0), (100, 100 / 99), (1, 0.5)):
             with pytest.raises(ValueError):
