@@ -46,7 +46,6 @@ import numpy as np
 from .engine import (
     ORDERINGS,
     OrderingPolicy,
-    _block_epochs,
     _cyclic_tail,
     _epoch_dense,
     derive_seed,
@@ -113,9 +112,9 @@ def _trace_rows(traj) -> list[dict]:
 def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs) -> np.ndarray:
     """Rates of the valid replicates of one variant; cyclic descent runs once.
 
-    Where `run` would step cyclic descent by blocks of epoch-map powers
-    (n <= 256), its rate comes from `_cyclic_tail`: the stop epoch and
-    the objective over the rate window, found by squaring the map.
+    The cyclic rate comes from `_cyclic_tail`: the stop epoch and the
+    objective over the rate window, found by squaring the epoch map at
+    n <= 256.
 
     A replicate is dropped when its run loses numerical meaning
     (NumericalError) or its rate window is too short or not positive
@@ -124,11 +123,10 @@ def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs
     left with no valid replicate is reported on stderr.
     """
     tried = 1 if variant == "ccd" else replicates
-    tail_only = variant == "ccd" and _block_epochs(n) >= 2
     rates = []
     for replicate in range(tried):
         try:
-            if tail_only:
+            if variant == "ccd":
                 _, start = _seeded_start(n, variant, seed, stream)
                 f = _cyclic_tail(PermInvariantQuadratic(n, delta), start, max_epochs, tol)[1]
             else:

@@ -29,9 +29,9 @@ which is O(n) per epoch for the permutation-invariant model where the
 map would be O(n^2).
 
 A rate over the last epochs of a cyclic run needs only its stop epoch
-and those epochs.  `_cyclic_tail` finds both from the powers
-M^(2^j), built by squaring, in O(log L) matrix products instead of L
-epochs; Table 1's cyclic column uses it where the block path would run.
+and those epochs.  Where the block path would run, `_cyclic_tail` finds
+both from the powers M^(2^j), built by squaring, in O(log L) matrix
+products instead of L epochs; Table 1's cyclic column uses it.
 """
 
 from __future__ import annotations
@@ -302,7 +302,12 @@ def _cyclic_tail(model, x0, max_epochs, tol, window=10) -> tuple[int, np.ndarray
     of f: `run`'s f loses digits as A nears singular, this one does not.
     Takes `run`'s inputs and raises as it does; NumericalError also when
     f at L - 1 and L does not bracket tol, which only rounding can cause.
+    Where `run` would not take the block path (n > 256) the powers would
+    not fit either, and this is `run` itself.
     """
+    if _block_epochs(model.n) < 2:
+        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs, tol)
+        return traj.epochs, traj.f_per_epoch[-(window + 1):]
     x0 = _checked_start(model, x0, max_epochs, tol)
 
     def f(y):

@@ -337,6 +337,14 @@ class TestCyclicTail:
         stop, f_tail = _cyclic_tail(model, np.ones(4), 0, 1e-8)
         assert stop == 0 and np.array_equal(f_tail, [objective(model, np.ones(4))])
 
+    def test_is_run_above_block_size_limit(self):
+        model = PermInvariantQuadratic(300, 0.5)
+        x0 = np.random.default_rng(0).standard_normal(300)
+        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=40, tol=1e-8)
+        stop, f_tail = _cyclic_tail(model, x0, 40, 1e-8)
+        assert stop == traj.epochs == 40
+        assert np.array_equal(f_tail, traj.f_per_epoch[-11:])
+
     def test_dense_model_matches_run(self):
         model = build_log_uniform_spectrum(12, 1e2, derive_seed(1, 0))
         x0 = np.random.default_rng(2).standard_normal(12)
