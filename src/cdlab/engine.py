@@ -69,6 +69,10 @@ ORDERINGS = ("ccd", "rcd", "rpcd")
 _BLOCK_BYTES = 1 << 20
 _BLOCK_EPOCHS = 16
 
+# Epochs a rate is read over: the default window of `rates.empirical_rate`
+# and the epochs whose f `_cyclic_tail` returns for it.
+_RATE_WINDOW = 10
+
 
 @dataclass(frozen=True)
 class OrderingPolicy:
@@ -281,33 +285,40 @@ def run(
     return Trajectory(f_per_epoch=np.asarray(fs), final_x=x)
 
 
-def _cyclic_tail(model, x0, max_epochs, tol, window=10) -> tuple[int, np.ndarray]:
-    """Stop epoch L of the cyclic `run` from x0, and f at epochs max(0, L-window)..L.
+def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
+    """Stop epoch L of the cyclic `run` from x0, and f at epochs max(0, L-10)..L.
 
-    These are all a rate over the last `window` epochs needs, and they
-    come without stepping the L epochs: with M = epoch_map(model) the
-    iterate after e epochs is M^e x0.  The powers P_j = M^(2^j) are
+    These are all a rate over the last `_RATE_WINDOW` = 10 epochs needs,
+    and they come without stepping the L epochs: with M = epoch_map(model)
+    the iterate after e epochs is M^e x0.  The powers P_j = M^(2^j) are
     built by squaring while 2^j <= max_epochs - 1 and f(P_j x0) > tol;
     f is nonincreasing along the run, so no larger jump could be taken,
-    and capping there keeps the powers away from subnormals.  A greedy
-    descent over j, largest first, takes every jump x <- P_j x that keeps
-    f > tol and e + 2^j <= max_epochs - 1.  It ends at the last epoch e
-    with f > tol, so the run stops at L = e + 1 (or at the budget).  The
-    iterate at L - window is rebuilt from x0 by the binary digits of
-    L - window and stepped to L with M.
+    and capping there keeps the powers away from subnormals.  They take
+    at most about log2(max_epochs) maps of 8n^2 bytes (19 maps, 1.5 MB at
+    n = 100 and table1's 500,000-epoch budget; 10 MB at n = 256), which
+    `_BLOCK_BYTES` does not bound.  A greedy descent over j, largest
+    first, takes every jump x <- P_j x that keeps f > tol and
+    e + 2^j <= max_epochs - 1.  It ends at the last epoch e with f > tol,
+    so the run stops at L = e + 1 (or at the budget).  The iterate at
+    L - 10 is rebuilt from x0 by the binary digits of L - 10 and stepped
+    to L with M.
 
     f is evaluated without cancellation (`_objective_centred`).  L equals
-    `run`'s (the first epoch with f <= tol, or max_epochs) and the window
-    its f, up to the rounding of a different product of the same map and
-    of f: `run`'s f loses digits as A nears singular, this one does not.
-    Takes `run`'s inputs and raises as it does; NumericalError also when
-    f at L - 1 and L does not bracket tol, which only rounding can cause.
-    Where `run` would not take the block path (n > 256) the powers would
-    not fit either, and this is `run` itself.
+    `run`'s (the first epoch with f <= tol, or max_epochs) and the
+    returned f its f, up to the rounding of a different product of the
+    same map and of f: `run`'s f loses digits as A nears singular, this
+    one does not.  Takes `run`'s inputs and raises as it does;
+    NumericalError also when f at L - 1 and L does not bracket tol, which
+    only rounding can cause.
+
+    Squaring is used exactly where `run` would take the block path
+    (`_block_epochs(n) >= 2`, n <= 256), so the one decision of when a
+    map is worth building stays in this module; above that this is `run`
+    itself.  Where squaring stops beating stepping has not been measured.
     """
     if _block_epochs(model.n) < 2:
         traj = run(model, OrderingPolicy("ccd"), x0, max_epochs, tol)
-        return traj.epochs, traj.f_per_epoch[-(window + 1):]
+        return traj.epochs, traj.f_per_epoch[-(_RATE_WINDOW + 1):]
     x0 = _checked_start(model, x0, max_epochs, tol)
 
     def f(y):
@@ -331,7 +342,7 @@ def _cyclic_tail(model, x0, max_epochs, tol, window=10) -> tuple[int, np.ndarray
             if f(y) > tol:
                 e, x = e + 2**j, y
     stop = e + 1
-    start = stop - min(window, stop)
+    start = stop - min(_RATE_WINDOW, stop)
     x = x0
     for j in reversed(range(len(powers))):
         if start >> j & 1:

@@ -152,11 +152,11 @@ def _objective_centred(model: QuadraticModel, Y: np.ndarray) -> np.ndarray:
     of the ones vector (summed exactly).  Both terms are nonnegative, so
     f keeps its relative accuracy as A nears singular (delta -> n/(n-1)),
     where the two terms of the form in `objective` cancel: there that form
-    loses about log10(delta/lam) digits.  Dense models use `objective`'s
-    form.
+    loses about log10(delta/lam) digits.  Dense models have no such form
+    and take `_objective_rows`.
     """
     if not isinstance(model, PermInvariantQuadratic):
-        return 0.5 * np.einsum("...i,...i->...", Y @ model.A, Y)
+        return _objective_rows(model, Y.reshape(-1, model.n)).reshape(Y.shape[:-1])
     n, delta = model.n, model.delta
     lam = math.fsum([delta] + [1.0 - delta] * n)
     s = Y.sum(axis=-1)

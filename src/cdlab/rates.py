@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _RATE_WINDOW
 from .errors import NumericalError
 from .quadratic import PermInvariantQuadratic, QuadraticConstants, quadratic_constants
 from .recurrence import recurrence_coeffs
@@ -299,7 +300,7 @@ def sd_rate(consts: QuadraticConstants) -> float:
     return 1.0 - consts.mu / consts.L
 
 
-def empirical_rate(traj, window: int = 10) -> float:
+def empirical_rate(traj, window: int = _RATE_WINDOW) -> float:
     """Average per-epoch decrease factor over the last `window` epochs.
 
     `traj` is a Trajectory, or its per-epoch objective values (at least
