@@ -3,7 +3,7 @@
 One cyclic epoch is the linear map x -> Cx with C = -(L+D)^{-1} L'.  For
 the permutation-invariant model every entry of C has a closed form, and
 rho(C)^2 predicts the per-epoch objective decrease.  rho(C) itself solves
-a scalar equation (rho_C), which the dense estimate on C confirms.
+a scalar equation (rho_C), which the eigenvalues of the dense C confirm.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from cdlab import (
     epoch_map,
     rho_C,
     run,
-    spectral_radius,
 )
 
 n, delta = 5, 0.5
@@ -33,9 +32,11 @@ traj = run(model, OrderingPolicy("ccd"), x, max_epochs=1, tol=0.0)
 print(f"\none simulated epoch vs C @ x: {np.abs(traj.final_x - C_closed @ x).max():.2e}")
 
 print("\nrho(C)^2 across delta (the cyclic per-epoch rate), n = 100:")
-print("  scalar equation rho_C vs repeated squaring of the dense C")
+print("  rho_C from the scalar equation vs max |eigvals| of the dense C")
 for d in (0.8, 0.5, 0.2, 0.05):
-    rho2 = rho_C(100, d) ** 2
-    dense = spectral_radius(closed_form_C(100, d)) ** 2
-    print(f"  delta = {d:4}:  rho(C)^2 = {rho2:.10f}  dense {dense:.10f}"
+    rho = rho_C(100, d)
+    dense = np.abs(np.linalg.eigvals(closed_form_C(100, d))).max()
+    rho2 = rho**2
+    print(f"  delta = {d:4}:  rho_C = {rho:.12f}  max|eigvals| = {dense:.12f}"
+          f"  rho(C)^2 = {rho2:.10f}"
           f"   (epochs per digit ~ {2.303 / (1 - rho2):,.0f})")

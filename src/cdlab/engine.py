@@ -32,10 +32,15 @@ A rate over the last epochs of a cyclic run needs only its stop epoch
 and those epochs.  Where the block path would run, `_cyclic_tail` finds
 both from the powers M^(2^j), built by squaring, in O(log L) matrix
 products instead of L epochs; Table 1's cyclic column uses it.
+
+Every f recorded here, by the loop, the block path and `_cyclic_tail`,
+is one formula: `quadratic.objective`, or its row form `_objective_rows`
+for a stack of iterates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +49,6 @@ from .errors import NumericalError
 from .quadratic import (
     PermInvariantQuadratic,
     QuadraticModel,
-    _objective_centred,
     _objective_rows,
     objective,
 )
@@ -107,15 +111,17 @@ class OrderingPolicy:
 class Trajectory:
     """Per-epoch objective values of one run.
 
-    f_per_epoch[l] = f(x^{l*n}); entry 0 is f(x^0).  Exact line search
-    never increases f in exact arithmetic, but the recorded values are
-    float evaluations of f, so an epoch can raise f by the rounding of
-    evaluating it, about 2n*eps*||x||_1^2.  That happens on the block
-    path and the per-coordinate loop alike, once f nears its rounding
-    floor or A is nearly singular.  Values are nonnegative (the minimum
-    value is 0 for these problems).  Only the last iterate is kept, to
-    stay small at 1e5-epoch scale; the run made epochs * n coordinate
-    updates.
+    f_per_epoch[l] = f(x^{l*n}); entry 0 is f(x^0), each value from
+    `quadratic.objective` or its row form.  For the permutation-invariant
+    model that is a centred form that keeps its relative accuracy up to
+    both edges of the delta window.  Exact line search never increases f
+    in exact arithmetic, but the iterates and f are floats, so an epoch
+    can raise f by rounding, about 2n*eps*||x||_1^2.  That happens on the
+    block path and the per-coordinate loop alike, once f nears its
+    rounding floor or A is nearly singular.  Values are nonnegative (the
+    minimum value is 0 for these problems).  Only the last iterate is
+    kept, to stay small at 1e5-epoch scale; the run made epochs * n
+    coordinate updates.
     """
 
     f_per_epoch: np.ndarray
@@ -231,10 +237,11 @@ def run(
 ) -> Trajectory:
     """Run coordinate descent with exact line search.
 
-    Records f after every epoch and stops as soon as f(x^{l*n}) <= tol or
-    the epoch budget is exhausted.  Deterministic for a fixed seed: the
-    only randomness is the per-epoch coordinate order drawn from the
-    seeded generator.  The iterate after k epochs is
+    Records f after every epoch (`quadratic.objective`, or its row form
+    `_objective_rows` on the block path) and stops as soon as
+    f(x^{l*n}) <= tol or the epoch budget is exhausted.  Deterministic
+    for a fixed seed: the only randomness is the per-epoch coordinate
+    order drawn from the seeded generator.  The iterate after k epochs is
     run(..., max_epochs=k, tol=0.0).final_x.
 
     A fixed order (`ccd` or a fixed permutation) at n <= 256 runs as
@@ -260,7 +267,7 @@ def run(
     A = None if perm_invariant else model.A
 
     f = objective(model, x)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NumericalError(f"nonfinite objective at start: {f}")
     fs = [f]
     epochs = 0
@@ -277,7 +284,7 @@ def run(
                 _epoch_dense(x, A, order)
             epochs += 1
             f = objective(model, x)
-            if not np.isfinite(f):
+            if not math.isfinite(f):
                 raise NumericalError(f"nonfinite objective after {epochs * n} iterations", fs[-1])
             fs.append(f)
             if f <= tol:
@@ -303,13 +310,11 @@ def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     L - 10 is rebuilt from x0 by the binary digits of L - 10 and stepped
     to L with M.
 
-    f is evaluated without cancellation (`_objective_centred`).  L equals
-    `run`'s (the first epoch with f <= tol, or max_epochs) and the
-    returned f its f, up to the rounding of a different product of the
-    same map and of f: `run`'s f loses digits as A nears singular, this
-    one does not.  Takes `run`'s inputs and raises as it does;
-    NumericalError also when f at L - 1 and L does not bracket tol, which
-    only rounding can cause.
+    f is `run`'s formula (`_objective_rows`).  L equals `run`'s (the first
+    epoch with f <= tol, or max_epochs) and the returned f its f, up to
+    the rounding of a different product of the same map.  Takes `run`'s
+    inputs and raises as it does; NumericalError also when f at L - 1 and
+    L does not bracket tol, which only rounding can cause.
 
     Squaring is used exactly where `run` would take the block path
     (`_block_epochs(n) >= 2`, n <= 256), so the one decision of when a
@@ -322,7 +327,7 @@ def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     x0 = _checked_start(model, x0, max_epochs, tol)
 
     def f(y):
-        value = _objective_centred(model, y)
+        value = _objective_rows(model, y)
         if not np.all(np.isfinite(value)):
             raise NumericalError(f"nonfinite objective on the cyclic run: {value}")
         return value

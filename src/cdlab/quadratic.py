@@ -12,7 +12,6 @@ line search along coordinate i is always the unit step -(Ax)_i.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,44 +123,37 @@ class SolverState:
 def objective(model: QuadraticModel, x: np.ndarray) -> float:
     """Evaluate f(x) = (1/2) x'Ax.
 
-    Uses the O(n) form (delta/2)||x||^2 + ((1-delta)/2)(ones'x)^2 for the
-    permutation-invariant model.
+    For the permutation-invariant model, in O(n),
+
+        x'Ax = delta ||x - xbar||^2 + lam s^2/n,
+
+    with s = ones'x, xbar = s/n and lam = n(1-delta)+delta the eigenvalue
+    of the ones vector.  Both terms are nonnegative, so f keeps its
+    relative accuracy as A nears singular (delta -> n/(n-1)), where the
+    terms of (delta/2)||x||^2 + ((1-delta)/2) s^2 cancel.  Dense models
+    take (1/2) x'Ax as it stands, through `_objective_rows`, so an
+    iterate and a row holding it give the same float.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({model.n},)")
     if isinstance(model, PermInvariantQuadratic):
+        n, delta = model.n, model.delta
         s = float(x.sum())
-        return 0.5 * model.delta * float(x @ x) + 0.5 * (1.0 - model.delta) * s * s
-    return 0.5 * float(x @ model.A @ x)
+        r = x - s / n
+        return 0.5 * delta * float(r @ r) + 0.5 * (n * (1.0 - delta) + delta) * s * s / n
+    return float(_objective_rows(model, x))
 
 
 def _objective_rows(model: QuadraticModel, Y: np.ndarray) -> np.ndarray:
-    """`objective` of every row of a (k, n) array, in one expression."""
+    """`objective` of each iterate along the last axis of Y, for any leading shape."""
     if isinstance(model, PermInvariantQuadratic):
-        s = Y.sum(axis=1)
-        return 0.5 * model.delta * np.einsum("ij,ij->i", Y, Y) + 0.5 * (1.0 - model.delta) * s * s
-    return 0.5 * np.einsum("ij,ij->i", Y @ model.A, Y)
-
-
-def _objective_centred(model: QuadraticModel, Y: np.ndarray) -> np.ndarray:
-    """`objective` of an iterate (n,) or of each row of (k, n), without cancellation.
-
-    For the permutation-invariant model x'Ax = delta ||x - xbar||^2 + lam s^2/n,
-    with s = ones'x, xbar = s/n and lam = n(1-delta)+delta the eigenvalue
-    of the ones vector (summed exactly).  Both terms are nonnegative, so
-    f keeps its relative accuracy as A nears singular (delta -> n/(n-1)),
-    where the two terms of the form in `objective` cancel: there that form
-    loses about log10(delta/lam) digits.  Dense models have no such form
-    and take `_objective_rows`.
-    """
-    if not isinstance(model, PermInvariantQuadratic):
-        return _objective_rows(model, Y.reshape(-1, model.n)).reshape(Y.shape[:-1])
-    n, delta = model.n, model.delta
-    lam = math.fsum([delta] + [1.0 - delta] * n)
-    s = Y.sum(axis=-1)
-    R = Y - (s / n)[..., None]
-    return 0.5 * delta * np.einsum("...i,...i->...", R, R) + 0.5 * lam * s * s / n
+        n, delta = model.n, model.delta
+        s = Y.sum(axis=-1)
+        R = Y - (s / n)[..., None]
+        return (0.5 * delta * np.einsum("...i,...i->...", R, R)
+                + 0.5 * (n * (1.0 - delta) + delta) * s * s / n)
+    return 0.5 * np.einsum("...i,...i->...", Y @ model.A, Y)
 
 
 def init_state(model: QuadraticModel, x0: np.ndarray) -> SolverState:

@@ -1,17 +1,17 @@
 """Convergence-rate predictors, bounds, and empirical rate measurement.
 
 All rates are per-epoch multiplicative factors on f - f*: cyclic descent
-contracts at rho(C)^2, randomized descent at (1 - 2*delta/(n(1+delta)))^n
-in expectation, and random-permutation descent at rho(M) for the 2x2
-expectation recurrence M.  Empirical rates are measured over the last
-few recorded epochs of a trajectory to discount transients.
+contracts at rho(C)^2, randomized descent at (1 - mu/n)^n in expectation
+(mu the smallest eigenvalue of A), and random-permutation descent at
+rho(M) for the 2x2 expectation recurrence M.  Empirical rates are
+measured over the last few recorded epochs of a trajectory to discount
+transients.
 
 For the permutation-invariant model both spectral predictors come from
 (n, delta) alone, without the dense n x n matrix C: `rho_C` solves a
 scalar characteristic equation in O(1), and `rho_M` takes the 2x2
-coefficients from O(n) sums.  `spectral_radius(closed_form_C(n, delta))`
-is the dense cross-check; it converges to 1e-10 relative and costs
-O(n^3).
+coefficients from O(n) sums.  No dense estimator is kept; the tests
+check both against `np.linalg.eigvals` of `closed_form_C` and of M.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .recurrence import recurrence_coeffs
 
 __all__ = [
     "GenericBounds",
-    "spectral_radius",
     "rho_C",
     "rho_M",
     "rpcd_asymptotic_rate",
@@ -50,52 +49,6 @@ class GenericBounds:
     beck_tetruashvili: float
     sun_ye: float
     sun_ye_terms: tuple[float, float, float]
-
-
-def spectral_radius(T: np.ndarray, tol: float = 1e-10, max_squarings: int = 60) -> float:
-    """Spectral radius via scaled repeated squaring.
-
-    Estimates rho(T) = lim ||T^k||^(1/k) along the subsequence k = 2^j:
-    the iterate is renormalized by its Frobenius norm before each
-    squaring (tracking the accumulated log scale), so the powers never
-    overflow or underflow.  The 1/2^j exponent kills polynomial
-    prefactors quickly and the estimate is valid for complex dominant
-    eigenvalues too.  Stops when successive estimates agree to tol
-    relatively.
-
-    Raises NumericalError (carrying the last estimate) if the cap on
-    squarings is reached without convergence.
-
-    For the permutation-invariant model cdlab's predictors use `rho_C`
-    instead; this generic estimator stays as their dense cross-check.
-    """
-    T = np.asarray(T, dtype=float)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise ValueError(f"T must be square, got shape {T.shape}")
-    if not np.all(np.isfinite(T)):
-        raise ValueError("T must have finite entries")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-
-    B = T.copy()
-    log_scale = 0.0  # log of s_j where B approximates T^(2^j) / exp(log_scale)
-    estimate = None
-    for j in range(max_squarings + 1):
-        norm = float(np.linalg.norm(B))
-        if norm == 0.0:
-            return 0.0
-        new_estimate = math.exp((log_scale + math.log(norm)) / 2**j)
-        if estimate is not None:
-            if abs(new_estimate - estimate) <= tol * max(abs(estimate), 1e-300):
-                return new_estimate
-        estimate = new_estimate
-        B = B / norm
-        B = B @ B
-        log_scale = 2.0 * (log_scale + math.log(norm))
-    raise NumericalError(
-        f"spectral radius did not converge within {max_squarings} squarings",
-        last_estimate=estimate,
-    )
 
 
 # Fixed-point iterations before rho_C turns to Newton's method.  The
@@ -258,11 +211,15 @@ def ccd_bounds(n: int, delta: float) -> tuple[float, float]:
 def rcd_rates(n: int, delta: float) -> tuple[float, float]:
     """Per-epoch rates for randomized (with-replacement) descent.
 
-    Returns the expected-value rate (1 - delta/n)^n and the sharper
-    R-linear rate (1 - 2*delta/(n(1+delta)))^n.
+    Returns the expected-value rate (1 - mu/n)^n, with mu the smallest
+    eigenvalue of A (delta for delta <= 1, n(1-delta)+delta above), and
+    the sharper R-linear rate (1 - 2*delta/(n(1+delta)))^n.  The
+    derivation of the latter takes mu = delta, so it is NaN for
+    delta > 1.
     """
-    q_epoch = (1.0 - delta / n) ** n
-    r_epoch = (1.0 - 2.0 * delta / (n * (1.0 + delta))) ** n
+    mu = min(delta, n * (1.0 - delta) + delta)
+    q_epoch = (1.0 - mu / n) ** n
+    r_epoch = (1.0 - 2.0 * delta / (n * (1.0 + delta))) ** n if delta <= 1.0 else math.nan
     return q_epoch, r_epoch
 
 

@@ -12,8 +12,8 @@ permutations.  From (eta_0, nu_0) = (delta, 1-delta), `evolve` steps it
 to the closed-form expected objective after any number of epochs; the
 exact all-permutations average (factorial cost) is kept alongside as an
 oracle.  The coefficients of M take O(n) sums over the structure of C,
-never the dense matrix; `epoch_matrix_scalars(closed_form_C(n, delta))`
-is their dense cross-check.
+never the dense matrix; the tests check those sums against an exact
+rational evaluation of `closed_form_C`.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ from .quadratic import PermInvariantQuadratic
 __all__ = [
     "SymmetrizedForm",
     "RecurrenceMatrix",
-    "EpochMatrixScalars",
     "symmetrize",
-    "epoch_matrix_scalars",
     "recurrence_coeffs",
     "asymptotic_coeffs",
     "evolve",
@@ -99,28 +97,8 @@ def symmetrize(Q: np.ndarray) -> SymmetrizedForm:
     return SymmetrizedForm(tau1=tau1, tau2=tau2)
 
 
-def epoch_matrix_scalars(C: np.ndarray) -> EpochMatrixScalars:
-    """ones'C ones, ||C ones||^2, ||C' ones||^2 and ||C||_F^2 by dense sums over C.
-
-    The dense oracle for the O(n) forms behind `recurrence_coeffs`.  Its
-    sums cancel: for closed_form_C(100, 1e-12), ones'C ones is 6.6% off,
-    and at n = 3000, delta = 0.05 the m2 built from these sums is 8.2e-9
-    off a 50-digit reference.
-    """
-    C = np.asarray(C, dtype=float)
-    one = np.ones(C.shape[0])
-    C1 = C @ one
-    Ct1 = C.T @ one
-    return EpochMatrixScalars(
-        one_C_one=float(one @ C1),
-        norm_C_one_sq=float(C1 @ C1),
-        norm_Ct_one_sq=float(Ct1 @ Ct1),
-        frob_sq=float(np.sum(C * C)),
-    )
-
-
 def _closed_form_scalars(n: int, delta: float) -> tuple[EpochMatrixScalars, float]:
-    """The scalars of `epoch_matrix_scalars(closed_form_C(n, delta))` in O(n).
+    """The four contractions of C = closed_form_C(n, delta), in O(n).
 
     Also returns the pair sum sum_{j<k} (C' ones)_j (C' ones)_k, which is
     ((ones'C ones)^2 - ||C' ones||^2) / 2 without the cancellation.

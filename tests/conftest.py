@@ -1,4 +1,4 @@
-"""Shared oracles: step-level simulation and batched Monte Carlo."""
+"""Shared oracles: step-level simulation, batched Monte Carlo and eigenvalues."""
 
 import numpy as np
 
@@ -21,6 +21,11 @@ def simulate_epoch(model, x, order):
         g = coordinate_gradient(model, state, i)
         apply_coordinate_step(model, state, i, g)
     return state.x
+
+
+def eig_radius(T):
+    """Spectral radius max |eigvals(T)| by LAPACK, the oracle of every radius predictor."""
+    return float(np.abs(np.linalg.eigvals(T)).max())
 
 
 def permutation_matrices(n):

@@ -30,11 +30,10 @@ from cdlab import (
     recurrence_coeffs,
     rho_M,
     run,
-    spectral_radius,
     symmetrize,
 )
 from cdlab.cli import cmd_table1, figure_different_n, main
-from conftest import batch_rpcd_objectives, permutation_matrices
+from conftest import batch_rpcd_objectives, eig_radius, permutation_matrices
 
 TABLE_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
 REF_RHO_C_SQ = (0.9342, 0.9924, 0.9971, 0.9988, 0.9995, 0.9999)
@@ -60,7 +59,7 @@ def test_criterion_1_predicted_rows():
     worst = 0.0
     for delta, c_sq, m, rcd in zip(TABLE_DELTAS, REF_RHO_C_SQ, REF_RHO_M, REF_RCD_PRED):
         computed = (
-            spectral_radius(closed_form_C(100, delta)) ** 2,
+            eig_radius(closed_form_C(100, delta)) ** 2,
             rho_M(100, delta),
             rcd_rates(100, delta)[1],
         )
@@ -174,7 +173,7 @@ def test_criterion_8_dimension_scaling():
 
     ok = True
     details = []
-    one_minus = {n: 1.0 - spectral_radius(closed_form_C(n, 0.001)) ** 2 for n in (10, 20, 40, 80)}
+    one_minus = {n: 1.0 - eig_radius(closed_form_C(n, 0.001)) ** 2 for n in (10, 20, 40, 80)}
     for n in (10, 20, 40):
         ratio = one_minus[n] / one_minus[2 * n]
         ok &= 3.0 <= ratio <= 5.0

@@ -22,11 +22,11 @@ from cdlab import (
     evolve,
     recurrence_coeffs,
     run,
-    spectral_radius,
 )
 from cdlab.cli import (
     TABLE1_DELTAS,
     _parser,
+    _valid_rates,
     cmd_predict,
     cmd_solve,
     cmd_table1,
@@ -35,6 +35,7 @@ from cdlab.cli import (
     figure_lu,
     main,
 )
+from conftest import eig_radius
 
 SMALL = dict(deltas=(0.5, 0.2), replicates=3, max_epochs=30_000)
 
@@ -263,6 +264,20 @@ class TestTable1:
         assert math.isfinite(row["rho_C_sq"])
         assert len(capsys.readouterr().err.splitlines()) == 3
 
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_rcd_predictions_bound_the_runs_above_delta_1(self, n):
+        # for delta > 1 the smallest eigenvalue of A is n(1-delta)+delta, not
+        # delta; each predicted rcd rate is NaN or no faster than the
+        # replicate mean minus the replicate standard deviation
+        deltas = tuple(1.0 + t * (n / (n - 1) - 1.0) for t in (0.1, 0.5, 0.9))
+        rows = cmd_table1(n=n, deltas=deltas)
+        for stream, (delta, row) in enumerate(zip(deltas, rows)):
+            rates = _valid_rates(n, delta, stream, "rcd", seed=0, replicates=20, tol=1e-8,
+                                 max_epochs=500_000)
+            assert rates.mean() == row["rho_rcd_emp"]
+            floor = rates.mean() - rates.std(ddof=1)
+            for predicted in (cmd_predict(n, delta)["rcd_epoch"], row["rho_rcd_pred"]):
+                assert math.isnan(predicted) or predicted >= floor
 
     def test_default_table_runs_only_the_random_orders(self, monkeypatch):
         # cyclic descent is one call of _cyclic_tail per delta; run() steps
@@ -284,8 +299,8 @@ class TestTable1:
 class TestPredictorsWithoutDenseC:
     @pytest.fixture
     def no_dense_path(self, monkeypatch):
-        # every module that could reach the dense n x n epoch matrix or the
-        # repeated-squaring radius finds a function that raises instead
+        # every module that could reach the dense n x n epoch matrix finds a
+        # function that raises instead
         import cdlab
         import cdlab.cli
         import cdlab.engine
@@ -296,9 +311,8 @@ class TestPredictorsWithoutDenseC:
             raise AssertionError("dense predictor path called")
 
         for module in (cdlab, cdlab.cli, cdlab.engine, cdlab.rates, cdlab.recurrence):
-            for name in ("closed_form_C", "spectral_radius"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
+            if hasattr(module, "closed_form_C"):
+                monkeypatch.setattr(module, "closed_form_C", refuse)
 
     def test_commands_never_build_dense_C(self, no_dense_path):
         report = cmd_predict(700, 0.2)
@@ -401,7 +415,7 @@ class TestSolve:
         # log(tol/f0)/log(rho(C)^2) by the transient decay only
         rows = cmd_solve(100, 0.05, "ccd", seed=3)
         epochs = len(rows) - 1
-        rho2 = spectral_radius(closed_form_C(100, 0.05)) ** 2
+        rho2 = eig_radius(closed_form_C(100, 0.05)) ** 2
         predicted = math.log(1e-8 / rows[0]["f"]) / math.log(rho2)
         assert 0.6 * predicted <= epochs <= predicted
 

@@ -295,9 +295,9 @@ class TestCyclicTail:
     @pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7, 1e-9])
     def test_near_upper_edge_against_extended_precision(self, gap):
         # delta = (1 - gap) n/(n-1): the smallest eigenvalue of A is n*gap,
-        # so the form of f in `objective` loses about log10(1/(n*gap))
-        # digits and run()'s rate with it.  The rate of _cyclic_tail must
-        # be no farther from the extended-precision one than run()'s.
+        # and the uncentred form (delta/2)||x||^2 + ((1-delta)/2) s^2 would
+        # lose about log10(1/(n*gap)) digits of f.  The centred form of
+        # `objective` keeps both rates at the extended-precision one.
         for n, tol, max_epochs in [(2, 1e-14, 300), (3, 1e-14, 12), (7, 1e-14, 300),
                                    (20, 1e-8, 300), (64, 1e-8, 12), (64, 1e-14, 300)]:
             model = PermInvariantQuadratic(n, (1.0 - gap) * n / (n - 1))
@@ -306,8 +306,9 @@ class TestCyclicTail:
             stop, f_tail = _cyclic_tail(model, x0, max_epochs, tol)
             assert stop == traj.epochs >= 10
             ref = empirical_rate(_longdouble_f(n, model.delta, x0, stop).astype(float))
+            run_err = abs(empirical_rate(traj) - ref)
             tail_err = abs(empirical_rate(f_tail) - ref)
-            assert tail_err <= abs(empirical_rate(traj) - ref)
+            assert run_err <= 1e-14 * ref
             assert tail_err <= 1e-14 * ref
 
     def test_rate_equals_run_at_table1_defaults(self):

@@ -14,7 +14,8 @@ from cdlab import (
     run,
 )
 from cdlab.engine import _cyclic_tail
-from conftest import simulate_epoch
+from cdlab.quadratic import _objective_rows
+from conftest import eig_radius, simulate_epoch
 
 
 @st.composite
@@ -89,21 +90,30 @@ def window_points(draw):
 def test_rho_C_matches_eigvals(point):
     n, delta = point
     rho = rho_C(n, delta)
-    ref = float(np.abs(np.linalg.eigvals(closed_form_C(n, delta))).max())
+    ref = eig_radius(closed_form_C(n, delta))
     assert abs(rho - ref) <= 1e-11 * rho + 1e-13
     assert rho_C(n, 1.0) == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(window_points(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_objective_of_an_iterate_equals_objective_of_its_row(point, dense, seed):
+    # `run` records f through `objective` on the loop and `_objective_rows`
+    # on the block path; both must be the one formula
+    n, delta = point
+    model = PermInvariantQuadratic(n, delta)
+    if dense:
+        model = DenseQuadratic(model.matrix())
+    x = np.random.default_rng(seed).standard_normal(n)
+    f = objective(model, x)
+    assert abs(_objective_rows(model, x[None])[0] - f) <= 1e-14 * f
+
+
 @st.composite
 def cyclic_cases(draw):
-    """(model, x0, max_epochs, tol) for table1's cyclic column, delta up to 1e-3 below the edge.
-
-    Closer to the upper edge `run`'s f loses more than 1e-12 of its
-    digits; `TestCyclicTail` in test_engine checks that range against an
-    extended-precision loop.
-    """
+    """(model, x0, max_epochs, tol) for table1's cyclic column, up to 1e-12 below the edge."""
     n = draw(st.integers(2, 64))
-    top = (1.0 - 1e-3) * n / (n - 1)
+    top = (1.0 - 1e-12) * n / (n - 1)
     delta = draw(st.one_of(
         st.floats(0.0, top, exclude_min=True),
         st.floats(-300.0, -0.3).map(lambda e: 10.0**e),

@@ -22,8 +22,8 @@ from cdlab import (
     rpcd_asymptotic_rate,
     run,
     sd_rate,
-    spectral_radius,
 )
+from conftest import eig_radius
 
 TABLE_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
 
@@ -31,52 +31,6 @@ TABLE_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
 def _traj(f_values):
     f = np.asarray(f_values, dtype=float)
     return Trajectory(f_per_epoch=f, final_x=np.zeros(1))
-
-
-class TestSpectralRadius:
-    def test_scaled_identity(self):
-        assert spectral_radius(0.5 * np.eye(3)) == pytest.approx(0.5, rel=1e-10)
-
-    def test_rotation_matrix_complex_spectrum(self):
-        T = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert spectral_radius(T, tol=1e-10) == pytest.approx(1.0, rel=1e-9)
-
-    def test_table_value(self):
-        rho2 = spectral_radius(closed_form_C(100, 0.5)) ** 2
-        assert rho2 == pytest.approx(0.9924, abs=5e-5)
-
-    def test_jordan_block(self):
-        T = np.array([[0.7, 1.0], [0.0, 0.7]])
-        assert spectral_radius(T) == pytest.approx(0.7, rel=1e-9)
-
-    def test_zero_and_nilpotent(self):
-        assert spectral_radius(np.zeros((4, 4))) == 0.0
-        N = np.diag(np.ones(3), k=1)
-        assert spectral_radius(N) == 0.0
-
-    def test_matches_eigvals_on_random_matrices(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            T = rng.standard_normal((12, 12))
-            expected = float(np.abs(np.linalg.eigvals(T)).max())
-            assert spectral_radius(T, tol=1e-12) == pytest.approx(expected, rel=1e-8)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            spectral_radius(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            spectral_radius(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            spectral_radius(np.eye(2), tol=0.0)
-
-    def test_nonconvergence_carries_estimate(self):
-        with pytest.raises(NumericalError) as err:
-            spectral_radius(np.eye(2) * 2.0, tol=1e-10, max_squarings=2)
-        assert err.value.last_estimate == pytest.approx(2.0, rel=0.5)
-
-
-def _eig_radius(n, delta):
-    return float(np.abs(np.linalg.eigvals(closed_form_C(n, delta))).max())
 
 
 class TestRhoC:
@@ -95,7 +49,7 @@ class TestRhoC:
         # diverges (small n, delta >= 0.9), and the real root for delta > 1
         for n, delta in ((100, 0.2), (700, 0.03), (3, 0.95), (10, 0.999999), (40, 1.01),
                          (7, 1.0 + 1e-9)):
-            ref = _eig_radius(n, delta)
+            ref = eig_radius(closed_form_C(n, delta))
             assert abs(rho_C(n, delta) - ref) <= 1e-11 * ref + 1e-13
 
     @pytest.mark.parametrize("n, delta", [(10**5, 0.5), (10**6, 0.5), (10**6, 0.9)])
@@ -150,7 +104,7 @@ class TestRhoM:
     def test_agrees_with_generic_estimator(self):
         for delta in TABLE_DELTAS:
             M = recurrence_coeffs(100, delta).as_array()
-            assert rho_M(100, delta) == pytest.approx(spectral_radius(M, tol=1e-12), abs=1e-10)
+            assert rho_M(100, delta) == pytest.approx(eig_radius(M), abs=1e-10)
 
 
 class TestRpcdAsymptoticRate:
@@ -176,7 +130,7 @@ class TestCcdBounds:
     def test_upper_bound_holds_for_table_deltas(self):
         for delta in TABLE_DELTAS:
             upper, _ = ccd_bounds(100, delta)
-            rho2 = spectral_radius(closed_form_C(100, delta)) ** 2
+            rho2 = eig_radius(closed_form_C(100, delta)) ** 2
             assert rho2 <= upper
 
     def test_lower_bound_magnitude_small_delta(self):
@@ -185,7 +139,7 @@ class TestCcdBounds:
         # bracket lower <= rho(C)^2 does not hold at the table deltas
         for delta in (0.03, 0.1):
             _, lower = ccd_bounds(100, delta)
-            rho2 = spectral_radius(closed_form_C(100, delta)) ** 2
+            rho2 = eig_radius(closed_form_C(100, delta)) ** 2
             assert 0.8 <= (1.0 - lower) / (1.0 - rho2) <= 1.1
 
     def test_limits_to_one(self):
@@ -320,7 +274,7 @@ class TestEmpiricalRate:
             tol=1e-8,
             seed=0,
         )
-        rho2 = spectral_radius(closed_form_C(100, 0.5)) ** 2
+        rho2 = eig_radius(closed_form_C(100, 0.5)) ** 2
         assert abs(empirical_rate(traj) - rho2) < 1e-3
 
 

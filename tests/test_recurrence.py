@@ -9,7 +9,6 @@ from cdlab import (
     brute_force_abar,
     closed_form_C,
     conditional_expected_objective,
-    epoch_matrix_scalars,
     evolve,
     expected_objective,
     first_iteration_expectation,
@@ -53,34 +52,6 @@ class TestSymmetrize:
             symmetrize(np.array([[1.0]]))
         with pytest.raises(ValueError):
             symmetrize(np.ones((2, 3)))
-
-
-class TestEpochMatrixScalars:
-    def test_zero_map(self):
-        s = epoch_matrix_scalars(closed_form_C(100, 1.0))
-        assert s.one_C_one == s.norm_C_one_sq == s.norm_Ct_one_sq == s.frob_sq == 0.0
-
-    def test_column_sum_series(self):
-        # ones'C ones = -delta/(1-delta) + O(delta^n)
-        s = epoch_matrix_scalars(closed_form_C(100, 0.05))
-        assert s.one_C_one == pytest.approx(-0.05 / 0.95, abs=1e-9)
-
-    def test_frobenius_against_direct_sum(self):
-        C = closed_form_C(100, 0.05)
-        s = epoch_matrix_scalars(C)
-        assert s.frob_sq == pytest.approx(float(np.linalg.norm(C, "fro") ** 2), rel=1e-13)
-        # frozen oracle value for this (n, delta)
-        assert s.frob_sq == pytest.approx(179.0453514739229, abs=1e-9)
-        # the truncated three-term series (2n-2) - delta(4n-2) + delta^2(4n-3)
-        # carries an O(n delta^3) truncation error, here about 0.047
-        series = 198 - 0.05 * 398 + 0.0025 * 397
-        assert abs(s.frob_sq - series) <= 0.05
-
-    def test_cauchy_schwarz(self):
-        for delta in (0.1, 0.5, 0.9):
-            s = epoch_matrix_scalars(closed_form_C(30, delta))
-            assert s.one_C_one**2 <= 30 * s.norm_Ct_one_sq * (1 + 1e-12)
-            assert min(s.norm_C_one_sq, s.norm_Ct_one_sq, s.frob_sq) >= 0.0
 
 
 def _exact_scalars(n, delta):
