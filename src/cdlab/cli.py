@@ -48,6 +48,7 @@ from .engine import (
     OrderingPolicy,
     _cyclic_tail,
     _epoch_dense,
+    _rpcd_tails,
     derive_seed,
     epoch_map,
     expected_over_x0,
@@ -114,26 +115,38 @@ def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs
 
     The cyclic rate comes from `_cyclic_tail`: the stop epoch and the
     objective over the rate window, found by squaring the epoch map at
-    n <= 256.
+    n <= 256.  The rpcd replicates run together in `_rpcd_tails`, one
+    epoch of every active replicate per matrix product at n <= 256, each
+    drawing its orders from its own seeded generator.  The rcd
+    replicates run one by one.
 
     A replicate is dropped when its run loses numerical meaning
-    (NumericalError) or its rate window is too short or not positive
-    (the ValueError of `empirical_rate`).  Any other error, such as a
-    ValueError from the input checks of `run`, propagates.  A variant
-    left with no valid replicate is reported on stderr.
+    (NumericalError, or None from `_rpcd_tails`) or its rate window is
+    too short or not positive (the ValueError of `empirical_rate`).  Any
+    other error, such as a ValueError from the input checks of `run`,
+    propagates.  A variant left with no valid replicate is reported on
+    stderr.
     """
+    model = PermInvariantQuadratic(n, delta)
     tried = 1 if variant == "ccd" else replicates
+    starts = [_seeded_start(n, variant, seed, stream, replicate) for replicate in range(tried)]
+    if variant == "rpcd":
+        tails = _rpcd_tails(model, [x0 for _, x0 in starts], [rng for rng, _ in starts],
+                            max_epochs, tol)
+        fs = [tail[1] for tail in tails if tail is not None]
+    else:
+        fs = []
+        for rng, x0 in starts:
+            try:
+                if variant == "ccd":
+                    fs.append(_cyclic_tail(model, x0, max_epochs, tol)[1])
+                else:
+                    fs.append(run(model, OrderingPolicy(variant), x0, max_epochs=max_epochs,
+                                  tol=tol, seed=rng).f_per_epoch)
+            except NumericalError:
+                pass
     rates = []
-    for replicate in range(tried):
-        try:
-            if variant == "ccd":
-                _, start = _seeded_start(n, variant, seed, stream)
-                f = _cyclic_tail(PermInvariantQuadratic(n, delta), start, max_epochs, tol)[1]
-            else:
-                f = _seeded_run(n, delta, variant, seed, stream, tol=tol, max_epochs=max_epochs,
-                                replicate=replicate).f_per_epoch
-        except NumericalError:
-            continue
+    for f in fs:
         try:
             rates.append(empirical_rate(f))
         except ValueError:
@@ -154,9 +167,12 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
     epoch map rather than stepping every epoch).  The randomized
     orderings are run over `replicates` derived seeds and reported as
     replicate means (the permutation variant also with the replicate
-    standard deviation).  A cell with no valid replicate is NaN; predicted
-    columns are always emitted, from the scalar predictors
-    rho_C(n, delta)^2 and rho_M(n, delta).
+    standard deviation).  The rcd replicates run one by one; the rpcd
+    replicates of a delta run as one batch (`engine._rpcd_tails`), which
+    at n <= 256 advances all of them one epoch per matrix product.  A
+    cell with no valid replicate is NaN; predicted columns are always
+    emitted, from the scalar predictors rho_C(n, delta)^2 and
+    rho_M(n, delta).
     """
     for delta in deltas:
         PermInvariantQuadratic(n, delta)  # window check

@@ -35,6 +35,7 @@ from cdlab.cli import (
     figure_lu,
     main,
 )
+from cdlab.engine import _rpcd_tails
 from conftest import eig_radius
 
 SMALL = dict(deltas=(0.5, 0.2), replicates=3, max_epochs=30_000)
@@ -256,13 +257,25 @@ class TestTable1:
         def diverge(*args, **kwargs):
             raise NumericalError("nonfinite objective")
 
-        # the cyclic cell at n <= 256 comes from _cyclic_tail, not run()
+        def all_fail(model, x0s, rngs, *args):
+            return [None] * len(rngs)
+
+        # at n <= 256 the cyclic cell comes from _cyclic_tail and the rpcd
+        # cell from _rpcd_tails, which marks a failed replicate None
         monkeypatch.setattr(cdlab.cli, "run", diverge)
         monkeypatch.setattr(cdlab.cli, "_cyclic_tail", diverge)
+        monkeypatch.setattr(cdlab.cli, "_rpcd_tails", all_fail)
         row = cmd_table1(n=10, deltas=(0.5,), replicates=2)[0]
         assert math.isnan(row["rho_ccd_emp"]) and math.isnan(row["rho_rpcd_emp"])
         assert math.isfinite(row["rho_C_sq"])
         assert len(capsys.readouterr().err.splitlines()) == 3
+
+    def test_empty_rpcd_cell_counts_every_replicate(self, capsys):
+        # one _rpcd_tails call runs the cell; stderr names the replicates tried
+        rates = _valid_rates(20, 0.5, 0, "rpcd", seed=0, replicates=20, tol=1e-8, max_epochs=5)
+        assert rates.size == 0
+        err = capsys.readouterr().err
+        assert "no valid rpcd replicate at delta=0.5 (20 tried)" in err
 
     @pytest.mark.parametrize("n", [10, 100])
     def test_rcd_predictions_bound_the_runs_above_delta_1(self, n):
@@ -280,20 +293,26 @@ class TestTable1:
                 assert math.isnan(predicted) or predicted >= floor
 
     def test_default_table_runs_only_the_random_orders(self, monkeypatch):
-        # cyclic descent is one call of _cyclic_tail per delta; run() steps
-        # only the 20 replicates of rcd and of rpcd at each of the 6 deltas
+        # cyclic descent is one call of _cyclic_tail per delta and the rpcd
+        # replicates one call of _rpcd_tails per delta; run() steps only the
+        # 20 replicates of rcd at each of the 6 deltas
         import cdlab.cli
 
-        calls = []
+        calls, batches = [], []
 
         def counted(model, policy, *args, **kwargs):
             calls.append(policy.kind)
             return run(model, policy, *args, **kwargs)
 
+        def counted_batch(model, x0s, rngs, *args):
+            batches.append(len(rngs))
+            return _rpcd_tails(model, x0s, rngs, *args)
+
         monkeypatch.setattr(cdlab.cli, "run", counted)
+        monkeypatch.setattr(cdlab.cli, "_rpcd_tails", counted_batch)
         cmd_table1()
-        assert len(calls) == 240
-        assert calls.count("rcd") == calls.count("rpcd") == 120
+        assert len(calls) == calls.count("rcd") == 120
+        assert batches == [20] * 6
 
 
 class TestPredictorsWithoutDenseC:

@@ -20,7 +20,7 @@ from cdlab import (
     run,
 )
 import cdlab.engine as engine
-from cdlab.engine import _block_epochs, _cyclic_tail
+from cdlab.engine import _block_epochs, _cyclic_tail, _rpcd_tails
 from conftest import simulate_epoch
 
 
@@ -353,6 +353,74 @@ class TestCyclicTail:
         stop, f_tail = _cyclic_tail(model, x0, 5000, 1e-10)
         assert stop == traj.epochs
         assert np.allclose(f_tail, traj.f_per_epoch[-11:], rtol=1e-12, atol=0.0)
+
+
+class TestRpcdTails:
+    """`_rpcd_tails`, table1's rpcd column: every replicate's stop epoch and rate window of `run`."""
+
+    @staticmethod
+    def rngs(count, seed=0):
+        return [np.random.default_rng([seed, r]) for r in range(count)]
+
+    @staticmethod
+    def runs(model, starts, rngs, max_epochs, tol):
+        return [run(model, OrderingPolicy("rpcd"), x0, max_epochs=max_epochs, tol=tol, seed=rng)
+                for x0, rng in zip(starts, rngs)]
+
+    def test_matches_run_above_the_table1_dimension(self):
+        model = PermInvariantQuadratic(200, 0.2)
+        starts = np.random.default_rng(1).standard_normal((4, 200))
+        tails = _rpcd_tails(model, starts, self.rngs(4), 500_000, 1e-8)
+        for (stop, f_tail), traj in zip(tails, self.runs(model, starts, self.rngs(4), 500_000,
+                                                            1e-8)):
+            assert stop == traj.epochs
+            assert empirical_rate(f_tail) == pytest.approx(empirical_rate(traj), rel=1e-12)
+
+    def test_nonfinite_start_drops_only_its_replicate(self):
+        model = PermInvariantQuadratic(30, 0.5)
+        starts = np.random.default_rng(2).standard_normal((5, 30))
+        bad = starts.copy()
+        bad[2, 7] = np.nan
+        with np.errstate(invalid="ignore"):
+            tails = _rpcd_tails(model, bad, self.rngs(5), 5000, 1e-8)
+        assert tails[2] is None
+        with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+            self.runs(model, bad[2:3], self.rngs(5)[2:3], 5000, 1e-8)
+        full = _rpcd_tails(model, starts, self.rngs(5), 5000, 1e-8)
+        for r in (0, 1, 3, 4):
+            assert tails[r][0] == full[r][0]
+            assert empirical_rate(tails[r][1]) == pytest.approx(empirical_rate(full[r][1]),
+                                                                rel=1e-12)
+
+    def test_zero_budget_and_converged_start_stop_at_epoch_zero(self):
+        # like `run`, a replicate that takes no epoch draws no order
+        model = PermInvariantQuadratic(10, 0.5)
+        starts = np.vstack([np.ones(10), np.zeros(10)])
+        rngs, fresh = self.rngs(2), self.rngs(2)
+        (stop, f_tail), zero = _rpcd_tails(model, starts, rngs, 0, 1e-8)
+        assert stop == 0 and f_tail == pytest.approx([objective(model, starts[0])], rel=1e-15)
+        assert zero[0] == 0 and np.array_equal(zero[1], [0.0])
+        assert rngs[0].bit_generator.state == fresh[0].bit_generator.state
+        zero = _rpcd_tails(model, starts, rngs, 5, 1e-8)[1]
+        assert zero[0] == 0 and np.array_equal(zero[1], [0.0])
+        assert rngs[1].bit_generator.state == fresh[1].bit_generator.state
+
+    def test_is_run_above_block_size_limit(self):
+        model = PermInvariantQuadratic(257, 0.5)
+        starts = np.random.default_rng(3).standard_normal((3, 257))
+        tails = _rpcd_tails(model, starts, self.rngs(3), 40, 1e-8)
+        for (stop, f_tail), traj in zip(tails, self.runs(model, starts, self.rngs(3), 40, 1e-8)):
+            assert stop == traj.epochs
+            assert np.array_equal(f_tail, traj.f_per_epoch[-11:])
+
+    def test_inputs_raise_as_run_does(self):
+        model = PermInvariantQuadratic(4, 0.5)
+        for args in [(np.ones(3), 5, 1e-8), (np.ones(4), -1, 1e-8), (np.ones(4), 5, -1.0)]:
+            with pytest.raises(ValueError) as ours:
+                _rpcd_tails(model, [np.ones(4), args[0]], self.rngs(2), *args[1:])
+            with pytest.raises(ValueError) as theirs:
+                run(model, OrderingPolicy("rpcd"), args[0], max_epochs=args[1], tol=args[2])
+            assert str(ours.value) == str(theirs.value)
 
 
 class TestEpochMatrix:

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cdlab import (
     DenseQuadratic,
+    NumericalError,
     OrderingPolicy,
     PermInvariantQuadratic,
     closed_form_C,
@@ -13,7 +14,7 @@ from cdlab import (
     rho_C,
     run,
 )
-from cdlab.engine import _cyclic_tail
+from cdlab.engine import _cyclic_tail, _rpcd_tails
 from cdlab.quadratic import _objective_rows
 from conftest import eig_radius, simulate_epoch
 
@@ -144,3 +145,76 @@ def test_cyclic_tail_matches_run(case):
     assert (rate is None) == (tail_rate is None)
     if rate is not None:
         assert abs(tail_rate - rate) <= 1e-12 * rate
+
+
+@st.composite
+def rpcd_batches(draw):
+    """(model, starts, seeds, max_epochs, tol) for a batch of rpcd replicates.
+
+    One start may be nonfinite, so its replicate fails at epoch 0.
+    """
+    n = draw(st.integers(2, 64))
+    gap = 10.0 ** draw(st.floats(-9.0, -0.3))
+    t = draw(st.sampled_from([gap, 1.0 - gap]))
+    model = PermInvariantQuadratic(n, t * n / (n - 1))
+    replicates = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    starts = np.random.default_rng(seed).standard_normal((replicates, n))
+    if draw(st.booleans()):
+        starts[draw(st.integers(0, replicates - 1)), 0] = draw(st.sampled_from([np.nan, np.inf]))
+    seeds = [[seed, r] for r in range(replicates)]
+    max_epochs = draw(st.integers(0, 300))
+    return model, starts, seeds, max_epochs, 10.0 ** draw(st.floats(-14.0, -1.0))
+
+
+def _rngs(seeds):
+    return [np.random.default_rng(s) for s in seeds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rpcd_batches())
+def test_rpcd_batch_matches_run(case):
+    # the same generators give the same orders, so the batch must stop each
+    # replicate where `run` does, fail the same ones, and give its rate; f
+    # is compared where rounding of a different sum cannot dominate it
+    model, starts, seeds, max_epochs, tol = case
+    with np.errstate(invalid="ignore"):  # f of a nonfinite start
+        tails = _rpcd_tails(model, starts, _rngs(seeds), max_epochs, tol)
+    for x0, rng, tail in zip(starts, _rngs(seeds), tails):
+        try:
+            with np.errstate(invalid="ignore"):
+                traj = run(model, OrderingPolicy("rpcd"), x0, max_epochs=max_epochs, tol=tol,
+                           seed=rng)
+        except NumericalError:
+            assert tail is None
+            continue
+        stop, f_tail = tail
+        assert stop == traj.epochs
+        f_run = traj.f_per_epoch[-len(f_tail):]
+        assert len(f_tail) == min(stop, 10) + 1
+        big = f_run >= 1e-10 * traj.f_per_epoch[0]
+        assert np.all(np.abs(f_tail - f_run)[big] <= 1e-11 * f_run[big])
+        rate, tail_rate = _rate_or_none(traj), _rate_or_none(f_tail)
+        assert (rate is None) == (tail_rate is None)
+        if rate is not None:
+            assert abs(tail_rate - rate) <= 1e-12 * rate
+
+
+@settings(max_examples=100, deadline=None)
+@given(rpcd_batches())
+def test_rpcd_batch_epoch_matches_closed_form_C(case):
+    # one epoch in visit order p is x[p] <- C x[p], C the closed form of
+    # every order's epoch map, so f after one batched epoch is f of that
+    model, starts, seeds, _, _ = case
+    finite = np.all(np.isfinite(starts), axis=1)
+    starts, seeds = starts[finite], [s for s, keep in zip(seeds, finite) if keep]
+    C = closed_form_C(model.n, model.delta)
+    for x0, rng, (stop, f_tail) in zip(starts, _rngs(seeds),
+                                       _rpcd_tails(model, starts, _rngs(seeds), 1, 0.0)):
+        p = rng.permutation(model.n)
+        x = x0.copy()
+        x[p] = C @ x0[p]
+        f = objective(model, x)
+        assert stop == 1
+        if f >= 1e-10 * f_tail[0]:
+            assert abs(f_tail[-1] - f) <= 1e-11 * f
