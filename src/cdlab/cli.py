@@ -116,7 +116,7 @@ def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs
     The cyclic rate comes from `_cyclic_tail`: the stop epoch and the
     objective over the rate window, found by squaring the epoch map at
     n <= 256.  The rpcd replicates run together in `_rpcd_tails`, one
-    epoch of every active replicate per matrix product at n <= 256, each
+    epoch of every active replicate per matrix product at n <= 192, each
     drawing its orders from its own seeded generator.  The rcd
     replicates run one by one.
 
@@ -169,7 +169,7 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
     replicate means (the permutation variant also with the replicate
     standard deviation).  The rcd replicates run one by one; the rpcd
     replicates of a delta run as one batch (`engine._rpcd_tails`), which
-    at n <= 256 advances all of them one epoch per matrix product.  A
+    at n <= 192 advances all of them one epoch per matrix product.  A
     cell with no valid replicate is NaN; predicted columns are always
     emitted, from the scalar predictors rho_C(n, delta)^2 and
     rho_M(n, delta).

@@ -34,11 +34,12 @@ both from the powers M^(2^j), built by squaring, in O(log L) matrix
 products instead of L epochs; Table 1's cyclic column uses it.
 
 Random-permutation replicates of one model differ only in their orders,
-so `_rpcd_tails` steps them together: over the same n <= 256 range, one
-epoch of every active replicate is a gather into visit order, one
-product with a fixed n x n matrix built from powers of delta, and a
-scatter back.  Each replicate still draws its own order per epoch from
-its own generator, as `run` does; Table 1's rpcd column uses it.
+so `_rpcd_tails` steps them together: at n <= 192 (`_BATCH_MAX_N`, where
+it was timed to win), one epoch of every active replicate is a gather
+into visit order, one product with a fixed n x n matrix built from
+powers of delta, and a scatter back.  Each replicate still draws its own
+order per epoch from its own generator, as `run` does; Table 1's rpcd
+column uses it.
 
 Every f recorded here, by the loop, the block path, `_cyclic_tail` and
 `_rpcd_tails`, is one formula: `quadratic.objective`, or its row form
@@ -83,6 +84,21 @@ _BLOCK_EPOCHS = 16
 # Epochs a rate is read over: the default window of `rates.empirical_rate`
 # and the epochs whose f `_cyclic_tail` and `_rpcd_tails` return for it.
 _RATE_WINDOW = 10
+
+# Entries of `_rpcd_tails`' epoch matrix below this in magnitude are 0.
+# They scale a term by less than 1e-289, so dropping them moves f only
+# where coordinates differ by some 280 orders of magnitude; kept, they
+# and their products with the iterate are subnormal, which made the
+# batched product 3 times slower at n = 256, delta = 0.03.
+_POWER_FLOOR = 2.0**-960
+
+# Largest n at which `_rpcd_tails` batches its replicates.  On the rpcd
+# cells of Table 1's six deltas with 20 replicates, on a 2-core host,
+# the batch took 0.2-0.5 of the serial time at every n from 100 to 192,
+# idle or with one or both cores busy.  At n = 224 and 256 with both
+# cores busy it took up to 7 times as long: OpenBLAS splits the larger
+# products over two threads and waits on the descheduled one.
+_BATCH_MAX_N = 192
 
 
 @dataclass(frozen=True)
@@ -300,6 +316,11 @@ def run(
     return Trajectory(f_per_epoch=np.asarray(fs), final_x=x)
 
 
+def _run_tail(traj) -> tuple[int, np.ndarray]:
+    """Stop epoch of a `run` trajectory and its f over the rate window."""
+    return traj.epochs, traj.f_per_epoch[-(_RATE_WINDOW + 1):]
+
+
 def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     """Stop epoch L of the cyclic `run` from x0, and f at epochs max(0, L-10)..L.
 
@@ -330,8 +351,7 @@ def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     itself.  Where squaring stops beating stepping has not been measured.
     """
     if _block_epochs(model.n) < 2:
-        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs, tol)
-        return traj.epochs, traj.f_per_epoch[-(_RATE_WINDOW + 1):]
+        return _run_tail(run(model, OrderingPolicy("ccd"), x0, max_epochs, tol))
     x0 = _checked_start(model, x0, max_epochs, tol)
 
     def f(y):
@@ -375,40 +395,39 @@ def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
 def _rpcd_tails(model, x0s, rngs, max_epochs, tol) -> list[tuple[int, np.ndarray] | None]:
     """`_cyclic_tail` for the rpcd runs of several replicates, stepped together.
 
-    Replicate r starts at x0s[r] and draws one `rngs[r].permutation(n)`
-    per epoch, as `run` does.  Its entry is the stop epoch L of that
-    run (the first epoch with f <= tol, or max_epochs) and f at epochs
-    max(0, L-10)..L, or None where `run` would raise NumericalError.
-    Takes `run`'s inputs and raises its ValueError.
+    model is a `PermInvariantQuadratic`.  Replicate r starts at x0s[r]
+    and draws one `rngs[r].permutation(n)` per epoch, as `run` does.  Its
+    entry is the stop epoch L of that run (the first epoch with f <= tol,
+    or max_epochs) and f at epochs max(0, L-10)..L, or None where `run`
+    would raise NumericalError.  Takes `run`'s inputs and raises its
+    ValueError.
 
-    For the permutation-invariant model at n <= 256 (the block path's
-    range, `_block_epochs(n) >= 2`), every active replicate advances one
-    epoch per matrix product.  A step on coordinate i sets
+    At n <= `_BATCH_MAX_N` every active replicate advances one epoch per
+    matrix product.  A step on coordinate i sets
     x_i <- (1-delta)(x_i - s) and s <- delta(s - x_i), with s the
     coordinate sum, so with the iterate gathered in visit order,
     Y[t] = x[p[t]], one epoch is
 
         Y <- (1-delta)(Y T - s p'),   T_kt = delta^(t-k) (k <= t),   p_t = delta^t,
 
-    0-indexed, after which Y is scattered back.  f is `_objective_rows`
-    of the new rows, and a replicate leaves the batch when it stops or
-    its f is nonfinite.  f and L agree with `run`'s up to the rounding of
-    a different sum of the same terms.  Elsewhere this is `run` per
-    replicate: at n = 1000 a product with the dense T took 8 times as
-    long as the 20 serial epochs it replaces.
+    0-indexed, after which Y is scattered back.  Entries of T and p
+    below `_POWER_FLOOR` in magnitude are 0.  f is `_objective_rows` of
+    the new rows, and a replicate leaves the batch when it stops or its f
+    is nonfinite.  f and L agree with `run`'s up to the rounding of a
+    different sum of the same terms.  Above `_BATCH_MAX_N` this is `run`
+    per replicate.
     """
     n = model.n
     starts = [_checked_start(model, x0, max_epochs, tol) for x0 in x0s]
     window = _RATE_WINDOW + 1
-    if not isinstance(model, PermInvariantQuadratic) or _block_epochs(n) < 2:
+    if n > _BATCH_MAX_N:
         tails = []
         for x0, rng in zip(starts, rngs):
             try:
-                traj = run(model, OrderingPolicy("rpcd"), x0, max_epochs, tol, seed=rng)
+                tails.append(_run_tail(run(model, OrderingPolicy("rpcd"), x0, max_epochs, tol,
+                                           seed=rng)))
             except NumericalError:
                 tails.append(None)
-            else:
-                tails.append((traj.epochs, traj.f_per_epoch[-window:]))
         return tails
     X = np.array(starts).reshape(len(starts), n)
     f = _objective_rows(model, X)
@@ -419,6 +438,7 @@ def _rpcd_tails(model, x0s, rngs, max_epochs, tol) -> list[tuple[int, np.ndarray
     active = np.flatnonzero(~failed & (f > tol)) if max_epochs > 0 else np.arange(0)
     # (1-delta) folded into p and T; row k of T is p shifted right by k
     p = (1.0 - model.delta) * model.delta ** np.arange(n, dtype=float)
+    p[np.abs(p) < _POWER_FLOOR] = 0.0
     T = np.zeros((n, n))
     for k in range(n):
         T[k, k:] = p[: n - k]

@@ -260,8 +260,8 @@ class TestTable1:
         def all_fail(model, x0s, rngs, *args):
             return [None] * len(rngs)
 
-        # at n <= 256 the cyclic cell comes from _cyclic_tail and the rpcd
-        # cell from _rpcd_tails, which marks a failed replicate None
+        # the cyclic cell comes from _cyclic_tail and the rpcd cell from
+        # _rpcd_tails, which marks a failed replicate None
         monkeypatch.setattr(cdlab.cli, "run", diverge)
         monkeypatch.setattr(cdlab.cli, "_cyclic_tail", diverge)
         monkeypatch.setattr(cdlab.cli, "_rpcd_tails", all_fail)

@@ -20,7 +20,7 @@ from cdlab import (
     run,
 )
 import cdlab.engine as engine
-from cdlab.engine import _block_epochs, _cyclic_tail, _rpcd_tails
+from cdlab.engine import _BATCH_MAX_N, _block_epochs, _cyclic_tail, _rpcd_tails
 from conftest import simulate_epoch
 
 
@@ -367,10 +367,16 @@ class TestRpcdTails:
         return [run(model, OrderingPolicy("rpcd"), x0, max_epochs=max_epochs, tol=tol, seed=rng)
                 for x0, rng in zip(starts, rngs)]
 
-    def test_matches_run_above_the_table1_dimension(self):
-        model = PermInvariantQuadratic(200, 0.2)
-        starts = np.random.default_rng(1).standard_normal((4, 200))
-        tails = _rpcd_tails(model, starts, self.rngs(4), 500_000, 1e-8)
+    @pytest.mark.parametrize("delta", [0.2, 0.03])
+    def test_batch_matches_run_at_its_bound(self, delta, monkeypatch):
+        # at n = 192 and delta = 0.03 the powers of delta from 190 on are below
+        # the floor; `run` is patched out so the batch must do the stepping
+        n = _BATCH_MAX_N
+        model = PermInvariantQuadratic(n, delta)
+        starts = np.random.default_rng(1).standard_normal((4, n))
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "run", None)
+            tails = _rpcd_tails(model, starts, self.rngs(4), 500_000, 1e-8)
         for (stop, f_tail), traj in zip(tails, self.runs(model, starts, self.rngs(4), 500_000,
                                                             1e-8)):
             assert stop == traj.epochs
@@ -405,9 +411,10 @@ class TestRpcdTails:
         assert zero[0] == 0 and np.array_equal(zero[1], [0.0])
         assert rngs[1].bit_generator.state == fresh[1].bit_generator.state
 
-    def test_is_run_above_block_size_limit(self):
-        model = PermInvariantQuadratic(257, 0.5)
-        starts = np.random.default_rng(3).standard_normal((3, 257))
+    def test_is_run_above_the_batch_bound(self):
+        n = _BATCH_MAX_N + 1
+        model = PermInvariantQuadratic(n, 0.5)
+        starts = np.random.default_rng(3).standard_normal((3, n))
         tails = _rpcd_tails(model, starts, self.rngs(3), 40, 1e-8)
         for (stop, f_tail), traj in zip(tails, self.runs(model, starts, self.rngs(3), 40, 1e-8)):
             assert stop == traj.epochs
