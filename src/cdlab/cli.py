@@ -200,10 +200,12 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
 
     Emits, for each epoch, (1/2) trace(G' A G) / (n/2) with G the
     accumulated epoch product: the cyclic product C^l, and the mean over
-    `sequences` sampled permutation-ordered products.  Each permutation
-    product is stepped in place, one coordinate row at a time, so a run
-    builds one epoch map, C.  Stops at the epoch budget or when both
-    curves fall below tol.
+    `sequences` sampled permutation-ordered products with its sample
+    standard deviation (NaN for one sequence).  The permutation products
+    are one (sequences, n, n) stack that `_epoch_dense` advances in
+    place, every product in its own order, a block of coordinate rows at
+    a time, so a run builds one epoch map, C.  Stops at the epoch budget
+    or when both curves fall below tol.
     """
     if sequences < 1:
         raise ValueError(f"sequences must be >= 1, got {sequences}")
@@ -211,21 +213,21 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
     C = epoch_map(model)
     f0 = 0.5 * n
     seq_rngs = [np.random.default_rng(derive_seed(seed, 1000 + k)) for k in range(sequences)]
+
+    def row(epoch, ccd_val, rpcd_vals):
+        return {"epoch": epoch, "ccd_rel": ccd_val / f0, "rpcd_rel": float(np.mean(rpcd_vals)) / f0,
+                "rpcd_rel_std": float(np.std(rpcd_vals / f0, ddof=1)) if sequences > 1 else math.nan}
+
     G_ccd = np.eye(n)
-    G_seqs = [np.eye(n) for _ in range(sequences)]
-    rows = [{"epoch": 0, "ccd_rel": 1.0, "rpcd_rel": 1.0}]
+    G_seqs = np.tile(G_ccd, (sequences, 1, 1))
+    rows = [row(0, f0, np.full(sequences, f0))]
     for epoch in range(1, epochs_budget + 1):
         G_ccd = C @ G_ccd
         ccd_val = expected_over_x0(model, G_ccd)
-        rpcd_vals = []
-        for G, rng in zip(G_seqs, seq_rngs):
-            _epoch_dense(G, model.A, rng.permutation(n).tolist())
-            rpcd_vals.append(expected_over_x0(model, G))
-        rpcd_val = float(np.mean(rpcd_vals))
-        rows.append(
-            {"epoch": epoch, "ccd_rel": ccd_val / f0, "rpcd_rel": rpcd_val / f0}
-        )
-        if ccd_val <= tol and rpcd_val <= tol:
+        _epoch_dense(G_seqs, model.A, np.array([rng.permutation(n) for rng in seq_rngs]))
+        rpcd_vals = expected_over_x0(model, G_seqs)
+        rows.append(row(epoch, ccd_val, rpcd_vals))
+        if ccd_val <= tol and np.mean(rpcd_vals) <= tol:
             break
     return rows
 

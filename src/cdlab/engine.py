@@ -18,15 +18,18 @@ against a row that is zero right of its diagonal leaves the rest of the
 matrix untouched.  LU is then L+D itself and the solve is the forward
 substitution.
 
-`run` steps random orders coordinate by coordinate; the dense kernel
-steps one iterate or a block of iterates, one per column.  A fixed order
+`run` steps random orders one epoch at a time.  For the dense model the
+one epoch kernel, `_epoch_dense`, advances a stack of matrices, each
+slice in its own order, a block of `_ROW_BLOCK` visited rows per pair
+of batched products: `run` passes its iterate as a stack of one column,
+and `figure lu` its permutation-ordered epoch products.  A fixed order
 (`ccd` or a fixed permutation) makes every epoch the same map M, so
 when a block of at least two n x n maps fits in about 1 MB (n <= 256)
 `run` builds M, M^2, ..., M^K once and advances K epochs with one
 matrix-vector product, stopping at the first epoch that reaches the
-tolerance.  Larger fixed-order runs keep the per-coordinate loop,
-which is O(n) per epoch for the permutation-invariant model where the
-map would be O(n^2).
+tolerance.  Larger fixed-order runs step one epoch at a time like
+random orders, which is O(n) per epoch for the permutation-invariant
+model where the map would be O(n^2).
 
 A rate over the last epochs of a cyclic run needs only its stop epoch
 and those epochs.  Where the block path would run, `_cyclic_tail` finds
@@ -99,6 +102,20 @@ _POWER_FLOOR = 2.0**-960
 # cores busy it took up to 7 times as long: OpenBLAS splits the larger
 # products over two threads and waits on the descheduled one.
 _BATCH_MAX_N = 192
+
+# Visits per row block of the dense epoch kernel `_epoch_dense`.  On a
+# 2-core host, one epoch of a (10, 100, 100) stack took 1.2 ms at 8
+# against 1.3-1.7 ms at 4, 6, 10, 12 and 16 and 4.2 ms for a row-by-row
+# loop; at n = 300 blocks of 16-32 took 27 ms, 8 took 33 ms and the loop
+# 63 ms.  `figure lu` with 10 sequences took 2.5 ms per epoch at n = 100
+# (5.7 ms row by row) and 44 ms at n = 300 (63 ms) idle, and 2.3 ms
+# (5.8 ms) and 96 ms (128 ms) with the other core running a Python spin
+# loop: at n = 300 OpenBLAS splits the products over both cores and
+# waits on the descheduled thread, for both kernels.  One iterate
+# (`run`'s dense model, a stack of one column) gains nothing: an epoch
+# took 1.0-1.3 times the loop's time at n = 100 and 1.1-1.3 times at
+# n = 1000, where gathering the rows A[R] costs as much as the product.
+_ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -191,11 +208,38 @@ def _epoch_perm_invariant(x: np.ndarray, delta: float, order: list[int]) -> None
     x[:] = xs
 
 
-def _epoch_dense(X: np.ndarray, A: np.ndarray, order: list[int]) -> None:
-    # One epoch in place on an iterate (n,) or a block of iterates (n, m).
-    # With unit diagonal the exact step on coordinate i is -(AX)_i.
-    for i in order:
-        X[i] -= A[i] @ X
+def _epoch_dense(G: np.ndarray, A: np.ndarray, orders: np.ndarray) -> None:
+    """One epoch in place on every slice of a stack G (S, n, m), slice s in order orders[s].
+
+    With unit diagonal the exact step on coordinate i is G[s, i] -= A[i] @ G[s].
+    The visits are taken `_ROW_BLOCK` at a time.  For the rows R of one
+    block the steps r_t = A[R_t] @ (G - sum_{k<t} e_{R_k} r_k) solve
+    (I + L_R) r = A[R] @ G, with L_R the strictly lower part of A[R][:, R],
+    so a block is one product with A[R] in the original coordinates, one
+    with W_R = Q_R (I + L_R)^{-1} and a scatter of its b rows: row R_t
+    becomes G[R_t] - (W_R A[R] G)_t.  Q_tk = 1 where R_k = R_t, so each
+    write to a row visited more than once in a block (rcd orders) carries
+    all of the block's steps on it, whichever write lands last; for a
+    permutation Q_R = I.  W_R depends on the orders only: the epoch's W_R
+    of every slice and block come from one batched inverse.  A short last
+    block is padded with visits to index -1: a lower-triangular inverse
+    keeps them out of the real rows' block, and no real visit equals them
+    in Q_R.  I + L_R is unit lower triangular with |entries| <= 1, so that
+    LU exchanges no rows (see the module docstring).
+    """
+    S, n, _ = G.shape
+    b = min(_ROW_BLOCK, n)
+    blocks = -(-n // b)
+    R = np.full((S, blocks * b), -1, dtype=np.intp)
+    R[:, :n] = orders
+    R = R.reshape(S, blocks, b)
+    L = np.tril(A[R[..., :, None], R[..., None, :]], -1) + np.eye(b)
+    W = (R[..., :, None] == R[..., None, :]) @ np.linalg.inv(L)
+    slices = np.arange(S)[:, None]
+    for j in range(blocks):
+        c = min(b, n - j * b)
+        Rj = R[:, j, :c]
+        G[slices, Rj] -= W[:, j, :c, :c] @ (A[Rj] @ G)
 
 
 def _block_epochs(n: int) -> int:
@@ -305,7 +349,7 @@ def run(
             if perm_invariant:
                 _epoch_perm_invariant(x, model.delta, order)
             else:
-                _epoch_dense(x, A, order)
+                _epoch_dense(x[None, :, None], A, np.asarray(order)[None])
             epochs += 1
             f = objective(model, x)
             if not math.isfinite(f):
@@ -514,17 +558,21 @@ def closed_form_C(n: int, delta: float) -> np.ndarray:
     return np.where(i < j, -(1.0 - delta) * pow_i, (1.0 - delta) * (pow_diff - pow_i))
 
 
-def expected_over_x0(model: QuadraticModel, G) -> float:
+def expected_over_x0(model: QuadraticModel, G):
     """Expected objective over standard-normal x^0 of the iterate G x^0.
 
     G is the accumulated epoch product M_l ... M_1 of the epoch maps
     applied so far, and E[f] over x^0 ~ N(0, I) is (1/2) trace(G' A G).
     G = I (no epochs) gives (1/2) trace(A), which is n/2 for
-    unit-diagonal A.
+    unit-diagonal A.  A stack G (..., n, n) of products gives an array of
+    one value per product, by the same formula; an (n, n) G gives a float.
     """
     A = model.matrix()
     n = A.shape[0]
     G = np.asarray(G, dtype=float)
-    if G.shape != (n, n):
-        raise ValueError(f"epoch product has shape {G.shape}, expected ({n}, {n})")
-    return 0.5 * float(np.sum(G * (A @ G)))
+    if G.ndim < 2 or G.shape[-2:] != (n, n):
+        raise ValueError(f"epoch product has shape {G.shape}, expected (..., {n}, {n})")
+    AG = A @ G
+    AG *= G
+    value = 0.5 * np.sum(AG, axis=(-2, -1))
+    return float(value) if G.ndim == 2 else value

@@ -586,6 +586,22 @@ class TestExpectedOverX0:
         with pytest.raises(ValueError):
             expected_over_x0(PermInvariantQuadratic(4, 0.5), np.eye(3))
 
+    def test_stack_gives_each_products_value(self):
+        model = build_log_uniform_spectrum(12, 100.0, 3)
+        Gs = np.random.default_rng(5).standard_normal((2, 3, 12, 12))
+        values = expected_over_x0(model, Gs)
+        assert values.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one = expected_over_x0(model, Gs[idx])
+            assert type(one) is float
+            assert abs(values[idx] - one) <= 1e-15 * abs(one)
+
+    def test_stack_shape_mismatch(self):
+        model = PermInvariantQuadratic(4, 0.5)
+        for G in (np.eye(4)[None, :3], np.ones((2, 3, 4)), np.ones(4), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                expected_over_x0(model, G)
+
 
 class TestDeriveSeed:
     def test_deterministic_and_distinct(self):

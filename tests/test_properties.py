@@ -8,13 +8,14 @@ from cdlab import (
     NumericalError,
     OrderingPolicy,
     PermInvariantQuadratic,
+    build_log_uniform_spectrum,
     closed_form_C,
     empirical_rate,
     objective,
     rho_C,
     run,
 )
-from cdlab.engine import _cyclic_tail, _rpcd_tails
+from cdlab.engine import _ROW_BLOCK, _cyclic_tail, _epoch_dense, _rpcd_tails
 from cdlab.quadratic import _objective_rows
 from conftest import eig_radius, simulate_epoch
 
@@ -218,3 +219,46 @@ def test_rpcd_batch_epoch_matches_closed_form_C(case):
         assert stop == 1
         if f >= 1e-10 * f_tail[0]:
             assert abs(f_tail[-1] - f) <= 1e-11 * f
+
+
+@st.composite
+def dense_stacks(draw):
+    """(model, G, orders) for one epoch of the dense kernel on an (S, n, m) stack.
+
+    The model is a log-uniform dense one or the permutation-invariant one
+    with delta near either edge of its window.  Each slice has its own
+    order: a permutation, or n rcd draws from a pool of k rows.  A pool
+    smaller than the row block repeats rows inside one block and, once n
+    exceeds the block, across blocks too; k = n is a plain rcd draw.
+    """
+    b = _ROW_BLOCK
+    n = draw(st.one_of(st.integers(2, 64), st.sampled_from([b - 1, b, b + 1, 2 * b, 3 * b - 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        model = build_log_uniform_spectrum(n, 10.0 ** draw(st.floats(0.5, 6.0)), rng)
+    else:
+        gap = 10.0 ** draw(st.floats(-9.0, -0.3))
+        model = PermInvariantQuadratic(n, draw(st.sampled_from([gap, 1.0 - gap])) * n / (n - 1))
+    S, m = draw(st.integers(1, 4)), draw(st.sampled_from([1, 3]))
+    orders = []
+    for _ in range(S):
+        if draw(st.booleans()):
+            orders.append(draw(st.permutations(range(n))))
+        else:
+            pool = rng.choice(n, size=min(n, draw(st.sampled_from([1, 2, 3, n]))), replace=False)
+            orders.append(pool[rng.integers(0, len(pool), n)])
+    return model, rng.standard_normal((S, n, m)), np.array(orders)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_stacks())
+def test_dense_kernel_matches_step_oracle(case):
+    # every column of every slice must take the epoch the step API takes
+    # in that slice's order, to 1e-12 of the column's scale
+    model, G0, orders = case
+    G = G0.copy()
+    _epoch_dense(G, model.matrix(), orders)
+    for s, order in enumerate(orders):
+        for k in range(G.shape[2]):
+            ref = simulate_epoch(model, G0[s, :, k], order.tolist())
+            assert np.abs(G[s, :, k] - ref).max() <= 1e-12 * np.abs(G0[s, :, k]).max()
