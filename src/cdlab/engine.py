@@ -18,40 +18,34 @@ against a row that is zero right of its diagonal leaves the rest of the
 matrix untouched.  LU is then L+D itself and the solve is the forward
 substitution.
 
-`run` steps random orders one epoch at a time.  For the dense model the
-one epoch kernel, `_epoch_dense`, advances a stack of matrices, each
-slice in its own order, a block of `_ROW_BLOCK` visited rows per pair
-of batched products: `run` passes its iterate as a stack of one column,
-and `figure lu` its permutation-ordered epoch products.  A fixed order
-(`ccd` or a fixed permutation) makes every epoch the same map M, so
-when a block of at least two n x n maps fits in about 1 MB (n <= 256)
-`run` builds M, M^2, ..., M^K once and advances K epochs with one
-matrix-vector product, stopping at the first epoch that reaches the
-tolerance.  Larger fixed-order runs step one epoch at a time like
-random orders, which is O(n) per epoch for the permutation-invariant
-model where the map would be O(n^2).
+`run` is `_runs` with one start.  `_runs` steps a stack of seeded
+replicates one epoch at a time and holds the one copy of the start
+checks, the stop at f <= tol or the epoch budget and the nonfinite-f
+failure; its docstring lists the kernel each input takes.  For the
+dense model the one epoch kernel, `_epoch_dense`, advances a stack of
+matrices, each slice in its own order, a block of `_ROW_BLOCK` visited
+rows per pair of batched products (`figure lu` passes its
+permutation-ordered epoch products).  A fixed order makes every epoch
+the same map M, so when a block of at least two n x n maps fits in
+about 1 MB (n <= 256) `_runs` builds M, M^2, ..., M^K once and advances
+K epochs with one matrix-vector product, stopping at the first epoch
+that reaches the tolerance.
 
 A rate over the last epochs of a cyclic run needs only its stop epoch
 and those epochs.  Where the block path would run, `_cyclic_tail` finds
 both from the powers M^(2^j), built by squaring, in O(log L) matrix
-products instead of L epochs; Table 1's cyclic column uses it.
+products instead of L epochs; Table 1's cyclic column uses it, and its
+random columns one `_runs` call per ordering.
 
-Random-permutation replicates of one model differ only in their orders,
-so `_rpcd_tails` steps them together: at n <= 192 (`_BATCH_MAX_N`, where
-it was timed to win), one epoch of every active replicate is a gather
-into visit order, one product with a fixed n x n matrix built from
-powers of delta, and a scatter back.  Each replicate still draws its own
-order per epoch from its own generator, as `run` does; Table 1's rpcd
-column uses it.
-
-Every f recorded here, by the loop, the block path, `_cyclic_tail` and
-`_rpcd_tails`, is one formula: `quadratic.objective`, or its row form
-`_objective_rows` for a stack of iterates.
+Every f recorded here, by the row loop, the stacked rpcd product, the
+block path and `_cyclic_tail`, is one formula: `quadratic.objective`, or
+its row form `_objective_rows` for a stack of iterates.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,20 +79,20 @@ _BLOCK_BYTES = 1 << 20
 _BLOCK_EPOCHS = 16
 
 # Epochs a rate is read over: the default window of `rates.empirical_rate`
-# and the epochs whose f `_cyclic_tail` and `_rpcd_tails` return for it.
+# and the epochs whose f `_cyclic_tail` returns for it.
 _RATE_WINDOW = 10
 
-# Entries of `_rpcd_tails`' epoch matrix below this in magnitude are 0.
-# They scale a term by less than 1e-289, so dropping them moves f only
-# where coordinates differ by some 280 orders of magnitude; kept, they
-# and their products with the iterate are subnormal, which made the
+# Entries of the rpcd epoch matrix of `_runs` below this in magnitude
+# are 0.  They scale a term by less than 1e-289, so dropping them moves
+# f only where coordinates differ by some 280 orders of magnitude; kept,
+# they and their products with the iterate are subnormal, which made the
 # batched product 3 times slower at n = 256, delta = 0.03.
 _POWER_FLOOR = 2.0**-960
 
-# Largest n at which `_rpcd_tails` batches its replicates.  On the rpcd
-# cells of Table 1's six deltas with 20 replicates, on a 2-core host,
-# the batch took 0.2-0.5 of the serial time at every n from 100 to 192,
-# idle or with one or both cores busy.  At n = 224 and 256 with both
+# Largest n at which `_runs` steps rpcd replicates by one product.  On
+# the rpcd cells of Table 1's six deltas with 20 replicates, on a 2-core
+# host, the batch took 0.2-0.5 of the serial time at every n from 100 to
+# 192, idle or with one or both cores busy.  At n = 224 and 256 with both
 # cores busy it took up to 7 times as long: OpenBLAS splits the larger
 # products over two threads and waits on the descheduled one.
 _BATCH_MAX_N = 192
@@ -186,8 +180,6 @@ def _epoch_order(policy: OrderingPolicy, n: int, rng: np.random.Generator) -> li
     if policy.kind == "ccd":
         return list(range(n))
     if policy.kind == "fixed_permutation":
-        if len(policy.perm) != n:
-            raise ValueError(f"fixed permutation has length {len(policy.perm)}, expected {n}")
         return list(policy.perm)
     if policy.kind == "rpcd":
         return rng.permutation(n).tolist()
@@ -283,7 +275,7 @@ def _run_blocks(model, M, x, max_epochs, tol, fs) -> tuple[np.ndarray, int]:
     return x, epochs
 
 
-def _checked_start(model, x0, max_epochs, tol) -> np.ndarray:
+def _checked_start(model, policy, x0, max_epochs, tol) -> np.ndarray:
     """A float copy of x0, after the input checks of `run`."""
     x = np.array(x0, dtype=float)
     if x.shape != (model.n,):
@@ -292,7 +284,114 @@ def _checked_start(model, x0, max_epochs, tol) -> np.ndarray:
         raise ValueError(f"tol must be >= 0, got {tol}")
     if max_epochs < 0:
         raise ValueError(f"max_epochs must be >= 0, got {max_epochs}")
+    if policy.perm is not None and len(policy.perm) != model.n:
+        raise ValueError(f"fixed permutation has length {len(policy.perm)}, expected {model.n}")
     return x
+
+
+def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | NumericalError]:
+    """`run` from each of `starts`, replicate r drawing its orders from rngs[r].
+
+    Entry r is the Trajectory of run(model, policy, starts[r], max_epochs,
+    tol, seed=rngs[r]), or the NumericalError that run would raise (same
+    message and last_estimate); run's ValueError for any start is raised.
+    Each epoch advances every active replicate once; a replicate leaves at
+    its stop epoch or its first nonfinite f, and one that takes no epoch
+    draws no order.  The kernel follows from the input:
+
+    - a fixed order where `_block_epochs(n) >= 2` (n <= 256): `_run_blocks`
+      per replicate, K epochs per product with one epoch map;
+    - rpcd on the permutation-invariant model with more than one start at
+      n <= `_BATCH_MAX_N`: one matrix product per epoch for the stack.  A
+      step on coordinate i sets x_i <- (1-delta)(x_i - s) and
+      s <- delta(s - x_i), s the coordinate sum, so with each iterate in
+      visit order, Y[t] = x[p[t]], an epoch is
+
+          Y <- (1-delta)(Y T - s p'),   T_kt = delta^(t-k) (k <= t),   p_t = delta^t,
+
+      0-indexed, then scattered back; entries below `_POWER_FLOOR` are 0.
+      f, start included, is `_objective_rows`: the row loop's f up to the
+      rounding of a different sum of the same terms.  One start is faster
+      on the row loop;
+    - any other order on that model: the plain-float row loop
+      `_epoch_perm_invariant`;
+    - a dense model: `_epoch_dense` on an (S, n, 1) stack.
+
+    Off the product, f at the start and after each epoch of a loop is
+    `objective`.
+    """
+    n = model.n
+    perm_invariant = isinstance(model, PermInvariantQuadratic)
+    X = np.array([_checked_start(model, policy, x0, max_epochs, tol) for x0 in starts])
+    X = X.reshape(len(starts), n)
+    rows = list(X)  # views; indexing a list is cheaper than X[r] in the row loop
+    if perm_invariant and policy.kind == "rpcd" and len(X) > 1 and n <= _BATCH_MAX_N:
+        # (1-delta) folded into p and T; row k of T is p shifted right by k
+        p = (1.0 - model.delta) * model.delta ** np.arange(n, dtype=float)
+        p[np.abs(p) < _POWER_FLOOR] = 0.0
+        T = np.zeros((n, n))
+        for k in range(n):
+            T[k, k:] = p[: n - k]
+        flat = X.reshape(-1)
+        f0 = _objective_rows(model, X).tolist()
+
+        def step(active):
+            idx = np.array([rngs[r].permutation(n) for r in active])
+            idx += n * np.array(active)[:, None]
+            Y = flat[idx]
+            s = Y.sum(axis=1)
+            Y = Y @ T
+            Y -= np.multiply.outer(s, p)
+            flat[idx] = Y
+            return _objective_rows(model, Y).tolist()
+    elif perm_invariant:
+        f0 = [objective(model, x) for x in rows]
+        delta = model.delta
+
+        def step(active):
+            f = []
+            for r in active:
+                _epoch_perm_invariant(rows[r], delta, _epoch_order(policy, n, rngs[r]))
+                f.append(objective(model, rows[r]))
+            return f
+    else:
+        f0 = [objective(model, x) for x in rows]
+
+        def step(active):
+            G = X[active, :, None]
+            _epoch_dense(G, model.A, np.array([_epoch_order(policy, n, rngs[r]) for r in active]))
+            X[active] = G[..., 0]
+            return [objective(model, rows[r]) for r in active]
+
+    # f as C doubles: lists of float objects, live for a whole stack of
+    # runs, raised the peak RSS of a 40-pass table1 process by 0.9 MB
+    fs = [array("d", (f,)) for f in f0]
+    out = [None if math.isfinite(f) else NumericalError(f"nonfinite objective at start: {f}")
+           for f in f0]
+    active = [r for r, f in enumerate(f0) if out[r] is None and f > tol and max_epochs > 0]
+    if policy.kind in ("ccd", "fixed_permutation") and _block_epochs(n) >= 2 and active:
+        M = epoch_map(model, _epoch_order(policy, n, None))
+        for r in active:
+            try:
+                rows[r][:] = _run_blocks(model, M, rows[r], max_epochs, tol, fs[r])[0]
+            except NumericalError as err:
+                out[r] = err
+        active = []
+    for epoch in range(1, max_epochs + 1):
+        if not active:
+            break
+        still = []
+        for r, f in zip(active, step(active)):
+            if not math.isfinite(f):
+                out[r] = NumericalError(f"nonfinite objective after {epoch * n} iterations",
+                                        fs[r][-1])
+            else:
+                fs[r].append(f)
+                if f > tol:
+                    still.append(r)
+        active = still
+    return [err or Trajectory(f_per_epoch=np.array(f), final_x=x)
+            for err, f, x in zip(out, fs, rows)]
 
 
 def run(
@@ -310,7 +409,8 @@ def run(
     f(x^{l*n}) <= tol or the epoch budget is exhausted.  Deterministic
     for a fixed seed: the only randomness is the per-epoch coordinate
     order drawn from the seeded generator.  The iterate after k epochs is
-    run(..., max_epochs=k, tol=0.0).final_x.
+    run(..., max_epochs=k, tol=0.0).final_x.  This is `_runs` with one
+    start, so a seeded replicate of a stacked run is this run.
 
     A fixed order (`ccd` or a fixed permutation) at n <= 256 runs as
     blocks of stacked powers of its epoch map (see the module
@@ -318,51 +418,20 @@ def run(
     with the per-coordinate loop to rounding, but reusing one rounded map
     lets f drift from the loop's by about 2e-17 relative per epoch (about
     1e-12 after 60k epochs at n=100).  Random orders, and fixed orders at
-    larger n, run the loop.
+    larger n, step one epoch at a time.
 
     Raises
     ------
     ValueError
         On dimension mismatch, negative tol or max_epochs, or a fixed
-        permutation whose length is not n.
+        permutation whose length is not n, whether or not an epoch runs.
     NumericalError
         If a nonfinite objective value is encountered.
     """
-    x = _checked_start(model, x0, max_epochs, tol)
-    rng = np.random.default_rng(seed)
-    n = model.n
-    perm_invariant = isinstance(model, PermInvariantQuadratic)
-    A = None if perm_invariant else model.A
-
-    f = objective(model, x)
-    if not math.isfinite(f):
-        raise NumericalError(f"nonfinite objective at start: {f}")
-    fs = [f]
-    epochs = 0
-    fixed_order = policy.kind in ("ccd", "fixed_permutation")
-    if f > tol and max_epochs > 0 and fixed_order and _block_epochs(n) >= 2:
-        M = epoch_map(model, _epoch_order(policy, n, rng))
-        x, epochs = _run_blocks(model, M, x, max_epochs, tol, fs)
-    elif f > tol:
-        for _ in range(max_epochs):
-            order = _epoch_order(policy, n, rng)
-            if perm_invariant:
-                _epoch_perm_invariant(x, model.delta, order)
-            else:
-                _epoch_dense(x[None, :, None], A, np.asarray(order)[None])
-            epochs += 1
-            f = objective(model, x)
-            if not math.isfinite(f):
-                raise NumericalError(f"nonfinite objective after {epochs * n} iterations", fs[-1])
-            fs.append(f)
-            if f <= tol:
-                break
-    return Trajectory(f_per_epoch=np.asarray(fs), final_x=x)
-
-
-def _run_tail(traj) -> tuple[int, np.ndarray]:
-    """Stop epoch of a `run` trajectory and its f over the rate window."""
-    return traj.epochs, traj.f_per_epoch[-(_RATE_WINDOW + 1):]
+    (result,) = _runs(model, policy, [x0], [np.random.default_rng(seed)], max_epochs, tol)
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
 def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
@@ -394,9 +463,11 @@ def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     map is worth building stays in this module; above that this is `run`
     itself.  Where squaring stops beating stepping has not been measured.
     """
+    policy = OrderingPolicy("ccd")
     if _block_epochs(model.n) < 2:
-        return _run_tail(run(model, OrderingPolicy("ccd"), x0, max_epochs, tol))
-    x0 = _checked_start(model, x0, max_epochs, tol)
+        traj = run(model, policy, x0, max_epochs, tol)
+        return traj.epochs, traj.f_per_epoch[-(_RATE_WINDOW + 1):]
+    x0 = _checked_start(model, policy, x0, max_epochs, tol)
 
     def f(y):
         value = _objective_rows(model, y)
@@ -434,77 +505,6 @@ def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
             f"f at epochs {stop - 1} and {stop} is {fs[-2]}, {fs[-1]}: it does not cross "
             f"tol={tol} there, so rounding decides the stop epoch", fs[-1])
     return stop, fs
-
-
-def _rpcd_tails(model, x0s, rngs, max_epochs, tol) -> list[tuple[int, np.ndarray] | None]:
-    """`_cyclic_tail` for the rpcd runs of several replicates, stepped together.
-
-    model is a `PermInvariantQuadratic`.  Replicate r starts at x0s[r]
-    and draws one `rngs[r].permutation(n)` per epoch, as `run` does.  Its
-    entry is the stop epoch L of that run (the first epoch with f <= tol,
-    or max_epochs) and f at epochs max(0, L-10)..L, or None where `run`
-    would raise NumericalError.  Takes `run`'s inputs and raises its
-    ValueError.
-
-    At n <= `_BATCH_MAX_N` every active replicate advances one epoch per
-    matrix product.  A step on coordinate i sets
-    x_i <- (1-delta)(x_i - s) and s <- delta(s - x_i), with s the
-    coordinate sum, so with the iterate gathered in visit order,
-    Y[t] = x[p[t]], one epoch is
-
-        Y <- (1-delta)(Y T - s p'),   T_kt = delta^(t-k) (k <= t),   p_t = delta^t,
-
-    0-indexed, after which Y is scattered back.  Entries of T and p
-    below `_POWER_FLOOR` in magnitude are 0.  f is `_objective_rows` of
-    the new rows, and a replicate leaves the batch when it stops or its f
-    is nonfinite.  f and L agree with `run`'s up to the rounding of a
-    different sum of the same terms.  Above `_BATCH_MAX_N` this is `run`
-    per replicate.
-    """
-    n = model.n
-    starts = [_checked_start(model, x0, max_epochs, tol) for x0 in x0s]
-    window = _RATE_WINDOW + 1
-    if n > _BATCH_MAX_N:
-        tails = []
-        for x0, rng in zip(starts, rngs):
-            try:
-                tails.append(_run_tail(run(model, OrderingPolicy("rpcd"), x0, max_epochs, tol,
-                                           seed=rng)))
-            except NumericalError:
-                tails.append(None)
-        return tails
-    X = np.array(starts).reshape(len(starts), n)
-    f = _objective_rows(model, X)
-    F = np.empty((len(X), window))  # f of epoch e in column e % window
-    F[:, 0] = f
-    stops = np.zeros(len(X), dtype=int)
-    failed = ~np.isfinite(f)
-    active = np.flatnonzero(~failed & (f > tol)) if max_epochs > 0 else np.arange(0)
-    # (1-delta) folded into p and T; row k of T is p shifted right by k
-    p = (1.0 - model.delta) * model.delta ** np.arange(n, dtype=float)
-    p[np.abs(p) < _POWER_FLOOR] = 0.0
-    T = np.zeros((n, n))
-    for k in range(n):
-        T[k, k:] = p[: n - k]
-    flat = X.reshape(-1)
-    epoch = 0
-    while active.size:
-        epoch += 1
-        idx = np.array([rngs[r].permutation(n) for r in active])
-        idx += n * active[:, None]
-        Y = flat[idx]
-        s = Y.sum(axis=1)
-        Y = Y @ T
-        Y -= np.multiply.outer(s, p)
-        flat[idx] = Y
-        f = _objective_rows(model, Y)
-        F[active, epoch % window] = f
-        stops[active] = epoch
-        finite = np.isfinite(f)
-        failed[active[~finite]] = True
-        active = active[finite & (f > tol)] if epoch < max_epochs else active[:0]
-    return [None if bad else (int(L), F[r, np.arange(max(0, L - _RATE_WINDOW), L + 1) % window])
-            for r, (L, bad) in enumerate(zip(stops, failed))]
 
 
 def epoch_map(model: QuadraticModel, order=None) -> np.ndarray:

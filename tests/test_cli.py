@@ -35,7 +35,7 @@ from cdlab.cli import (
     figure_lu,
     main,
 )
-from cdlab.engine import _rpcd_tails
+from cdlab.engine import _cyclic_tail, _runs
 from conftest import eig_radius
 
 SMALL = dict(deltas=(0.5, 0.2), replicates=3, max_epochs=30_000)
@@ -257,21 +257,21 @@ class TestTable1:
         def diverge(*args, **kwargs):
             raise NumericalError("nonfinite objective")
 
-        def all_fail(model, x0s, rngs, *args):
-            return [None] * len(rngs)
+        def all_fail(model, policy, starts, *args):
+            return [NumericalError("nonfinite objective")] * len(starts)
 
-        # the cyclic cell comes from _cyclic_tail and the rpcd cell from
-        # _rpcd_tails, which marks a failed replicate None
-        monkeypatch.setattr(cdlab.cli, "run", diverge)
+        # the cyclic cell comes from _cyclic_tail and the random cells from
+        # _runs, which returns a failed replicate's NumericalError
         monkeypatch.setattr(cdlab.cli, "_cyclic_tail", diverge)
-        monkeypatch.setattr(cdlab.cli, "_rpcd_tails", all_fail)
+        monkeypatch.setattr(cdlab.cli, "_runs", all_fail)
         row = cmd_table1(n=10, deltas=(0.5,), replicates=2)[0]
-        assert math.isnan(row["rho_ccd_emp"]) and math.isnan(row["rho_rpcd_emp"])
+        assert math.isnan(row["rho_ccd_emp"]) and math.isnan(row["rho_rcd_emp"])
+        assert math.isnan(row["rho_rpcd_emp"])
         assert math.isfinite(row["rho_C_sq"])
         assert len(capsys.readouterr().err.splitlines()) == 3
 
     def test_empty_rpcd_cell_counts_every_replicate(self, capsys):
-        # one _rpcd_tails call runs the cell; stderr names the replicates tried
+        # one _runs call runs the cell; stderr names the replicates tried
         rates = _valid_rates(20, 0.5, 0, "rpcd", seed=0, replicates=20, tol=1e-8, max_epochs=5)
         assert rates.size == 0
         err = capsys.readouterr().err
@@ -293,26 +293,32 @@ class TestTable1:
                 assert math.isnan(predicted) or predicted >= floor
 
     def test_default_table_runs_only_the_random_orders(self, monkeypatch):
-        # cyclic descent is one call of _cyclic_tail per delta and the rpcd
-        # replicates one call of _rpcd_tails per delta; run() steps only the
-        # 20 replicates of rcd at each of the 6 deltas
+        # cyclic descent is one call of _cyclic_tail per delta, and the 20
+        # replicates of each random ordering one call of _runs per delta; no
+        # cell goes through run()
         import cdlab.cli
+        import cdlab.engine
 
-        calls, batches = [], []
+        tails, stacks = [], []
 
-        def counted(model, policy, *args, **kwargs):
-            calls.append(policy.kind)
-            return run(model, policy, *args, **kwargs)
+        def counted_tail(*args):
+            tails.append(args[0].delta)
+            return _cyclic_tail(*args)
 
-        def counted_batch(model, x0s, rngs, *args):
-            batches.append(len(rngs))
-            return _rpcd_tails(model, x0s, rngs, *args)
+        def counted_stack(model, policy, starts, *args):
+            stacks.append((policy.kind, len(starts)))
+            return _runs(model, policy, starts, *args)
 
-        monkeypatch.setattr(cdlab.cli, "run", counted)
-        monkeypatch.setattr(cdlab.cli, "_rpcd_tails", counted_batch)
+        def refuse(*args, **kwargs):
+            raise AssertionError("run() called")
+
+        monkeypatch.setattr(cdlab.cli, "_cyclic_tail", counted_tail)
+        monkeypatch.setattr(cdlab.cli, "_runs", counted_stack)
+        monkeypatch.setattr(cdlab.cli, "run", refuse)
+        monkeypatch.setattr(cdlab.engine, "run", refuse)
         cmd_table1()
-        assert len(calls) == calls.count("rcd") == 120
-        assert batches == [20] * 6
+        assert tails == list(TABLE1_DELTAS)
+        assert stacks == [("rcd", 20), ("rpcd", 20)] * 6
 
 
 class TestPredictorsWithoutDenseC:

@@ -20,7 +20,7 @@ from cdlab import (
     run,
 )
 import cdlab.engine as engine
-from cdlab.engine import _BATCH_MAX_N, _block_epochs, _cyclic_tail, _rpcd_tails
+from cdlab.engine import _BATCH_MAX_N, _block_epochs, _cyclic_tail, _runs
 from conftest import simulate_epoch
 
 
@@ -206,10 +206,15 @@ class TestFixedOrderOutsideBlocks:
         assert _block_epochs(257) < 2
 
     def test_wrong_length_fixed_permutation_rejected(self):
+        # also when no epoch runs: a zero budget or a start already within tol
         policy = OrderingPolicy.fixed_permutation([2, 0, 1])
-        for model in (PermInvariantQuadratic(4, 0.5), build_log_uniform_spectrum(4, 10.0, 0)):
-            with pytest.raises(ValueError):
-                run(model, policy, np.ones(4))
+        for model in (PermInvariantQuadratic(4, 0.5), build_log_uniform_spectrum(4, 10.0, 0),
+                      PermInvariantQuadratic(300, 0.5)):
+            n = model.n
+            for x0, max_epochs, tol in [(np.ones(n), 100, 1e-8), (np.ones(n), 0, 1e-8),
+                                        (np.ones(n), 5, 1e9), (np.zeros(n), 5, 1e-8)]:
+                with pytest.raises(ValueError, match=f"has length 3, expected {n}"):
+                    run(model, policy, x0, max_epochs=max_epochs, tol=tol)
 
     def test_above_block_size_limit(self):
         # n = 300 keeps the per-coordinate loop
@@ -356,7 +361,7 @@ class TestCyclicTail:
 
 
 class TestRpcdTails:
-    """`_rpcd_tails`, table1's rpcd column: every replicate's stop epoch and rate window of `run`."""
+    """`_runs` on rpcd replicates, table1's rpcd column: replicate r is `run` with generator r."""
 
     @staticmethod
     def rngs(count, seed=0):
@@ -367,20 +372,28 @@ class TestRpcdTails:
         return [run(model, OrderingPolicy("rpcd"), x0, max_epochs=max_epochs, tol=tol, seed=rng)
                 for x0, rng in zip(starts, rngs)]
 
+    @staticmethod
+    def stack(model, starts, rngs, max_epochs, tol):
+        return _runs(model, OrderingPolicy("rpcd"), starts, rngs, max_epochs, tol)
+
     @pytest.mark.parametrize("delta", [0.2, 0.03])
     def test_batch_matches_run_at_its_bound(self, delta, monkeypatch):
         # at n = 192 and delta = 0.03 the powers of delta from 190 on are below
-        # the floor; `run` is patched out so the batch must do the stepping
+        # the floor; the row loop is patched to raise, so the product must do
+        # the stepping
         n = _BATCH_MAX_N
         model = PermInvariantQuadratic(n, delta)
         starts = np.random.default_rng(1).standard_normal((4, n))
+
+        def refuse(*args):
+            raise AssertionError("row loop called")
+
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "run", None)
-            tails = _rpcd_tails(model, starts, self.rngs(4), 500_000, 1e-8)
-        for (stop, f_tail), traj in zip(tails, self.runs(model, starts, self.rngs(4), 500_000,
-                                                            1e-8)):
-            assert stop == traj.epochs
-            assert empirical_rate(f_tail) == pytest.approx(empirical_rate(traj), rel=1e-12)
+            patch.setattr(engine, "_epoch_perm_invariant", refuse)
+            trajs = self.stack(model, starts, self.rngs(4), 500_000, 1e-8)
+        for traj, ref in zip(trajs, self.runs(model, starts, self.rngs(4), 500_000, 1e-8)):
+            assert traj.epochs == ref.epochs
+            assert empirical_rate(traj) == pytest.approx(empirical_rate(ref), rel=1e-12)
 
     def test_nonfinite_start_drops_only_its_replicate(self):
         model = PermInvariantQuadratic(30, 0.5)
@@ -388,43 +401,46 @@ class TestRpcdTails:
         bad = starts.copy()
         bad[2, 7] = np.nan
         with np.errstate(invalid="ignore"):
-            tails = _rpcd_tails(model, bad, self.rngs(5), 5000, 1e-8)
-        assert tails[2] is None
-        with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+            trajs = self.stack(model, bad, self.rngs(5), 5000, 1e-8)
+        with pytest.raises(NumericalError) as err, np.errstate(invalid="ignore"):
             self.runs(model, bad[2:3], self.rngs(5)[2:3], 5000, 1e-8)
-        full = _rpcd_tails(model, starts, self.rngs(5), 5000, 1e-8)
+        assert isinstance(trajs[2], NumericalError)
+        assert str(trajs[2]) == str(err.value)
+        assert trajs[2].last_estimate is err.value.last_estimate is None
+        full = self.stack(model, starts, self.rngs(5), 5000, 1e-8)
         for r in (0, 1, 3, 4):
-            assert tails[r][0] == full[r][0]
-            assert empirical_rate(tails[r][1]) == pytest.approx(empirical_rate(full[r][1]),
-                                                                rel=1e-12)
+            assert trajs[r].epochs == full[r].epochs
+            assert empirical_rate(trajs[r]) == pytest.approx(empirical_rate(full[r]), rel=1e-12)
 
     def test_zero_budget_and_converged_start_stop_at_epoch_zero(self):
         # like `run`, a replicate that takes no epoch draws no order
         model = PermInvariantQuadratic(10, 0.5)
         starts = np.vstack([np.ones(10), np.zeros(10)])
         rngs, fresh = self.rngs(2), self.rngs(2)
-        (stop, f_tail), zero = _rpcd_tails(model, starts, rngs, 0, 1e-8)
-        assert stop == 0 and f_tail == pytest.approx([objective(model, starts[0])], rel=1e-15)
-        assert zero[0] == 0 and np.array_equal(zero[1], [0.0])
+        first, zero = self.stack(model, starts, rngs, 0, 1e-8)
+        assert first.epochs == 0
+        assert first.f_per_epoch == pytest.approx([objective(model, starts[0])], rel=1e-15)
+        assert zero.epochs == 0 and np.array_equal(zero.f_per_epoch, [0.0])
         assert rngs[0].bit_generator.state == fresh[0].bit_generator.state
-        zero = _rpcd_tails(model, starts, rngs, 5, 1e-8)[1]
-        assert zero[0] == 0 and np.array_equal(zero[1], [0.0])
+        zero = self.stack(model, starts, rngs, 5, 1e-8)[1]
+        assert zero.epochs == 0 and np.array_equal(zero.f_per_epoch, [0.0])
         assert rngs[1].bit_generator.state == fresh[1].bit_generator.state
 
     def test_is_run_above_the_batch_bound(self):
-        n = _BATCH_MAX_N + 1
-        model = PermInvariantQuadratic(n, 0.5)
-        starts = np.random.default_rng(3).standard_normal((3, n))
-        tails = _rpcd_tails(model, starts, self.rngs(3), 40, 1e-8)
-        for (stop, f_tail), traj in zip(tails, self.runs(model, starts, self.rngs(3), 40, 1e-8)):
-            assert stop == traj.epochs
-            assert np.array_equal(f_tail, traj.f_per_epoch[-11:])
+        # above the bound, and for one start, the stack is the row loop of `run`
+        for n, count in [(_BATCH_MAX_N + 1, 3), (30, 1)]:
+            model = PermInvariantQuadratic(n, 0.5)
+            starts = np.random.default_rng(3).standard_normal((count, n))
+            trajs = self.stack(model, starts, self.rngs(count), 40, 1e-8)
+            for traj, ref in zip(trajs, self.runs(model, starts, self.rngs(count), 40, 1e-8)):
+                assert np.array_equal(traj.f_per_epoch, ref.f_per_epoch)
+                assert np.array_equal(traj.final_x, ref.final_x)
 
     def test_inputs_raise_as_run_does(self):
         model = PermInvariantQuadratic(4, 0.5)
         for args in [(np.ones(3), 5, 1e-8), (np.ones(4), -1, 1e-8), (np.ones(4), 5, -1.0)]:
             with pytest.raises(ValueError) as ours:
-                _rpcd_tails(model, [np.ones(4), args[0]], self.rngs(2), *args[1:])
+                self.stack(model, [np.ones(4), args[0]], self.rngs(2), *args[1:])
             with pytest.raises(ValueError) as theirs:
                 run(model, OrderingPolicy("rpcd"), args[0], max_epochs=args[1], tol=args[2])
             assert str(ours.value) == str(theirs.value)

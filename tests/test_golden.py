@@ -4,9 +4,11 @@ Each case runs in process through `cdlab.cli.main` and is compared with
 its file under tests/golden/.  Headers, keys, strings, integers, stderr
 and the exit status must match exactly; floats must match within 1e-12
 relative (NaN equals NaN), so the files survive a different BLAS.  A
-change that moves an output rewrites its file in the same diff.
+change that moves an output rewrites its file in the same diff, and
+`--report` names what moved before it does.
 
 # regenerate: PYTHONPATH=src python tests/test_golden.py
+# report:     PYTHONPATH=src python tests/test_golden.py --report
 """
 
 import contextlib
@@ -33,6 +35,7 @@ CASES = {
     "table1_n20_max_epochs5": "table1 --n 20 --delta 1.0 --delta 0.5 --max-epochs 5",
     "table1_n256": "table1 --n 256 --delta 0.5 --replicates 2",
     "table1_n300": "table1 --n 300 --delta 0.8 --replicates 2",
+    "table1_n30_replicates1": "table1 --n 30 --delta 0.5 --replicates 1",
     "figure_lu": "figure lu --epochs-budget 50",
     "figure_lu_n16_json": "figure lu --n 16 --epochs-budget 400 --seed 2 --format json",
     "figure_different_n": "figure different_n --epochs-budget 200",
@@ -122,6 +125,18 @@ def test_float_comparison_is_relative_and_nan_aware():
             assert_same(got, want)
 
 
+def test_report_names_the_largest_move_of_each_float_field():
+    want = {"rows": [{"f": 1.0, "n": 3, "v": "a"}, {"f": 2.0, "n": 4, "v": "a"}], "x": math.nan}
+    got = {"rows": [{"f": 1.0 + 2e-16, "n": 3, "v": "a"}, {"f": 2.0 + 2e-15, "n": 4, "v": "a"}],
+           "x": 1.0}
+    moves = {}
+    assert _moves(got, want, "", moves)
+    assert moves == {"rows.f": pytest.approx(1e-15), "x": math.inf}
+    for other in ({"rows": want["rows"][:1], "x": math.nan},
+                  {"rows": [{"f": 1.0, "n": 3, "v": "b"}, want["rows"][1]], "x": math.nan}):
+        assert not _moves(other, want, "", {})
+
+
 def regenerate() -> None:
     """Rewrite every golden file from the current code."""
     GOLDEN.mkdir(exist_ok=True)
@@ -135,5 +150,58 @@ def regenerate() -> None:
         print(f"{name}: exit {result['exit']}", file=sys.stderr)
 
 
+def _moves(got, want, field: str, moves: dict) -> bool:
+    """Largest relative move of each float field into `moves`; False if anything else differs.
+
+    A field is a CSV column or a JSON key path; the rows of a list share
+    their fields.  A float that turns NaN or leaves it moves by inf.
+    """
+    if isinstance(want, float) and isinstance(got, float):
+        if not (got == want or math.isnan(got) and math.isnan(want)):
+            move = abs(got - want) / abs(want) if want and not math.isnan(got - want) else math.inf
+            moves[field] = max(moves.get(field, 0.0), move)
+        return True
+    if isinstance(want, dict) and isinstance(got, dict) and list(got) == list(want):
+        return all([_moves(got[k], want[k], f"{field}.{k}".lstrip("."), moves) for k in want])
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return all([_moves(g, w, field, moves) for g, w in zip(got, want)])
+    return got == want
+
+
+def _records(parsed):
+    """CSV rows as dicts keyed by the header, so each column is a field; JSON as it is."""
+    if isinstance(parsed, list) and parsed and isinstance(parsed[0], list):
+        return [dict(zip(parsed[0], row)) for row in parsed[1:]]
+    return parsed
+
+
+def report() -> None:
+    """Regenerate every case in memory and print how it differs from its file; write nothing.
+
+    Per case: "byte-identical", or the largest relative move of each float
+    field that moved, and a note where an exit status, stderr or a
+    non-float value differs.
+    """
+    for name, command in CASES.items():
+        argv = command.split()
+        got = invoke(argv)
+        want = json.loads((GOLDEN / f"{name}.json").read_text())
+        want_out = "".join(want["stdout"])
+        notes = []
+        if got["exit"] != want["exit"] or got["stderr"] != "".join(want["stderr"]):
+            notes.append("exit status or stderr differs")
+        if got["stdout"] != want_out:
+            moves = {}
+            if not _moves(_records(_parse(got["stdout"], argv)), _records(_parse(want_out, argv)),
+                          "", moves):
+                notes.append("a non-float value or the layout differs")
+            notes += [f"{field} {move:.2g}" for field, move in moves.items()]
+            notes = notes or ["floats equal, text differs"]
+        print(f"{name}: {'; '.join(notes) or 'byte-identical'}")
+
+
 if __name__ == "__main__":
-    regenerate()
+    if sys.argv[1:] == ["--report"]:
+        report()
+    else:
+        regenerate()

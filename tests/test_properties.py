@@ -8,14 +8,18 @@ from cdlab import (
     NumericalError,
     OrderingPolicy,
     PermInvariantQuadratic,
+    brute_force_abar,
     build_log_uniform_spectrum,
     closed_form_C,
     empirical_rate,
+    epoch_map,
+    evolve,
     objective,
+    recurrence_coeffs,
     rho_C,
     run,
 )
-from cdlab.engine import _ROW_BLOCK, _cyclic_tail, _epoch_dense, _rpcd_tails
+from cdlab.engine import _ROW_BLOCK, _cyclic_tail, _epoch_dense, _runs
 from cdlab.quadratic import _objective_rows
 from conftest import eig_radius, simulate_epoch
 
@@ -149,23 +153,35 @@ def test_cyclic_tail_matches_run(case):
 
 
 @st.composite
-def rpcd_batches(draw):
-    """(model, starts, seeds, max_epochs, tol) for a batch of rpcd replicates.
-
-    One start may be nonfinite, so its replicate fails at epoch 0.
-    """
-    n = draw(st.integers(2, 64))
+def edge_points(draw, max_n):
+    """(n, delta) with n in [2, max_n] and delta = t n/(n-1), t log-close to 0 or to 1."""
+    n = draw(st.integers(2, max_n))
     gap = 10.0 ** draw(st.floats(-9.0, -0.3))
-    t = draw(st.sampled_from([gap, 1.0 - gap]))
-    model = PermInvariantQuadratic(n, t * n / (n - 1))
-    replicates = draw(st.integers(1, 6))
+    return n, draw(st.sampled_from([gap, 1.0 - gap])) * n / (n - 1)
+
+
+@st.composite
+def run_stacks(draw, variant="rpcd", dense=False):
+    """(model, policy, starts, seeds, max_epochs, tol) for 2-6 replicates of one ordering.
+
+    With more than one start, rpcd on the permutation-invariant model takes
+    the stacked product of `_runs`, rcd its row loop, and a dense model
+    `_epoch_dense` on a stack of columns.  One start may be nonfinite, so
+    its replicate fails at epoch 0.
+    """
+    n, delta = draw(edge_points(64))
+    model = PermInvariantQuadratic(n, delta)
+    if dense:
+        model = DenseQuadratic(model.matrix())
+    replicates = draw(st.integers(2, 6))
     seed = draw(st.integers(0, 2**32 - 1))
     starts = np.random.default_rng(seed).standard_normal((replicates, n))
     if draw(st.booleans()):
         starts[draw(st.integers(0, replicates - 1)), 0] = draw(st.sampled_from([np.nan, np.inf]))
     seeds = [[seed, r] for r in range(replicates)]
     max_epochs = draw(st.integers(0, 300))
-    return model, starts, seeds, max_epochs, 10.0 ** draw(st.floats(-14.0, -1.0))
+    return (model, OrderingPolicy(variant), starts, seeds, max_epochs,
+            10.0 ** draw(st.floats(-14.0, -1.0)))
 
 
 def _rngs(seeds):
@@ -173,52 +189,84 @@ def _rngs(seeds):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rpcd_batches())
+@given(st.one_of(run_stacks(), run_stacks("rcd"), run_stacks("rpcd", dense=True),
+                 run_stacks("rcd", dense=True)))
 def test_rpcd_batch_matches_run(case):
-    # the same generators give the same orders, so the batch must stop each
-    # replicate where `run` does, fail the same ones, and give its rate; f
-    # is compared where rounding of a different sum cannot dominate it
-    model, starts, seeds, max_epochs, tol = case
+    # the same generators give the same orders, so each replicate of a stack
+    # must stop where its own `run` does, fail as it does and give its rate;
+    # the rcd row loop is `run` bit for bit.  f is compared where rounding
+    # of a different sum cannot dominate it
+    model, policy, starts, seeds, max_epochs, tol = case
     with np.errstate(invalid="ignore"):  # f of a nonfinite start
-        tails = _rpcd_tails(model, starts, _rngs(seeds), max_epochs, tol)
-    for x0, rng, tail in zip(starts, _rngs(seeds), tails):
+        trajs = _runs(model, policy, starts, _rngs(seeds), max_epochs, tol)
+    row_loop = isinstance(model, PermInvariantQuadratic) and policy.kind == "rcd"
+    for x0, rng, traj in zip(starts, _rngs(seeds), trajs):
         try:
             with np.errstate(invalid="ignore"):
-                traj = run(model, OrderingPolicy("rpcd"), x0, max_epochs=max_epochs, tol=tol,
-                           seed=rng)
-        except NumericalError:
-            assert tail is None
+                ref = run(model, policy, x0, max_epochs=max_epochs, tol=tol, seed=rng)
+        except NumericalError as err:
+            assert isinstance(traj, NumericalError) and str(traj) == str(err)
+            assert traj.last_estimate == err.last_estimate
             continue
-        stop, f_tail = tail
-        assert stop == traj.epochs
-        f_run = traj.f_per_epoch[-len(f_tail):]
-        assert len(f_tail) == min(stop, 10) + 1
-        big = f_run >= 1e-10 * traj.f_per_epoch[0]
-        assert np.all(np.abs(f_tail - f_run)[big] <= 1e-11 * f_run[big])
-        rate, tail_rate = _rate_or_none(traj), _rate_or_none(f_tail)
-        assert (rate is None) == (tail_rate is None)
+        if row_loop:
+            assert np.array_equal(traj.f_per_epoch, ref.f_per_epoch)
+            assert np.array_equal(traj.final_x, ref.final_x)
+            continue
+        assert traj.epochs == ref.epochs
+        f, f_ref = traj.f_per_epoch, ref.f_per_epoch
+        big = f_ref >= 1e-10 * f_ref[0]
+        assert np.all(np.abs(f - f_ref)[big] <= 1e-11 * f_ref[big])
+        rate, stack_rate = _rate_or_none(ref), _rate_or_none(traj)
+        assert (rate is None) == (stack_rate is None)
         if rate is not None:
-            assert abs(tail_rate - rate) <= 1e-12 * rate
+            assert abs(stack_rate - rate) <= 1e-12 * rate
 
 
 @settings(max_examples=100, deadline=None)
-@given(rpcd_batches())
+@given(run_stacks())
 def test_rpcd_batch_epoch_matches_closed_form_C(case):
     # one epoch in visit order p is x[p] <- C x[p], C the closed form of
-    # every order's epoch map, so f after one batched epoch is f of that
-    model, starts, seeds, _, _ = case
-    finite = np.all(np.isfinite(starts), axis=1)
-    starts, seeds = starts[finite], [s for s, keep in zip(seeds, finite) if keep]
+    # every order's epoch map, so f after one stacked epoch is f of that
+    model, policy, starts, seeds, _, _ = case
     C = closed_form_C(model.n, model.delta)
-    for x0, rng, (stop, f_tail) in zip(starts, _rngs(seeds),
-                                       _rpcd_tails(model, starts, _rngs(seeds), 1, 0.0)):
+    with np.errstate(invalid="ignore"):
+        trajs = _runs(model, policy, starts, _rngs(seeds), 1, 0.0)
+    for x0, rng, traj in zip(starts, _rngs(seeds), trajs):
+        if isinstance(traj, NumericalError):
+            assert not np.all(np.isfinite(x0))
+            continue
         p = rng.permutation(model.n)
         x = x0.copy()
         x[p] = C @ x0[p]
         f = objective(model, x)
-        assert stop == 1
-        if f >= 1e-10 * f_tail[0]:
-            assert abs(f_tail[-1] - f) <= 1e-11 * f
+        assert traj.epochs == 1
+        if f >= 1e-10 * traj.f_per_epoch[0]:
+            assert abs(traj.f_per_epoch[-1] - f) <= 1e-11 * f
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_points(64), st.data())
+def test_closed_form_C_is_every_orders_epoch_map(point, data):
+    # the epoch map in visit order p is C scattered to rows and columns p
+    n, delta = point
+    p = data.draw(st.permutations(range(n)))
+    C = closed_form_C(n, delta)
+    expected = np.empty_like(C)
+    expected[np.ix_(p, p)] = C
+    got = epoch_map(PermInvariantQuadratic(n, delta), p)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(C).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_points(5), st.integers(0, 3))
+def test_recurrence_equals_brute_force(point, t):
+    # the permutation average after t epochs is eta I + nu 11'; compared in
+    # absolute terms, on the scale of A's entries (|A_ij| <= 1), because the
+    # float brute force cancels as delta -> 0
+    n, delta = point
+    eta, nu = evolve(recurrence_coeffs(n, delta), delta, t)[-1]
+    closed = eta * np.eye(n) + nu * np.ones((n, n))
+    assert np.abs(brute_force_abar(n, delta, t) - closed).max() <= 1e-12
 
 
 @st.composite
