@@ -358,7 +358,7 @@ _FLAGS = {
     "deltas": ("--delta", dict(type=float, action=_Repeated, metavar="DELTA",
                                help="delta value; repeat for several (default: the standard grid)")),
     "delta": ("--delta", dict(type=float, required=True)),
-    "seed": ("--seed", dict(type=int)),
+    "seed": ("--seed", dict(type=_LIMIT)),
     "replicates": ("--replicates", dict(type=_COUNT)),
     "tol": ("--tol", dict(type=_checked(float, lambda v: v > 0, "> 0"))),
     "max_epochs": ("--max-epochs", dict(type=_LIMIT)),
@@ -418,7 +418,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_command(figures, "expected", "one permutation-ordered run next to its closed form",
                  figure_expected)
     predict = _add_command(sub, "predict", "all rate predictors for one (n, delta)", cmd_predict)
-    predict.add_argument("--seed", type=int, default=0, help="ignored: predict draws nothing at random")
+    predict.add_argument("--seed", type=_LIMIT, default=0, help="ignored: predict draws nothing at random")
     _add_command(sub, "solve", "one trajectory as epoch/objective rows", cmd_solve)
     return parser
 

@@ -12,6 +12,7 @@ line search along coordinate i is always the unit step -(Ax)_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,8 +236,8 @@ def build_log_uniform_spectrum(n: int, condition: float, seed) -> DenseQuadratic
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if condition <= 1.0:
-        raise ValueError(f"condition must be > 1, got {condition}")
+    if not 1.0 < condition < math.inf:
+        raise ValueError(f"condition must be finite and > 1, got {condition}")
     rng = np.random.default_rng(seed)
     lam = np.empty(n)
     lam[0] = 1.0

@@ -97,12 +97,16 @@ class TestConfig:
         (["table1", "--max-epochs", "-1"], "must be >= 0, got -1"),
         (["figure", "lu", "--sequences", "0"], "must be >= 1, got 0"),
         (["figure", "lu", "--tol", "0"], "must be > 0, got 0"),
+        (["figure", "lu", "--condition", "inf"], "condition must be finite and > 1, got inf"),
         (["figure", "different_n", "--epochs-budget", "-1"], "must be >= 0, got -1"),
         (["figure", "expected", "--delta", "1.5"], "delta must lie in"),
         (["figure", "expected", "--max-epochs", "-1"], "must be >= 0, got -1"),
         (["figure", "bogus"], "invalid choice: 'bogus'"),
         (["predict", "--n", "1", "--delta", "0.5"], "n must be >= 2, got 1"),
         (["solve", "--delta", "0.5", "--tol", "0"], "must be > 0, got 0"),
+        (["solve", "--n", "10", "--delta", "0.5", "--seed", "-1"],
+         "argument --seed: must be >= 0, got -1"),
+        (["predict", "--delta", "0.5", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
         (["solve", "--delta", "-1e-3"], "delta must lie in (0, n/(n-1))"),
     ]])
     def test_invalid_value_is_usage_error(self, argv, message, capsys):

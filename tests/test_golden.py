@@ -52,6 +52,8 @@ CASES = {
     "error_table1_tol": "table1 --tol -1e-3",
     "error_figure_lu_delta": "figure lu --delta 0.1",
     "error_predict_n1": "predict --n 1 --delta 0.5",
+    "error_figure_lu_condition_inf": "figure lu --condition inf",
+    "error_solve_seed_negative": "solve --n 10 --delta 0.5 --seed -1",
 }
 
 

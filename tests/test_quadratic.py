@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -169,5 +171,6 @@ class TestLogUniformSpectrum:
         assert np.array_equal(a, b)
 
     def test_degenerate_condition_rejected(self):
-        with pytest.raises(ValueError):
-            build_log_uniform_spectrum(2, 1.0, 0)
+        for condition in (1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="condition must be finite and > 1"):
+                build_log_uniform_spectrum(2, condition, 0)

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -45,39 +44,37 @@ class TestRhoC:
         assert rho_C(50, 1.0) == 0.0
 
     def test_each_branch_matches_eigvals(self):
-        # the fixed point, the Newton fallback where the fixed point
-        # diverges (small n, delta >= 0.9), and the real root for delta > 1
+        # Newton's method for delta < 1, at moderate and large n and at
+        # small n near delta = 1, and the real root for delta > 1
         for n, delta in ((100, 0.2), (700, 0.03), (3, 0.95), (10, 0.999999), (40, 1.01),
                          (7, 1.0 + 1e-9)):
             ref = eig_radius(closed_form_C(n, delta))
             assert abs(rho_C(n, delta) - ref) <= 1e-11 * ref + 1e-13
 
-    @pytest.mark.parametrize("n, delta", [(10**5, 0.5), (10**6, 0.5), (10**6, 0.9)])
-    def test_newton_fallback_keeps_fixed_point_accuracy(self, n, delta):
-        # where both converge, the fallback agrees with the fixed point;
-        # |mu|^n alone is up to 3.9e-11 off here, and rounds to 1.0 at (1e6, 0.5)
-        from cdlab.rates import _rho_C_newton
-
-        got = _rho_C_newton(n, delta, cmath.exp(2j * math.pi / n))
-        assert abs(got - rho_C(n, delta)) <= 1e-14 * rho_C(n, delta)
-
-    @pytest.mark.parametrize("n, delta, root, rel, abs_", [
-        (10**6, 0.9999, "0.9980897209401161589241018754052390133892", 1e-12, math.inf),
-        (10**6, 1.0 - 1e-12, "5.889382638207808885757932033597090238285e-8", math.inf, 1e-11),
+    # |lambda| for the root reached from mu = 1, to 40 digits: Newton on
+    # mu^n - delta w mu^(n-1) + delta - 1 at 60 digits (mpmath) from the
+    # float delta, checked against eigvals at n = 1000, and at n = 4
+    # against every root of the degree-4 polynomial (mpmath polyroots).
+    @pytest.mark.parametrize("n, delta, root", [
+        pytest.param(10**5, 0.5, "0.9999999960522766971232826533474551057502", id="1e5-0.5"),
+        pytest.param(10**6, 0.5, "0.9999999999605217008331261845484262880879", id="1e6-0.5"),
+        pytest.param(10**6, 0.9, "0.9999999982235191779575227955137005373166", id="1e6-0.9"),
     ])
-    def test_newton_near_delta_one_keeps_pinned_accuracy(self, n, delta, root, rel, abs_):
-        # |lambda| for the root reached from mu = 1, to 40 digits: Newton on
-        # mu^n - delta w mu^(n-1) + delta - 1 at 60 digits (mpmath) from the
-        # float delta, checked against eigvals at n = 1000.  As delta -> 1
-        # the lambda polish is ill-conditioned; today it is 5.6e-13 relative
-        # off at the first point, and 5.1e-12 absolute (8.7e-5 relative) at
-        # the second.  A fix tightens these bounds.
-        from cdlab.rates import _rho_C_newton
+    def test_large_n_matches_40_digit_roots(self, n, delta, root):
+        # |mu|^n alone is up to 3.9e-11 off here, and rounds to 1.0 at (1e6, 0.5)
+        assert abs(rho_C(n, delta) - float(root)) <= 1e-14 * float(root)
 
-        got = _rho_C_newton(n, delta, cmath.exp(2j * math.pi / n))
-        assert got == rho_C(n, delta)
-        assert abs(got - float(root)) <= rel * float(root)
-        assert abs(got - float(root)) <= abs_
+    @pytest.mark.parametrize("n, delta, root, rel", [
+        (10**6, 0.9999, "0.9980897209401161589241018754052390133892", 1e-12),
+        (10**6, 1.0 - 1e-12, "5.889382638207808885757932033597090238285e-8", 1e-10),
+        (4, 1.0 - 1e-12, "1.000037165357129923222169690380252626618e-16", 1e-13),
+        (100, 1.0 - 1e-12, "3.278557910535054031299217885015053085421e-12", 1e-13),
+    ])
+    def test_newton_near_delta_one_keeps_pinned_accuracy(self, n, delta, root, rel):
+        # As delta -> 1, lambda -> 0, and the lambda polish keeps lambda's
+        # low bits only by adding delta - 1 as one term.  These points read
+        # 5.4e-13, 1.8e-11, 9.7e-17 and 1.1e-15 relative.
+        assert abs(rho_C(n, delta) - float(root)) <= rel * float(root)
 
     def test_rejects_delta_outside_window(self):
         for n, delta in ((100, 0.0), (100, 100 / 99), (1, 0.5)):
@@ -87,7 +84,6 @@ class TestRhoC:
     def test_nonconvergence_raises(self, monkeypatch):
         import cdlab.rates as rates
 
-        monkeypatch.setattr(rates, "_FIXED_POINT_ITERATIONS", 3)
         monkeypatch.setattr(rates, "_NEWTON_ITERATIONS", 2)
         with pytest.raises(NumericalError):
             rho_C(3, 0.95)
