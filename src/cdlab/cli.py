@@ -370,9 +370,10 @@ _FLAGS = {
 }
 
 
-# An argument that starts with "-" and a digit is a value, so a negative
-# one reaches its domain check; argparse's own matcher misses -1e-3.
-_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+# An argument that is "-" and a number (a digit, or any case of inf,
+# infinity or nan) is a value, so a negative one reaches its domain check;
+# argparse's own matcher misses -1e-3 and -inf.
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
 
 @functools.cache  # main() rebuilds the parser per call; each signature costs ~20 us

@@ -31,6 +31,12 @@ about 1 MB (n <= 256) `_runs` builds M, M^2, ..., M^K once and advances
 K epochs with one matrix-vector product, stopping at the first epoch
 that reaches the tolerance.
 
+Random orders are drawn a chunk of epochs per generator call
+(`_Orders`), about 1 us per rcd epoch at n = 100 against 8-10 us for a
+call per epoch.  The orders, and the state each generator is left in,
+are those of one rng.integers(0, n, size=n) (rcd) or rng.permutation(n)
+(rpcd) call per epoch.
+
 A rate over the last epochs of a cyclic run needs only its stop epoch
 and those epochs.  Where the block path would run, `_cyclic_tail` finds
 both from the powers M^(2^j), built by squaring, in O(log L) matrix
@@ -111,6 +117,17 @@ _BATCH_MAX_N = 192
 # n = 1000, where gathering the rows A[R] costs as much as the product.
 _ROW_BLOCK = 8
 
+# Most entries in one replicate's chunk of drawn orders (`_Orders`): a
+# chunk holds up to 2048 // n epochs, 20 at n = 100 and one from n = 1025
+# on.  On a 2-core host at n = 100 an epoch's order cost 10.3 us (rcd) and
+# 7.2 us (rpcd) drawn one epoch per call, 1.6 and 2.5 us at 1024 entries,
+# 1.2 and 2.3 at 2048 and 0.9-1.1 and 2.0-2.4 at 4096-8192.  Table 1
+# holds 20 chunks at a time.  Ten default table1 passes in one process
+# peaked at 38.63 MB drawing one epoch per call and at 38.74-38.77 MB with
+# 1024-2048 entries (medians of 5 processes); in the benchmark 4096 and
+# 8192 entries read 0.25 and 0.4 MB above 2048.
+_ORDER_CHUNK = 2048
+
 
 @dataclass(frozen=True)
 class OrderingPolicy:
@@ -176,14 +193,48 @@ def derive_seed(base_seed, *indices) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(base_seed), *[int(i) for i in indices]])
 
 
-def _epoch_order(policy: OrderingPolicy, n: int, rng: np.random.Generator) -> list[int]:
-    if policy.kind == "ccd":
-        return list(range(n))
-    if policy.kind == "fixed_permutation":
-        return list(policy.perm)
-    if policy.kind == "rpcd":
-        return rng.permutation(n).tolist()
-    return rng.integers(0, n, size=n).tolist()
+class _Orders:
+    """One replicate's coordinate orders, drawn a chunk of epochs per generator call.
+
+    A fixed order is returned every epoch and draws nothing.  rcd draws
+    rng.integers(0, n, size=(k, n)) and rpcd rng.permuted of k rows of
+    arange(n), k = 1, 2, 4, ... up to `_ORDER_CHUNK` // n epochs; numpy
+    gives the same rows, and leaves the same state, as k single-epoch
+    calls.  For a replicate that leaves inside a chunk, `close` restores
+    the state saved before it and redraws the epochs used.
+    """
+
+    def __init__(self, policy: OrderingPolicy, n: int, rng: np.random.Generator):
+        self.kind, self.n, self.rng = policy.kind, n, rng
+        self.fixed = None if policy.kind in ("rcd", "rpcd") else np.array(policy.perm or range(n))
+        self.k = 1  # epochs of the next chunk
+        self.chunk, self.used, self.state = None, 0, None
+
+    def _draw(self, k: int) -> np.ndarray:
+        if self.kind == "rcd":
+            return self.rng.integers(0, self.n, size=(k, self.n))
+        rows = np.tile(np.arange(self.n), (k, 1))
+        return self.rng.permuted(rows, axis=1, out=rows)
+
+    def next(self) -> np.ndarray:
+        """The next epoch's order, as an array of n indices."""
+        if self.fixed is not None:
+            return self.fixed
+        if self.chunk is None or self.used == len(self.chunk):
+            # a one-epoch chunk is used up by its first call, so never restored
+            self.state = self.rng.bit_generator.state if self.k > 1 else None
+            self.chunk, self.used = self._draw(self.k), 0
+            self.k = min(2 * self.k, max(1, _ORDER_CHUNK // self.n))
+        self.used += 1
+        return self.chunk[self.used - 1]
+
+    def close(self) -> None:
+        """Leave the generator where drawing only the orders used leaves it; drop the chunk."""
+        if self.chunk is not None and self.used < len(self.chunk):
+            self.rng.bit_generator.state = self.state
+            if self.used:
+                self._draw(self.used)
+        self.chunk = None
 
 
 def _epoch_perm_invariant(x: np.ndarray, delta: float, order: list[int]) -> None:
@@ -296,8 +347,11 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     tol, seed=rngs[r]), or the NumericalError that run would raise (same
     message and last_estimate); run's ValueError for any start is raised.
     Each epoch advances every active replicate once; a replicate leaves at
-    its stop epoch or its first nonfinite f, and one that takes no epoch
-    draws no order.  The kernel follows from the input:
+    its stop epoch, its first nonfinite f or the budget.  Its orders come
+    from `_Orders`, a chunk of epochs per call of rngs[r]; when it leaves,
+    rngs[r] is where drawing its orders one epoch per call leaves it, so
+    one that takes no epoch draws nothing.  The kernel follows from the
+    input:
 
     - a fixed order where `_block_epochs(n) >= 2` (n <= 256): `_run_blocks`
       per replicate, K epochs per product with one epoch map;
@@ -325,6 +379,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     X = np.array([_checked_start(model, policy, x0, max_epochs, tol) for x0 in starts])
     X = X.reshape(len(starts), n)
     rows = list(X)  # views; indexing a list is cheaper than X[r] in the row loop
+    orders = [_Orders(policy, n, rng) for rng in rngs]
     if perm_invariant and policy.kind == "rpcd" and len(X) > 1 and n <= _BATCH_MAX_N:
         # (1-delta) folded into p and T; row k of T is p shifted right by k
         p = (1.0 - model.delta) * model.delta ** np.arange(n, dtype=float)
@@ -336,7 +391,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
         f0 = _objective_rows(model, X).tolist()
 
         def step(active):
-            idx = np.array([rngs[r].permutation(n) for r in active])
+            idx = np.array([orders[r].next() for r in active])
             idx += n * np.array(active)[:, None]
             Y = flat[idx]
             s = Y.sum(axis=1)
@@ -351,7 +406,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
         def step(active):
             f = []
             for r in active:
-                _epoch_perm_invariant(rows[r], delta, _epoch_order(policy, n, rngs[r]))
+                _epoch_perm_invariant(rows[r], delta, orders[r].next().tolist())
                 f.append(objective(model, rows[r]))
             return f
     else:
@@ -359,7 +414,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
 
         def step(active):
             G = X[active, :, None]
-            _epoch_dense(G, model.A, np.array([_epoch_order(policy, n, rngs[r]) for r in active]))
+            _epoch_dense(G, model.A, np.array([orders[r].next() for r in active]))
             X[active] = G[..., 0]
             return [objective(model, rows[r]) for r in active]
 
@@ -370,7 +425,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
            for f in f0]
     active = [r for r, f in enumerate(f0) if out[r] is None and f > tol and max_epochs > 0]
     if policy.kind in ("ccd", "fixed_permutation") and _block_epochs(n) >= 2 and active:
-        M = epoch_map(model, _epoch_order(policy, n, None))
+        M = epoch_map(model, policy.perm)
         for r in active:
             try:
                 rows[r][:] = _run_blocks(model, M, rows[r], max_epochs, tol, fs[r])[0]
@@ -389,7 +444,11 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
                 fs[r].append(f)
                 if f > tol:
                     still.append(r)
+                    continue
+            orders[r].close()
         active = still
+    for r in active:
+        orders[r].close()
     return [err or Trajectory(f_per_epoch=np.array(f), final_x=x)
             for err, f, x in zip(out, fs, rows)]
 
@@ -408,9 +467,12 @@ def run(
     `_objective_rows` on the block path) and stops as soon as
     f(x^{l*n}) <= tol or the epoch budget is exhausted.  Deterministic
     for a fixed seed: the only randomness is the per-epoch coordinate
-    order drawn from the seeded generator.  The iterate after k epochs is
-    run(..., max_epochs=k, tol=0.0).final_x.  This is `_runs` with one
-    start, so a seeded replicate of a stacked run is this run.
+    order drawn from the seeded generator.  Orders are drawn a chunk of
+    epochs per generator call, and each epoch's order, and the state the
+    generator is left in, are those of one rng.integers(0, n, size=n)
+    (rcd) or rng.permutation(n) (rpcd) call per epoch.  The iterate after
+    k epochs is run(..., max_epochs=k, tol=0.0).final_x.  This is `_runs`
+    with one start, so a seeded replicate of a stacked run is this run.
 
     A fixed order (`ccd` or a fixed permutation) at n <= 256 runs as
     blocks of stacked powers of its epoch map (see the module

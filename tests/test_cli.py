@@ -98,6 +98,12 @@ class TestConfig:
         (["figure", "lu", "--sequences", "0"], "must be >= 1, got 0"),
         (["figure", "lu", "--tol", "0"], "must be > 0, got 0"),
         (["figure", "lu", "--condition", "inf"], "condition must be finite and > 1, got inf"),
+        (["figure", "lu", "--condition", "-inf"], "condition must be finite and > 1, got -inf"),
+        (["figure", "lu", "--condition", "-INF"], "condition must be finite and > 1, got -inf"),
+        (["table1", "--tol", "-inf"], "argument --tol: must be > 0, got -inf"),
+        (["table1", "--tol", "-nan"], "argument --tol: must be > 0, got -nan"),
+        (["table1", "--n", "-inf"], "argument --n: invalid int value: '-inf'"),
+        (["solve", "--delta", "-Infinity"], "delta must lie in (0, n/(n-1))"),
         (["figure", "different_n", "--epochs-budget", "-1"], "must be >= 0, got -1"),
         (["figure", "expected", "--delta", "1.5"], "delta must lie in"),
         (["figure", "expected", "--max-epochs", "-1"], "must be >= 0, got -1"),
@@ -110,7 +116,8 @@ class TestConfig:
         (["solve", "--delta", "-1e-3"], "delta must lie in (0, n/(n-1))"),
     ]])
     def test_invalid_value_is_usage_error(self, argv, message, capsys):
-        # a negative value in exponent notation reaches its domain check too
+        # a negative value in exponent notation, or -inf, -infinity or -nan in
+        # any case, reaches its domain check too
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,14 @@ from cdlab import (
     run,
 )
 import cdlab.engine as engine
-from cdlab.engine import _BATCH_MAX_N, _block_epochs, _cyclic_tail, _runs
+from cdlab.engine import (
+    _BATCH_MAX_N,
+    _ORDER_CHUNK,
+    _block_epochs,
+    _cyclic_tail,
+    _epoch_perm_invariant,
+    _runs,
+)
 from conftest import simulate_epoch
 
 
@@ -444,6 +453,161 @@ class TestRpcdTails:
             with pytest.raises(ValueError) as theirs:
                 run(model, OrderingPolicy("rpcd"), args[0], max_epochs=args[1], tol=args[2])
             assert str(ours.value) == str(theirs.value)
+
+
+def _chunk_points(n):
+    """Epoch counts around the order chunks of `_runs` at dimension n.
+
+    k = `_ORDER_CHUNK` // n is the full chunk: 0, 1, k-1, k, k+1 and 2k+1,
+    and each end of the first four growing chunks (1, 3, 7, 15) and the
+    epoch after it.
+    """
+    k = max(1, _ORDER_CHUNK // n)
+    return sorted({0, 1, k - 1, k, k + 1, 2 * k + 1, 2, 3, 4, 7, 8, 15, 16})
+
+
+def _stop_near(fs, e):
+    """(j, tol): the first epoch j >= e where f drops, and a tol at which a run from fs stops at j.
+
+    An rcd epoch that visits only the coordinate stepped last leaves f
+    unchanged (at n = 2, one epoch in four), and no tol stops a run there.
+    """
+    j = next(j for j in range(e, len(fs)) if j == 0 or fs[j - 1] > fs[j])
+    return j, 2.0 * fs[0] if j == 0 else math.sqrt(fs[j - 1] * fs[j])
+
+
+def _oracle(model, kind, x0, rng, epochs):
+    """f per epoch, iterates and generator states of a run drawing one order per epoch.
+
+    Each epoch draws rng.integers(0, n, size=n) (rcd) or rng.permutation(n)
+    (rpcd) and steps `_epoch_perm_invariant`; entry e of each list is after
+    e epochs.
+    """
+    n = model.n
+    x = np.array(x0, dtype=float)
+    fs, xs, states = [objective(model, x)], [x.copy()], [rng.bit_generator.state]
+    for _ in range(epochs):
+        order = rng.integers(0, n, size=n) if kind == "rcd" else rng.permutation(n)
+        _epoch_perm_invariant(x, model.delta, order.tolist())
+        fs.append(objective(model, x))
+        xs.append(x.copy())
+        states.append(rng.bit_generator.state)
+    return fs, xs, states
+
+
+class TestChunkedOrders:
+    """Orders drawn a chunk at a time are the per-epoch draws, and leave the generator there.
+
+    The oracle draws one order per epoch.  Against it, the row loop is
+    equal bit for bit; the stacked rpcd product (n <= `_BATCH_MAX_N`, more
+    than one start) and the dense kernel equal it to rounding.  The
+    generator state is equal on every path.
+    """
+
+    DELTA = 1e-3  # slow enough that f stays far above 0 over 2k+1 epochs at n = 2
+
+    @staticmethod
+    def assert_matches(traj, fs, x, exact):
+        if exact:
+            assert np.array_equal(traj.f_per_epoch, fs)
+            assert np.array_equal(traj.final_x, x)
+        else:
+            assert traj.epochs == len(fs) - 1
+            assert np.allclose(traj.f_per_epoch, fs, rtol=1e-12, atol=0.0)
+            assert np.abs(traj.final_x - x).max() <= 1e-12 * np.abs(x).max()
+
+    @pytest.mark.parametrize("kind", ["rcd", "rpcd"])
+    @pytest.mark.parametrize("n", [2, 7, 100, _BATCH_MAX_N + 1, 300])
+    def test_budget_and_stop_at_chunk_points(self, n, kind):
+        model, policy = PermInvariantQuadratic(n, self.DELTA), OrderingPolicy(kind)
+        x0 = np.random.default_rng(n).standard_normal(n)
+        points = _chunk_points(n)
+        fs, xs, states = _oracle(model, kind, x0, np.random.default_rng([n, 1]), points[-1] + 1)
+        for e in points:
+            rng = np.random.default_rng([n, 1])
+            traj = run(model, policy, x0, max_epochs=e, tol=0.0, seed=rng)
+            self.assert_matches(traj, fs[: e + 1], xs[e], exact=True)
+            assert rng.bit_generator.state == states[e]
+            stop, tol = _stop_near(fs, e)
+            rng = np.random.default_rng([n, 1])
+            traj = run(model, policy, x0, max_epochs=len(fs) - 1, tol=tol, seed=rng)
+            self.assert_matches(traj, fs[: stop + 1], xs[stop], exact=True)
+            assert rng.bit_generator.state == states[stop]
+
+    @pytest.mark.parametrize("kind", ["rcd", "rpcd"])
+    @pytest.mark.parametrize("n, dense", [(2, False), (7, False), (100, False),
+                                          (_BATCH_MAX_N + 1, False), (300, False),
+                                          (2, True), (7, True), (100, True)])
+    def test_stack_stops_at_different_epochs(self, n, kind, dense):
+        # replicate r's start is scaled so that it stops at tol = 1 near
+        # targets[r] (`_stop_near`); the last one runs to the budget
+        model, policy = PermInvariantQuadratic(n, self.DELTA), OrderingPolicy(kind)
+        k = max(1, _ORDER_CHUNK // n)
+        budget = 2 * k + 1
+        targets = [0, 1, k - 1, k, k + 1]
+        base = np.random.default_rng(n).standard_normal((len(targets) + 1, n))
+        starts, stops = [], []
+        for r, target in enumerate(targets):
+            fs = _oracle(model, kind, base[r], np.random.default_rng([n, r]), budget)[0]
+            stop, tol = _stop_near(fs, target)
+            starts.append(base[r] / math.sqrt(tol))  # f scales with x^2: f drops below 1 at stop
+            stops.append(stop)
+        fs = _oracle(model, kind, base[-1], np.random.default_rng([n, len(targets)]), budget)[0]
+        starts.append(base[-1] * 2.0 / math.sqrt(fs[-1]))
+        stops.append(budget)
+        rngs = [np.random.default_rng([n, r]) for r in range(len(starts))]
+        run_model = DenseQuadratic(model.matrix()) if dense else model
+        trajs = _runs(run_model, policy, starts, rngs, budget, 1.0)
+        exact = not dense and (kind == "rcd" or n > _BATCH_MAX_N)
+        for r, stop in enumerate(stops):
+            fs, xs, states = _oracle(model, kind, starts[r], np.random.default_rng([n, r]), stop)
+            assert all(f > 1.0 for f in fs[:-1]) and (fs[-1] <= 1.0 or stop == budget)
+            self.assert_matches(trajs[r], fs[: stop + 1], xs[stop], exact)
+            assert rngs[r].bit_generator.state == states[stop]
+
+    @pytest.mark.parametrize("kind", ["rcd", "rpcd"])
+    @pytest.mark.parametrize("n, dense", [(7, False), (100, False), (300, False),
+                                          (7, True), (100, True)])
+    def test_nonfinite_f_leaves_generator_after_its_epoch(self, n, kind, dense, monkeypatch):
+        # the f of replicate 1 after epoch `bad` is NaN: it fails there, and
+        # its generator has drawn exactly `bad` orders
+        model, policy = PermInvariantQuadratic(n, self.DELTA), OrderingPolicy(kind)
+        k = max(1, _ORDER_CHUNK // n)
+        count, budget = 3, 2 * k + 1
+        starts = np.random.default_rng(n).standard_normal((count, n))
+        run_model = DenseQuadratic(model.matrix()) if dense else model
+        for bad in sorted({1, k - 1, k, k + 1} - {0}):
+            seen = [0]  # f evaluated so far; every replicate is active until `bad`
+            poison = count * bad + 1
+
+            def rows(model, Y, _rows=engine._objective_rows):
+                f = _rows(model, Y)
+                if seen[0] <= poison < seen[0] + len(f):
+                    f[poison - seen[0]] = np.nan
+                seen[0] += len(f)
+                return f
+
+            def one(model, x, _one=engine.objective):
+                seen[0] += 1
+                return np.nan if seen[0] - 1 == poison else _one(model, x)
+
+            rngs = [np.random.default_rng([n, r]) for r in range(count)]
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_objective_rows", rows)
+                patch.setattr(engine, "objective", one)
+                trajs = _runs(run_model, policy, starts, rngs, budget, 0.0)
+            exact = not dense and (kind == "rcd" or n > _BATCH_MAX_N)
+            for r in range(count):
+                fs, xs, states = _oracle(model, kind, starts[r], np.random.default_rng([n, r]),
+                                         budget)
+                if r == 1:
+                    assert isinstance(trajs[r], NumericalError)
+                    assert str(trajs[r]) == f"nonfinite objective after {bad * n} iterations"
+                    assert trajs[r].last_estimate == pytest.approx(fs[bad - 1], rel=1e-12)
+                    assert rngs[r].bit_generator.state == states[bad]
+                else:
+                    self.assert_matches(trajs[r], fs, xs[-1], exact)
+                    assert rngs[r].bit_generator.state == states[-1]
 
 
 class TestEpochMatrix:

@@ -7,10 +7,14 @@ relative (NaN equals NaN), so the files survive a different BLAS.  A
 change that moves an output rewrites its file in the same diff, and
 `--report` names what moved before it does.
 
-# regenerate: PYTHONPATH=src python tests/test_golden.py
 # report:     PYTHONPATH=src python tests/test_golden.py --report
+# regenerate: PYTHONPATH=src python tests/test_golden.py --regenerate NAME [NAME ...]
+
+`--regenerate` rewrites only the named cases, so a change rewrites just
+the files whose output it moved.  A bare invocation is a usage error.
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -18,6 +22,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -139,11 +144,20 @@ def test_report_names_the_largest_move_of_each_float_field():
         assert not _moves(other, want, "", {})
 
 
-def regenerate() -> None:
-    """Rewrite every golden file from the current code."""
+def test_bare_invocation_is_usage_error():
+    # the script rewrites files only for the cases it is given by name
+    env = {**os.environ, "PYTHONPATH": str(GOLDEN.parent.parent / "src")}
+    for args in ([], ["--regenerate"], ["--regenerate", "no_such_case"]):
+        done = subprocess.run([sys.executable, __file__, *args], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 2 and "usage:" in done.stderr
+
+
+def regenerate(names) -> None:
+    """Rewrite the golden files of the named cases from the current code."""
     GOLDEN.mkdir(exist_ok=True)
-    for name, command in CASES.items():
-        argv = command.split()
+    for name in names:
+        argv = CASES[name].split()
         result = invoke(argv)
         record = {"argv": argv, "exit": result["exit"],
                   "stderr": result["stderr"].splitlines(keepends=True),
@@ -203,7 +217,14 @@ def report() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--report"]:
+    parser = argparse.ArgumentParser(description="Report or rewrite the golden CLI outputs.")
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--report", action="store_true",
+                        help="print how each case differs from its file; write nothing")
+    action.add_argument("--regenerate", nargs="+", metavar="NAME", choices=list(CASES),
+                        help="rewrite the files of these cases")
+    args = parser.parse_args()
+    if args.report:
         report()
     else:
-        regenerate()
+        regenerate(args.regenerate)
