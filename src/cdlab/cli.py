@@ -38,6 +38,7 @@ import inspect
 import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -80,6 +81,12 @@ __all__ = [
 ]
 
 TABLE1_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
+
+# `figure_lu` evaluates its permutation products exactly once a carried E f
+# falls to 1/2 of its last exact value.  Each value stays above half the one
+# it is carried from, so K decrements hold about 2K*eps of it in rounding; a
+# pure decrement drifts to about eps*f0/f, 1.1e-7 relative at the defaults.
+_REANCHOR = 0.5
 
 
 def _seeded_start(n, variant, seed, stream, replicate=0, x0="gaussian"):
@@ -196,8 +203,11 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
     standard deviation (NaN for one sequence).  The permutation products
     are one (sequences, n, n) stack that `_epoch_dense` advances in
     place, every product in its own order, a block of coordinate rows at
-    a time, so a run builds one epoch map, C.  Stops at the epoch budget
-    or when both curves fall below tol.
+    a time, so a run builds one epoch map, C.  Each product's E f is the
+    previous one minus the decrease of f `_epoch_dense` returns, and is
+    re-anchored by `expected_over_x0` of the stack whenever a value falls
+    to `_REANCHOR` of its last exact one.  Stops at the epoch budget or
+    when both curves fall below tol.
     """
     if sequences < 1:
         raise ValueError(f"sequences must be >= 1, got {sequences}")
@@ -212,12 +222,15 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
 
     G_ccd = np.eye(n)
     G_seqs = np.tile(G_ccd, (sequences, 1, 1))
-    rows = [row(0, f0, np.full(sequences, f0))]
+    rpcd_vals = exact = np.full(sequences, f0)
+    rows = [row(0, f0, rpcd_vals)]
     for epoch in range(1, epochs_budget + 1):
         G_ccd = C @ G_ccd
         ccd_val = expected_over_x0(model, G_ccd)
-        _epoch_dense(G_seqs, model.A, np.array([rng.permutation(n) for rng in seq_rngs]))
-        rpcd_vals = expected_over_x0(model, G_seqs)
+        rpcd_vals = rpcd_vals - _epoch_dense(G_seqs, model.A,
+                                             np.array([rng.permutation(n) for rng in seq_rngs]))
+        if np.any(rpcd_vals <= _REANCHOR * exact):
+            rpcd_vals = exact = expected_over_x0(model, G_seqs)
         rows.append(row(epoch, ccd_val, rpcd_vals))
         if ccd_val <= tol and np.mean(rpcd_vals) <= tol:
             break
@@ -348,6 +361,8 @@ class _Repeated(argparse.Action):
 
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _LIMIT = _checked(int, lambda v: v >= 0, ">= 0")
+_OUTPUT = _checked(str, lambda p: os.path.isdir(os.path.dirname(p) or ".") and not os.path.isdir(p),
+                   "a file in an existing directory")  # checked before the command runs
 
 # Every flag once, under the name of the parameter it fills and of its
 # JSON config echo, with the domain of its values.  A command function's
@@ -398,7 +413,7 @@ def _add_command(sub, name: str, help: str, func):
             kwargs = dict(kwargs, required=False, default=default)
         p.add_argument(option, dest=flag, **kwargs)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None, metavar="PATH")
+    p.add_argument("--output", type=_OUTPUT, default=None, metavar="PATH")
     p.set_defaults(func=func, reads=tuple(params))
     return p
 

@@ -24,12 +24,14 @@ checks, the stop at f <= tol or the epoch budget and the nonfinite-f
 failure; its docstring lists the kernel each input takes.  For the
 dense model the one epoch kernel, `_epoch_dense`, advances a stack of
 matrices, each slice in its own order, a block of `_ROW_BLOCK` visited
-rows per pair of batched products (`figure lu` passes its
-permutation-ordered epoch products).  A fixed order makes every epoch
-the same map M, so when a block of at least two n x n maps fits in
-about 1 MB (n <= 256) `_runs` builds M, M^2, ..., M^K once and advances
-K epochs with one matrix-vector product, stopping at the first epoch
-that reaches the tolerance.
+rows per pair of batched products, with the blocks' triangular inverses
+by squaring, not LAPACK.  It returns each slice's decrease of f, by which
+`figure lu` carries E f of its permutation-ordered epoch products between
+exact evaluations.  A fixed order makes every epoch the same map M, so
+when a block of at least two n x n maps fits in about 1 MB (n <= 256)
+`_runs` builds M, M^2, ..., M^K once and advances K epochs with one
+matrix-vector product, stopping at the first epoch that reaches the
+tolerance.
 
 Random orders are drawn a chunk of epochs per generator call
 (`_Orders`), about 1 us per rcd epoch at n = 100 against 8-10 us for a
@@ -103,18 +105,16 @@ _POWER_FLOOR = 2.0**-960
 # products over two threads and waits on the descheduled one.
 _BATCH_MAX_N = 192
 
-# Visits per row block of the dense epoch kernel `_epoch_dense`.  On a
-# 2-core host, one epoch of a (10, 100, 100) stack took 1.2 ms at 8
-# against 1.3-1.7 ms at 4, 6, 10, 12 and 16 and 4.2 ms for a row-by-row
-# loop; at n = 300 blocks of 16-32 took 27 ms, 8 took 33 ms and the loop
-# 63 ms.  `figure lu` with 10 sequences took 2.5 ms per epoch at n = 100
-# (5.7 ms row by row) and 44 ms at n = 300 (63 ms) idle, and 2.3 ms
-# (5.8 ms) and 96 ms (128 ms) with the other core running a Python spin
-# loop: at n = 300 OpenBLAS splits the products over both cores and
-# waits on the descheduled thread, for both kernels.  One iterate
-# (`run`'s dense model, a stack of one column) gains nothing: an epoch
-# took 1.0-1.3 times the loop's time at n = 100 and 1.1-1.3 times at
-# n = 1000, where gathering the rows A[R] costs as much as the product.
+# Visits per row block of the dense epoch kernel `_epoch_dense`.  With the
+# inverses by squaring, one epoch of a (10, 100, 100) stack on a 2-core host
+# took 1.31-1.37 ms at 8, the fastest in both of two sweeps, against
+# 1.35-1.65 ms at 4, 6, 10, 12 and 16; at n = 300 blocks of 24-32 took
+# 21-23 ms, 16 took 26 ms and 8 took 33 ms.  A row-by-row loop took 4.2 ms
+# and 63 ms.  At n = 300 OpenBLAS splits the products over both cores and
+# waits on a descheduled thread when the other core is busy.  One iterate
+# (`run`'s dense model, a stack of one column) gains nothing: an epoch took
+# 1.0-1.3 times the loop's time at n = 100 and 1.1-1.3 times at n = 1000,
+# where gathering the rows A[R] costs as much as the product.
 _ROW_BLOCK = 8
 
 # Most entries in one replicate's chunk of drawn orders (`_Orders`): a
@@ -237,10 +237,10 @@ class _Orders:
         self.chunk = None
 
 
-def _epoch_perm_invariant(x: np.ndarray, delta: float, order: list[int]) -> None:
-    # Hot loop: plain Python floats; the coordinate sum makes each update
-    # O(1) and is recomputed from x every epoch to stop drift.
-    xs = x.tolist()
+def _epoch_perm_invariant(xs: list[float], delta: float, order: list[int]) -> None:
+    # Hot loop on plain Python floats, in place on the iterate's list xs;
+    # the coordinate sum makes each update O(1) and is recomputed from xs
+    # every epoch to stop drift.
     s = sum(xs)
     off = 1.0 - delta
     for i in order:
@@ -248,27 +248,39 @@ def _epoch_perm_invariant(x: np.ndarray, delta: float, order: list[int]) -> None
         g = delta * xi + off * s
         xs[i] = xi - g
         s -= g
-    x[:] = xs
 
 
-def _epoch_dense(G: np.ndarray, A: np.ndarray, orders: np.ndarray) -> None:
+def _unit_lower_inverse(N: np.ndarray) -> np.ndarray:
+    """(I + N)^{-1} = (I - N)(I + N^2)(I + N^4)... for a stack of strictly lower N (..., b, b).
+
+    N^b = 0 ends the product: at b = 8, two squarings and two products.
+    """
+    W, P, k = np.eye(N.shape[-1]) - N, N, 2
+    while k < N.shape[-1]:
+        P = P @ P
+        W = W + W @ P
+        k *= 2
+    return W
+
+
+def _epoch_dense(G: np.ndarray, A: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """One epoch in place on every slice of a stack G (S, n, m), slice s in order orders[s].
 
-    With unit diagonal the exact step on coordinate i is G[s, i] -= A[i] @ G[s].
-    The visits are taken `_ROW_BLOCK` at a time.  For the rows R of one
-    block the steps r_t = A[R_t] @ (G - sum_{k<t} e_{R_k} r_k) solve
+    With unit diagonal the exact step on coordinate i is G[s, i] -= A[i] @ G[s],
+    and it lowers f of each column by half its squared step: returns each
+    slice's decrease (1/2) sum_t ||r_t||^2 over its steps and columns.  The
+    visits are taken `_ROW_BLOCK` at a time.  For the rows R of one block
+    the steps r_t = A[R_t] @ (G - sum_{k<t} e_{R_k} r_k) solve
     (I + L_R) r = A[R] @ G, with L_R the strictly lower part of A[R][:, R],
     so a block is one product with A[R] in the original coordinates, one
-    with W_R = Q_R (I + L_R)^{-1} and a scatter of its b rows: row R_t
-    becomes G[R_t] - (W_R A[R] G)_t.  Q_tk = 1 where R_k = R_t, so each
-    write to a row visited more than once in a block (rcd orders) carries
-    all of the block's steps on it, whichever write lands last; for a
-    permutation Q_R = I.  W_R depends on the orders only: the epoch's W_R
-    of every slice and block come from one batched inverse.  A short last
-    block is padded with visits to index -1: a lower-triangular inverse
-    keeps them out of the real rows' block, and no real visit equals them
-    in Q_R.  I + L_R is unit lower triangular with |entries| <= 1, so that
-    LU exchanges no rows (see the module docstring).
+    with (I + L_R)^{-1} and a scatter of its b rows.  The inverses depend
+    on the orders only: those of every slice and block come from one
+    `_unit_lower_inverse` of the stack, with no LAPACK call.  Where every
+    order is a permutation a block scatters with one buffered fancy-index
+    update; otherwise (rcd orders) with np.subtract.at, so a row visited
+    more than once in a block takes every step on it.  A short last block
+    is padded with negative indices: a lower-triangular inverse keeps them
+    out of the real rows' block.
     """
     S, n, _ = G.shape
     b = min(_ROW_BLOCK, n)
@@ -276,13 +288,21 @@ def _epoch_dense(G: np.ndarray, A: np.ndarray, orders: np.ndarray) -> None:
     R = np.full((S, blocks * b), -1, dtype=np.intp)
     R[:, :n] = orders
     R = R.reshape(S, blocks, b)
-    L = np.tril(A[R[..., :, None], R[..., None, :]], -1) + np.eye(b)
-    W = (R[..., :, None] == R[..., None, :]) @ np.linalg.inv(L)
+    W = _unit_lower_inverse(np.tril(A[R[..., :, None], R[..., None, :]], -1))
     slices = np.arange(S)[:, None]
+    visited = np.zeros((S, n), dtype=bool)
+    visited[slices, orders] = True
+    permutations = visited.all()
+    steps = np.empty_like(G)
     for j in range(blocks):
         c = min(b, n - j * b)
         Rj = R[:, j, :c]
-        G[slices, Rj] -= W[:, j, :c, :c] @ (A[Rj] @ G)
+        r = steps[:, j * b: j * b + c] = W[:, j, :c, :c] @ (A[Rj] @ G)
+        if permutations:
+            G[slices, Rj] -= r
+        else:
+            np.subtract.at(G, (slices, Rj), r)
+    return 0.5 * np.einsum("snm,snm->s", steps, steps)
 
 
 def _block_epochs(n: int) -> int:
@@ -402,11 +422,13 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     elif perm_invariant:
         f0 = [objective(model, x) for x in rows]
         delta = model.delta
+        lists = [x.tolist() for x in rows]  # each iterate as floats between epochs
 
         def step(active):
             f = []
             for r in active:
-                _epoch_perm_invariant(rows[r], delta, orders[r].next().tolist())
+                _epoch_perm_invariant(lists[r], delta, orders[r].next().tolist())
+                rows[r][:] = lists[r]
                 f.append(objective(model, rows[r]))
             return f
     else:

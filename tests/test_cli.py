@@ -35,7 +35,7 @@ from cdlab.cli import (
     figure_lu,
     main,
 )
-from cdlab.engine import _cyclic_tail, _runs
+from cdlab.engine import _cyclic_tail, _epoch_dense, _runs
 from conftest import eig_radius
 
 SMALL = dict(deltas=(0.5, 0.2), replicates=3, max_epochs=30_000)
@@ -114,6 +114,10 @@ class TestConfig:
          "argument --seed: must be >= 0, got -1"),
         (["predict", "--delta", "0.5", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
         (["solve", "--delta", "-1e-3"], "delta must lie in (0, n/(n-1))"),
+        (["figure", "lu", "--output", "no_such_dir/lu.csv"],
+         "argument --output: must be a file in an existing directory, got no_such_dir/lu.csv"),
+        (["predict", "--delta", "0.5", "--output", "."],
+         "argument --output: must be a file in an existing directory, got ."),
     ]])
     def test_invalid_value_is_usage_error(self, argv, message, capsys):
         # a negative value in exponent notation, or -inf, -infinity or -nan in
@@ -496,6 +500,28 @@ class TestFigures:
             assert abs(r["rpcd_rel"] - rel.mean()) <= 1e-12 * rel.mean()
             # the spread is a difference of near values; hold it to the mean's scale
             assert abs(r["rpcd_rel_std"] - rel.std(ddof=1)) <= 1e-12 * rel.mean()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="the oracle needs an extended-precision long double")
+    def test_lu_carried_values_match_exact_ones(self):
+        # the decrement carried between exact evaluations, over the default
+        # budget and tol, against (1/2) tr(G'AG) of the same stack every epoch.
+        # The oracle sums in long double: in doubles, as `expected_over_x0`,
+        # it reads up to 1e-13 off the extended-precision value itself here
+        n, seed, sequences = 16, 0, 10
+        rows = figure_lu(n=n, seed=seed)
+        model = build_log_uniform_spectrum(n, 1e4, derive_seed(seed, 0))
+        A = model.A.astype(np.longdouble)
+        rngs = [np.random.default_rng(derive_seed(seed, 1000 + k)) for k in range(sequences)]
+        G = np.tile(np.eye(n), (sequences, 1, 1))
+        assert len(rows) == 5001
+        for r in rows[1:]:
+            _epoch_dense(G, model.A, np.array([rng.permutation(n) for rng in rngs]))
+            GL = G.astype(np.longdouble)
+            rel = ((A @ GL) * GL).sum(axis=(-2, -1)) / n
+            mean, std = rel.mean(), rel.std(ddof=1)
+            assert abs(r["rpcd_rel"] - mean) <= 1e-13 * mean
+            assert abs(r["rpcd_rel_std"] - std) <= 1e-12 * std
 
     def test_lu_spread_needs_two_sequences(self):
         rows = figure_lu(n=16, seed=3, epochs_budget=5, condition=100.0, sequences=1)

@@ -488,7 +488,9 @@ def _oracle(model, kind, x0, rng, epochs):
     fs, xs, states = [objective(model, x)], [x.copy()], [rng.bit_generator.state]
     for _ in range(epochs):
         order = rng.integers(0, n, size=n) if kind == "rcd" else rng.permutation(n)
-        _epoch_perm_invariant(x, model.delta, order.tolist())
+        stepped = x.tolist()
+        _epoch_perm_invariant(stepped, model.delta, order.tolist())
+        x[:] = stepped
         fs.append(objective(model, x))
         xs.append(x.copy())
         states.append(rng.bit_generator.state)

@@ -59,6 +59,7 @@ CASES = {
     "error_predict_n1": "predict --n 1 --delta 0.5",
     "error_figure_lu_condition_inf": "figure lu --condition inf",
     "error_solve_seed_negative": "solve --n 10 --delta 0.5 --seed -1",
+    "error_output_missing_dir": "figure lu --output no_such_dir/lu.csv",
 }
 
 

@@ -1,6 +1,7 @@
 """Property tests over the whole delta window (0, n/(n-1)), edges included."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cdlab import (
@@ -19,7 +20,7 @@ from cdlab import (
     rho_C,
     run,
 )
-from cdlab.engine import _ROW_BLOCK, _cyclic_tail, _epoch_dense, _runs
+from cdlab.engine import _ROW_BLOCK, _cyclic_tail, _epoch_dense, _runs, _unit_lower_inverse
 from cdlab.quadratic import _objective_rows
 from conftest import eig_radius, simulate_epoch
 
@@ -302,11 +303,37 @@ def dense_stacks(draw):
 @given(dense_stacks())
 def test_dense_kernel_matches_step_oracle(case):
     # every column of every slice must take the epoch the step API takes
-    # in that slice's order, to 1e-12 of the column's scale
+    # in that slice's order, to 1e-12 of the column's scale, and the
+    # returned decrease must be the slice's f before minus f after, summed
+    # over its columns, to 1e-12 of the start's scale (1/2)||x0||_1^2
     model, G0, orders = case
     G = G0.copy()
-    _epoch_dense(G, model.matrix(), orders)
+    decrease = _epoch_dense(G, model.matrix(), orders)
+    assert decrease.shape == (len(orders),)
     for s, order in enumerate(orders):
         for k in range(G.shape[2]):
             ref = simulate_epoch(model, G0[s, :, k], order.tolist())
             assert np.abs(G[s, :, k] - ref).max() <= 1e-12 * np.abs(G0[s, :, k]).max()
+        f_drop = sum(objective(model, G0[s, :, k]) - objective(model, G[s, :, k])
+                     for k in range(G.shape[2]))
+        f_scale = 0.5 * (np.abs(G0[s]).sum(axis=0) ** 2).sum()
+        assert abs(decrease[s] - f_drop) <= 1e-12 * f_scale
+
+
+@pytest.mark.parametrize("condition", [1e2, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("b", [1, 2, 3, 5, _ROW_BLOCK, 9, 16])
+def test_unit_lower_inverse_matches_lapack(b, condition):
+    # the blocks (I + L_R) of `_epoch_dense`, from permutations and rcd draws
+    # on log-uniform spectra: squaring must give LAPACK's inverse to 1e-14
+    # of each inverse's largest entry (it read <= 1.7e-15 up to b = 16)
+    n = 64
+    for seed in range(3):
+        A = build_log_uniform_spectrum(n, condition, seed).A
+        rng = np.random.default_rng(seed)
+        R = np.array([rng.permutation(n) for _ in range(3)]
+                     + [rng.integers(0, n, n) for _ in range(3)])
+        R = R[:, : n // b * b].reshape(len(R), -1, b)
+        N = np.tril(A[R[..., :, None], R[..., None, :]], -1)
+        ref = np.linalg.inv(np.eye(b) + N)
+        err = np.abs(_unit_lower_inverse(N) - ref).max(axis=(-2, -1))
+        assert np.all(err <= 1e-14 * np.abs(ref).max(axis=(-2, -1)))
