@@ -361,7 +361,7 @@ class _Repeated(argparse.Action):
 
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _LIMIT = _checked(int, lambda v: v >= 0, ">= 0")
-_OUTPUT = _checked(str, lambda p: os.path.isdir(os.path.dirname(p) or ".") and not os.path.isdir(p),
+_OUTPUT = _checked(str, lambda p: p and os.path.isdir(os.path.dirname(p) or ".") and not os.path.isdir(p),
                    "a file in an existing directory")  # checked before the command runs
 
 # Every flag once, under the name of the parameter it fills and of its

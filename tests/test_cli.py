@@ -118,6 +118,8 @@ class TestConfig:
          "argument --output: must be a file in an existing directory, got no_such_dir/lu.csv"),
         (["predict", "--delta", "0.5", "--output", "."],
          "argument --output: must be a file in an existing directory, got ."),
+        (["figure", "lu", "--output", ""],
+         "argument --output: must be a file in an existing directory, got "),
     ]])
     def test_invalid_value_is_usage_error(self, argv, message, capsys):
         # a negative value in exponent notation, or -inf, -infinity or -nan in
