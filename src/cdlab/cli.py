@@ -49,9 +49,9 @@ from .engine import (
     OrderingPolicy,
     _cyclic_tail,
     _epoch_dense,
+    _Orders,
     _runs,
     derive_seed,
-    epoch_map,
     expected_over_x0,
     run,
 )
@@ -82,10 +82,10 @@ __all__ = [
 
 TABLE1_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
 
-# `figure_lu` evaluates its permutation products exactly once a carried E f
-# falls to 1/2 of its last exact value.  Each value stays above half the one
-# it is carried from, so K decrements hold about 2K*eps of it in rounding; a
-# pure decrement drifts to about eps*f0/f, 1.1e-7 relative at the defaults.
+# `figure_lu` evaluates its epoch products, the cyclic one too, exactly once a
+# carried E f falls to 1/2 of its last exact value.  Each value stays above half
+# the one it is carried from, so K decrements hold about 2K*eps of it in
+# rounding; a pure decrement drifts to about eps*f0/f, 1.1e-7 relative at the defaults.
 _REANCHOR = 0.5
 
 
@@ -200,39 +200,36 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
     Emits, for each epoch, (1/2) trace(G' A G) / (n/2) with G the
     accumulated epoch product: the cyclic product C^l, and the mean over
     `sequences` sampled permutation-ordered products with its sample
-    standard deviation (NaN for one sequence).  The permutation products
-    are one (sequences, n, n) stack that `_epoch_dense` advances in
-    place, every product in its own order, a block of coordinate rows at
-    a time, so a run builds one epoch map, C.  Each product's E f is the
-    previous one minus the decrease of f `_epoch_dense` returns, and is
-    re-anchored by `expected_over_x0` of the stack whenever a value falls
-    to `_REANCHOR` of its last exact one.  Stops at the epoch budget or
-    when both curves fall below tol.
+    standard deviation (NaN for one sequence).  All of them are one
+    (sequences + 1, n, n) stack that `_epoch_dense` advances in place, a
+    block of coordinate rows at a time, each product in its own orders
+    from `_Orders`: slice 0 cyclic, the others random permutations.  Each
+    product's E f is the previous one minus the decrease of f
+    `_epoch_dense` returns, and is re-anchored by `expected_over_x0` of
+    the stack whenever a value falls to `_REANCHOR` of its last exact
+    one.  Stops at the epoch budget or when both curves fall below tol.
     """
     if sequences < 1:
         raise ValueError(f"sequences must be >= 1, got {sequences}")
     model = build_log_uniform_spectrum(n, condition, derive_seed(seed, 0))
-    C = epoch_map(model)
     f0 = 0.5 * n
-    seq_rngs = [np.random.default_rng(derive_seed(seed, 1000 + k)) for k in range(sequences)]
+    orders = [_Orders(OrderingPolicy("ccd"), n, None)] + [
+        _Orders(OrderingPolicy("rpcd"), n, np.random.default_rng(derive_seed(seed, 1000 + k)))
+        for k in range(sequences)]
 
-    def row(epoch, ccd_val, rpcd_vals):
-        return {"epoch": epoch, "ccd_rel": ccd_val / f0, "rpcd_rel": float(np.mean(rpcd_vals)) / f0,
-                "rpcd_rel_std": float(np.std(rpcd_vals / f0, ddof=1)) if sequences > 1 else math.nan}
+    def row(epoch, vals):
+        return {"epoch": epoch, "ccd_rel": float(vals[0]) / f0, "rpcd_rel": float(np.mean(vals[1:])) / f0,
+                "rpcd_rel_std": float(np.std(vals[1:] / f0, ddof=1)) if sequences > 1 else math.nan}
 
-    G_ccd = np.eye(n)
-    G_seqs = np.tile(G_ccd, (sequences, 1, 1))
-    rpcd_vals = exact = np.full(sequences, f0)
-    rows = [row(0, f0, rpcd_vals)]
+    G = np.tile(np.eye(n), (sequences + 1, 1, 1))
+    vals = exact = np.full(sequences + 1, f0)
+    rows = [row(0, vals)]
     for epoch in range(1, epochs_budget + 1):
-        G_ccd = C @ G_ccd
-        ccd_val = expected_over_x0(model, G_ccd)
-        rpcd_vals = rpcd_vals - _epoch_dense(G_seqs, model.A,
-                                             np.array([rng.permutation(n) for rng in seq_rngs]))
-        if np.any(rpcd_vals <= _REANCHOR * exact):
-            rpcd_vals = exact = expected_over_x0(model, G_seqs)
-        rows.append(row(epoch, ccd_val, rpcd_vals))
-        if ccd_val <= tol and np.mean(rpcd_vals) <= tol:
+        vals = vals - _epoch_dense(G, model.A, np.array([o.next() for o in orders]))
+        if np.any(vals <= _REANCHOR * exact):
+            vals = exact = expected_over_x0(model, G)
+        rows.append(row(epoch, vals))
+        if vals[0] <= tol and np.mean(vals[1:]) <= tol:
             break
     return rows
 

@@ -26,12 +26,12 @@ dense model the one epoch kernel, `_epoch_dense`, advances a stack of
 matrices, each slice in its own order, a block of `_ROW_BLOCK` visited
 rows per pair of batched products, with the blocks' triangular inverses
 by squaring, not LAPACK.  It returns each slice's decrease of f, by which
-`figure lu` carries E f of its permutation-ordered epoch products between
-exact evaluations.  A fixed order makes every epoch the same map M, so
-when a block of at least two n x n maps fits in about 1 MB (n <= 256)
-`_runs` builds M, M^2, ..., M^K once and advances K epochs with one
-matrix-vector product, stopping at the first epoch that reaches the
-tolerance.
+`figure lu` carries E f of all its epoch products, cyclic and
+permutation-ordered, between exact evaluations.  A fixed order makes
+every epoch the same map M, so when a block of at least two n x n maps
+fits in about 1 MB (n <= 256) `_runs` builds M, M^2, ..., M^K once and
+advances K epochs with one matrix-vector product, stopping at the first
+epoch that reaches the tolerance.
 
 Random orders are drawn a chunk of epochs per generator call
 (`_Orders`), about 1 us per rcd epoch at n = 100 against 8-10 us for a
@@ -278,8 +278,8 @@ def _epoch_dense(G: np.ndarray, A: np.ndarray, orders: np.ndarray) -> np.ndarray
     `_unit_lower_inverse` of the stack, with no LAPACK call.  A block
     scatters with np.subtract.at, so a row visited more than once in a
     block takes every step on it; where every order is a permutation it
-    uses one buffered fancy-index update instead: on `figure lu`'s
-    (10, 100, 100) stack an epoch's scatters took 0.24 ms against 1.3 ms
+    uses one buffered fancy-index update instead: on a (10, 100, 100)
+    stack an epoch's scatters took 0.24 ms against 1.3 ms
     (2-core host), and a benchmark pass 0.35 s against 0.52 s.  A short last block
     is padded with negative indices: a lower-triangular inverse keeps them
     out of the real rows' block.

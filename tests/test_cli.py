@@ -486,17 +486,22 @@ class TestFigures:
         assert all(b <= a * (1 + 1e-12) for a, b in zip(ccd, ccd[1:]))
 
     def test_lu_matches_epoch_map_products(self):
-        # rpcd_rel and rpcd_rel_std rebuilt from the same permutation streams
-        # through epoch-map products and (1/2) tr(G'AG) / (n/2)
+        # every column rebuilt through epoch-map products and (1/2) tr(G'AG) / (n/2):
+        # ccd_rel from powers of the cyclic map C, and rpcd_rel and rpcd_rel_std
+        # from the same permutation streams
         n, seed, sequences = 16, 3, 4
         rows = figure_lu(n=n, seed=seed, epochs_budget=400, tol=1e-300, condition=100.0,
                          sequences=sequences)
         model = build_log_uniform_spectrum(n, 100.0, derive_seed(seed, 0))
         A = model.matrix()
+        C = epoch_map(model)
         rngs = [np.random.default_rng(derive_seed(seed, 1000 + k)) for k in range(sequences)]
-        Gs = [np.eye(n)] * sequences
+        G_ccd, Gs = np.eye(n), [np.eye(n)] * sequences
         assert len(rows) == 401
         for r in rows[1:]:
+            G_ccd = C @ G_ccd
+            ccd = 0.5 * np.trace(G_ccd.T @ A @ G_ccd) / (n / 2)
+            assert abs(r["ccd_rel"] - ccd) <= 1e-12 * ccd
             Gs = [epoch_map(model, rng.permutation(n)) @ G for G, rng in zip(Gs, rngs)]
             rel = np.array([0.5 * np.trace(G.T @ A @ G) for G in Gs]) / (n / 2)
             assert abs(r["rpcd_rel"] - rel.mean()) <= 1e-12 * rel.mean()
@@ -507,21 +512,23 @@ class TestFigures:
                         reason="the oracle needs an extended-precision long double")
     def test_lu_carried_values_match_exact_ones(self):
         # the decrement carried between exact evaluations, over the default
-        # budget and tol, against (1/2) tr(G'AG) of the same stack every epoch.
-        # The oracle sums in long double: in doubles, as `expected_over_x0`,
-        # it reads up to 1e-13 off the extended-precision value itself here
+        # budget and tol, against (1/2) tr(G'AG) of the same stack every epoch:
+        # a cyclic slice, then the permutation slices.  The oracle sums in long
+        # double: in doubles, as `expected_over_x0`, it reads up to 1e-13 off
+        # the extended-precision value itself here
         n, seed, sequences = 16, 0, 10
         rows = figure_lu(n=n, seed=seed)
         model = build_log_uniform_spectrum(n, 1e4, derive_seed(seed, 0))
         A = model.A.astype(np.longdouble)
         rngs = [np.random.default_rng(derive_seed(seed, 1000 + k)) for k in range(sequences)]
-        G = np.tile(np.eye(n), (sequences, 1, 1))
+        G = np.tile(np.eye(n), (sequences + 1, 1, 1))
         assert len(rows) == 5001
         for r in rows[1:]:
-            _epoch_dense(G, model.A, np.array([rng.permutation(n) for rng in rngs]))
+            _epoch_dense(G, model.A, np.array([np.arange(n)] + [rng.permutation(n) for rng in rngs]))
             GL = G.astype(np.longdouble)
             rel = ((A @ GL) * GL).sum(axis=(-2, -1)) / n
-            mean, std = rel.mean(), rel.std(ddof=1)
+            assert abs(r["ccd_rel"] - rel[0]) <= 5e-13 * rel[0]
+            mean, std = rel[1:].mean(), rel[1:].std(ddof=1)
             assert abs(r["rpcd_rel"] - mean) <= 1e-13 * mean
             assert abs(r["rpcd_rel_std"] - std) <= 1e-12 * std
 

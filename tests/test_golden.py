@@ -145,6 +145,17 @@ def test_report_names_the_largest_move_of_each_float_field():
         assert not _moves(other, want, "", {})
 
 
+def test_report_names_a_case_without_golden_file_and_goes_on(monkeypatch, tmp_path, capsys):
+    names = ["predict", "error_predict_n1", "predict_n700_json"]
+    for name in names[::2]:
+        (tmp_path / f"{name}.json").write_text((GOLDEN / f"{name}.json").read_text())
+    monkeypatch.setattr(sys.modules[__name__], "CASES", {name: CASES[name] for name in names})
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    report()
+    assert capsys.readouterr().out.splitlines() == [
+        "predict: byte-identical", "error_predict_n1: no golden file", "predict_n700_json: byte-identical"]
+
+
 def test_bare_invocation_is_usage_error():
     # the script rewrites files only for the cases it is given by name
     env = {**os.environ, "PYTHONPATH": str(GOLDEN.parent.parent / "src")}
@@ -197,12 +208,16 @@ def report() -> None:
 
     Per case: "byte-identical", or the largest relative move of each float
     field that moved, and a note where an exit status, stderr or a
-    non-float value differs.
+    non-float value differs; "no golden file" for a case without one.
     """
     for name, command in CASES.items():
+        path = GOLDEN / f"{name}.json"
+        if not path.exists():
+            print(f"{name}: no golden file")
+            continue
         argv = command.split()
         got = invoke(argv)
-        want = json.loads((GOLDEN / f"{name}.json").read_text())
+        want = json.loads(path.read_text())
         want_out = "".join(want["stdout"])
         notes = []
         if got["exit"] != want["exit"] or got["stderr"] != "".join(want["stderr"]):
