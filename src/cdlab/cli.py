@@ -242,6 +242,8 @@ def figure_different_n(delta: float = 0.001, seed: int = 0, tol: float = 1e-8,
     descent to tolerance, which would need ~n^2/delta epochs); rates are
     meant to be read off the last-10-epoch window.
     """
+    for n in ns:
+        PermInvariantQuadratic(n, delta)  # window check, every n before the first run
     rows = []
     for n in ns:
         for variant in ("ccd", "rpcd", "rcd"):

@@ -239,15 +239,16 @@ class _Orders:
 
 def _epoch_perm_invariant(xs: list[float], delta: float, order: list[int]) -> None:
     # Hot loop on plain Python floats, in place on the iterate's list xs;
-    # the coordinate sum makes each update O(1) and is recomputed from xs
-    # every epoch to stop drift.
-    s = sum(xs)
-    off = 1.0 - delta
+    # s, the coordinate sum, is recomputed from xs every epoch.  A step on i
+    # sets x_i <- c(s - x_i), s <- e(s - x_i) with c = fl(delta - 1) and
+    # e = c + 1, which is delta for delta >= 1/2 and within 2^-54 below: s by
+    # delta drifted f ~1e-16 per epoch there.  c*d never cancels near delta = 1.
+    c = delta - 1.0
+    s, e = sum(xs), c + 1.0
     for i in order:
-        xi = xs[i]
-        g = delta * xi + off * s
-        xs[i] = xi - g
-        s -= g
+        d = s - xs[i]
+        xs[i] = c * d
+        s = e * d
 
 
 def _unit_lower_inverse(N: np.ndarray) -> np.ndarray:
@@ -384,14 +385,13 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
           Y <- (1-delta)(Y T - s p'),   T_kt = delta^(t-k) (k <= t),   p_t = delta^t,
 
       0-indexed, then scattered back; entries below `_POWER_FLOOR` are 0.
-      f, start included, is `_objective_rows`: the row loop's f up to the
-      rounding of a different sum of the same terms.  One start is faster
-      on the row loop;
+      f, start included, is `_objective_rows`.  One start is faster on the
+      row loop;
     - any other order on that model: the plain-float row loop
-      `_epoch_perm_invariant`;
+      `_epoch_perm_invariant`, with one `_objective_rows` per epoch;
     - a dense model: `_epoch_dense` on an (S, n, 1) stack.
 
-    Off the product, f at the start and after each epoch of a loop is
+    Every other f, the row loop's start and each of the dense model's, is
     `objective`.
     """
     n = model.n
@@ -425,12 +425,10 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
         lists = [x.tolist() for x in rows]  # each iterate as floats between epochs
 
         def step(active):
-            f = []
             for r in active:
                 _epoch_perm_invariant(lists[r], delta, orders[r].next().tolist())
                 rows[r][:] = lists[r]
-                f.append(objective(model, rows[r]))
-            return f
+            return _objective_rows(model, X[active]).tolist()
     else:
         f0 = [objective(model, x) for x in rows]
 
@@ -486,7 +484,7 @@ def run(
     """Run coordinate descent with exact line search.
 
     Records f after every epoch (`quadratic.objective`, or its row form
-    `_objective_rows` on the block path) and stops as soon as
+    `_objective_rows`; `_runs` says which) and stops as soon as
     f(x^{l*n}) <= tol or the epoch budget is exhausted.  Deterministic
     for a fixed seed: the only randomness is the per-epoch coordinate
     order drawn from the seeded generator.  Orders are drawn a chunk of

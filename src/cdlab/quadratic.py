@@ -53,8 +53,8 @@ class PermInvariantQuadratic:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.delta < self.n / (self.n - 1):
             raise ValueError(
-                f"delta must lie in (0, n/(n-1)) = (0, {self.n / (self.n - 1)}), "
-                f"got {self.delta}"
+                f"delta must lie in (0, n/(n-1)) = (0, {self.n / (self.n - 1)}) "
+                f"for n = {self.n}, got {self.delta}"
             )
 
     def matrix(self) -> np.ndarray:

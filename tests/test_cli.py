@@ -105,6 +105,8 @@ class TestConfig:
         (["table1", "--n", "-inf"], "argument --n: invalid int value: '-inf'"),
         (["solve", "--delta", "-Infinity"], "delta must lie in (0, n/(n-1))"),
         (["figure", "different_n", "--epochs-budget", "-1"], "must be >= 0, got -1"),
+        (["figure", "different_n", "--delta", "1.05"],
+         "delta must lie in (0, n/(n-1)) = (0, 1.0256410256410255) for n = 40, got 1.05"),
         (["figure", "expected", "--delta", "1.5"], "delta must lie in"),
         (["figure", "expected", "--max-epochs", "-1"], "must be >= 0, got -1"),
         (["figure", "bogus"], "invalid choice: 'bogus'"),
@@ -129,6 +131,19 @@ class TestConfig:
         assert err.value.code == 2
         out = capsys.readouterr()
         assert out.out == "" and "error:" in out.err and message in out.err
+
+    def test_different_n_checks_every_n_before_the_first_run(self, monkeypatch, capsys):
+        # delta = 1.05 is in the window of n = 10 and 20, not of n = 40
+        import cdlab.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run before the delta check")
+
+        monkeypatch.setattr(cdlab.cli, "_seeded_run", refuse)
+        with pytest.raises(SystemExit) as err:
+            main(["figure", "different_n", "--delta", "1.05"])
+        assert err.value.code == 2
+        assert "for n = 40, got 1.05" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["table1", "--replicates", "0"],

@@ -30,6 +30,7 @@ from cdlab.engine import (
     _epoch_perm_invariant,
     _runs,
 )
+from cdlab.quadratic import _objective_rows
 from conftest import simulate_epoch
 
 
@@ -270,6 +271,22 @@ class TestFixedOrderDrift:
         drift = np.abs(traj.f_per_epoch[1:] - ref) / ref
         assert np.all(drift <= 4e-17 * np.arange(1, epochs + 1) + 2e-15)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="longdouble is float64 on this platform")
+    def test_row_loop_drift_is_bounded_per_epoch(self):
+        # Above n = 256 a fixed order takes the row loop, held here to the
+        # block path's bound.  Its two step coefficients must be one model's:
+        # with fl(delta - 1) for x_i and delta for s, f drifted 3.2e-13 from
+        # the exact trajectory over these 2000 epochs.
+        n, delta, epochs = 300, 0.3, 2000
+        x0 = np.random.default_rng(derive_seed(1, 0, 0, 0)).standard_normal(n)  # `solve --seed 1`
+        traj = run(PermInvariantQuadratic(n, delta), OrderingPolicy("ccd"), x0,
+                   max_epochs=epochs, tol=0.0)
+        assert traj.epochs == epochs
+        ref = _longdouble_f(n, delta, x0, epochs)
+        drift = np.abs(traj.f_per_epoch - ref) / ref
+        assert np.all(drift <= 4e-17 * np.arange(epochs + 1) + 2e-15)
+
 
 def _longdouble_f(n, delta, x0, epochs):
     """f at epochs 0..epochs of cyclic descent in extended precision, without cancellation."""
@@ -481,7 +498,8 @@ def _oracle(model, kind, x0, rng, epochs):
 
     Each epoch draws rng.integers(0, n, size=n) (rcd) or rng.permutation(n)
     (rpcd) and steps `_epoch_perm_invariant`; entry e of each list is after
-    e epochs.
+    e epochs.  f is the row loop's: `objective` at the start, the row form
+    `_objective_rows` after each epoch.
     """
     n = model.n
     x = np.array(x0, dtype=float)
@@ -491,7 +509,7 @@ def _oracle(model, kind, x0, rng, epochs):
         stepped = x.tolist()
         _epoch_perm_invariant(stepped, model.delta, order.tolist())
         x[:] = stepped
-        fs.append(objective(model, x))
+        fs.append(float(_objective_rows(model, x[None])[0]))
         xs.append(x.copy())
         states.append(rng.bit_generator.state)
     return fs, xs, states
@@ -501,9 +519,10 @@ class TestChunkedOrders:
     """Orders drawn a chunk at a time are the per-epoch draws, and leave the generator there.
 
     The oracle draws one order per epoch.  Against it, the row loop is
-    equal bit for bit; the stacked rpcd product (n <= `_BATCH_MAX_N`, more
-    than one start) and the dense kernel equal it to rounding.  The
-    generator state is equal on every path.
+    equal bit for bit, f included: the row form of f after each epoch and
+    `objective` at the start.  The stacked rpcd product (n <=
+    `_BATCH_MAX_N`, more than one start) and the dense kernel equal it to
+    rounding.  The generator state is equal on every path.
     """
 
     DELTA = 1e-3  # slow enough that f stays far above 0 over 2k+1 epochs at n = 2

@@ -80,9 +80,9 @@ def test_fixed_order_run_nonincreasing_up_to_rounding(case):
 
 
 @st.composite
-def window_points(draw):
+def window_points(draw, max_n=200):
     """(n, delta) over the whole window, edges and both sides of delta = 1 included."""
-    n = draw(st.integers(2, 200))
+    n = draw(st.integers(2, max_n))
     if draw(st.booleans()):
         gap = 10.0 ** draw(st.floats(-12.0, np.log10(0.5)))
         delta = draw(st.sampled_from([gap, 1.0 - gap])) * n / (n - 1)
@@ -105,8 +105,8 @@ def test_rho_C_matches_eigvals(point):
 @settings(max_examples=200, deadline=None)
 @given(window_points(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_objective_of_an_iterate_equals_objective_of_its_row(point, dense, seed):
-    # `run` records f through `objective` on the loop and `_objective_rows`
-    # on the block path; both must be the one formula
+    # `run` records f through `objective` and `_objective_rows` (`_runs`
+    # says where); both must be the one formula
     n, delta = point
     model = PermInvariantQuadratic(n, delta)
     if dense:
@@ -114,6 +114,29 @@ def test_objective_of_an_iterate_equals_objective_of_its_row(point, dense, seed)
     x = np.random.default_rng(seed).standard_normal(n)
     f = objective(model, x)
     assert abs(_objective_rows(model, x[None])[0] - f) <= 1e-14 * f
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_points(64), st.sampled_from(["rcd", "rpcd"]), st.integers(0, 2**32 - 1),
+       st.integers(1, 40))
+def test_random_order_run_matches_step_oracle(point, kind, seed, epochs):
+    # one start takes the row loop for both random orders; the oracle steps
+    # the public step API in the orders of one rng.integers(0, n, size=n)
+    # (rcd) or rng.permutation(n) (rpcd) per epoch from an identically
+    # seeded generator, held to the bounds of the fixed-order test
+    n, delta = point
+    model, policy = PermInvariantQuadratic(n, delta), OrderingPolicy(kind)
+    x0 = np.random.default_rng(seed).standard_normal(n)
+    traj = run(model, policy, x0, max_epochs=epochs, tol=0.0, seed=[seed, 1])
+    f_scale, x_scale = 0.5 * np.abs(x0).sum() ** 2, np.abs(x0).max()
+    assert traj.epochs == epochs or traj.f_per_epoch[-1] == 0.0
+    rng, x_ref = np.random.default_rng([seed, 1]), x0
+    for k, f in enumerate(traj.f_per_epoch[1:], start=1):
+        order = rng.integers(0, n, size=n) if kind == "rcd" else rng.permutation(n)
+        x_ref = simulate_epoch(model, x_ref, order)
+        x = run(model, policy, x0, max_epochs=k, tol=0.0, seed=[seed, 1]).final_x
+        assert abs(f - objective(model, x_ref)) <= 1e-12 * f_scale
+        assert np.abs(x - x_ref).max() <= 1e-12 * x_scale
 
 
 @st.composite
