@@ -46,7 +46,7 @@ products instead of L epochs; Table 1's cyclic column uses it, and its
 random columns one `_runs` call per ordering.
 
 Every f recorded here, by the row loop, the stacked rpcd product, the
-block path and `_cyclic_tail`, is one formula: `quadratic.objective`, or
+block path and `_cyclic_tail`, is one float: `quadratic.objective`, or
 its row form `_objective_rows` for a stack of iterates.
 """
 
@@ -240,15 +240,21 @@ class _Orders:
 def _epoch_perm_invariant(xs: list[float], delta: float, order: list[int]) -> None:
     # Hot loop on plain Python floats, in place on the iterate's list xs;
     # s, the coordinate sum, is recomputed from xs every epoch.  A step on i
-    # sets x_i <- c(s - x_i), s <- e(s - x_i) with c = fl(delta - 1) and
-    # e = c + 1, which is delta for delta >= 1/2 and within 2^-54 below: s by
-    # delta drifted f ~1e-16 per epoch there.  c*d never cancels near delta = 1.
-    c = delta - 1.0
-    s, e = sum(xs), c + 1.0
-    for i in order:
-        d = s - xs[i]
-        xs[i] = c * d
-        s = e * d
+    # sets d = s - x_i, x_i <- (delta-1)d, s <- delta d.  Below delta = 1/2,
+    # delta-1 rounds (a model off by 2^-54 drifted f ~1e-18 per epoch), so
+    # x_i = delta*d - d; from 1/2 on it is exact and does not cancel near 1.
+    s = sum(xs)
+    if delta >= 0.5:
+        c = delta - 1.0
+        for i in order:
+            d = s - xs[i]
+            xs[i] = c * d
+            s = delta * d
+    else:
+        for i in order:
+            d = s - xs[i]
+            s = delta * d
+            xs[i] = s - d
 
 
 def _unit_lower_inverse(N: np.ndarray) -> np.ndarray:
@@ -385,14 +391,15 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
           Y <- (1-delta)(Y T - s p'),   T_kt = delta^(t-k) (k <= t),   p_t = delta^t,
 
       0-indexed, then scattered back; entries below `_POWER_FLOOR` are 0.
-      f, start included, is `_objective_rows`.  One start is faster on the
-      row loop;
+      One start is faster on the row loop;
     - any other order on that model: the plain-float row loop
-      `_epoch_perm_invariant`, with one `_objective_rows` per epoch;
+      `_epoch_perm_invariant`;
     - a dense model: `_epoch_dense` on an (S, n, 1) stack.
 
-    Every other f, the row loop's start and each of the dense model's, is
-    `objective`.
+    f at the start is `objective`.  After an epoch the stacked kernels
+    take `_objective_rows` of the stepped rows, and the row loop takes it
+    of two or more rows (one row is faster through `objective`, the same
+    float); the dense kernel takes `objective` per row.
     """
     n = model.n
     perm_invariant = isinstance(model, PermInvariantQuadratic)
@@ -400,6 +407,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     X = X.reshape(len(starts), n)
     rows = list(X)  # views; indexing a list is cheaper than X[r] in the row loop
     orders = [_Orders(policy, n, rng) for rng in rngs]
+    f0 = [objective(model, x) for x in rows]
     if perm_invariant and policy.kind == "rpcd" and len(X) > 1 and n <= _BATCH_MAX_N:
         # (1-delta) folded into p and T; row k of T is p shifted right by k
         p = (1.0 - model.delta) * model.delta ** np.arange(n, dtype=float)
@@ -408,7 +416,6 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
         for k in range(n):
             T[k, k:] = p[: n - k]
         flat = X.reshape(-1)
-        f0 = _objective_rows(model, X).tolist()
 
         def step(active):
             idx = np.array([orders[r].next() for r in active])
@@ -420,7 +427,6 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
             flat[idx] = Y
             return _objective_rows(model, Y).tolist()
     elif perm_invariant:
-        f0 = [objective(model, x) for x in rows]
         delta = model.delta
         lists = [x.tolist() for x in rows]  # each iterate as floats between epochs
 
@@ -428,10 +434,10 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
             for r in active:
                 _epoch_perm_invariant(lists[r], delta, orders[r].next().tolist())
                 rows[r][:] = lists[r]
+            if len(active) == 1:
+                return [objective(model, rows[active[0]])]
             return _objective_rows(model, X[active]).tolist()
     else:
-        f0 = [objective(model, x) for x in rows]
-
         def step(active):
             G = X[active, :, None]
             _epoch_dense(G, model.A, np.array([orders[r].next() for r in active]))

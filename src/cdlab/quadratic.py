@@ -139,8 +139,8 @@ def objective(model: QuadraticModel, x: np.ndarray) -> float:
     if x.shape != (model.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({model.n},)")
     if isinstance(model, PermInvariantQuadratic):
-        # np.add.reduce and r.dot are x.sum() and r @ r, the same sums, with
-        # less call overhead: this runs once per epoch of the row loop
+        # `_objective_rows`' sums, so its float, with less call overhead: a
+        # single run on the row loop takes this once per epoch
         n, delta = model.n, model.delta
         s = float(np.add.reduce(x))
         r = x - s / n
@@ -153,8 +153,8 @@ def _objective_rows(model: QuadraticModel, Y: np.ndarray) -> np.ndarray:
     if isinstance(model, PermInvariantQuadratic):
         n, delta = model.n, model.delta
         s = Y.sum(axis=-1)
-        R = Y - (s / n)[..., None]
-        return (0.5 * delta * np.einsum("...i,...i->...", R, R)
+        R = Y - (s / n)[..., None]  # matmul dots a row as r.dot(r) does; einsum sums otherwise
+        return (0.5 * delta * (R[..., None, :] @ R[..., None])[..., 0, 0]
                 + 0.5 * (n * (1.0 - delta) + delta) * s * s / n)
     return 0.5 * np.einsum("...i,...i->...", Y @ model.A, Y)
 

@@ -30,7 +30,6 @@ from cdlab.engine import (
     _epoch_perm_invariant,
     _runs,
 )
-from cdlab.quadratic import _objective_rows
 from conftest import simulate_epoch
 
 
@@ -275,7 +274,7 @@ class TestFixedOrderDrift:
                         reason="longdouble is float64 on this platform")
     def test_row_loop_drift_is_bounded_per_epoch(self):
         # Above n = 256 a fixed order takes the row loop, held here to the
-        # block path's bound.  Its two step coefficients must be one model's:
+        # block path's bound.  Both updates of a step must take delta itself:
         # with fl(delta - 1) for x_i and delta for s, f drifted 3.2e-13 from
         # the exact trajectory over these 2000 epochs.
         n, delta, epochs = 300, 0.3, 2000
@@ -498,8 +497,7 @@ def _oracle(model, kind, x0, rng, epochs):
 
     Each epoch draws rng.integers(0, n, size=n) (rcd) or rng.permutation(n)
     (rpcd) and steps `_epoch_perm_invariant`; entry e of each list is after
-    e epochs.  f is the row loop's: `objective` at the start, the row form
-    `_objective_rows` after each epoch.
+    e epochs.
     """
     n = model.n
     x = np.array(x0, dtype=float)
@@ -509,7 +507,7 @@ def _oracle(model, kind, x0, rng, epochs):
         stepped = x.tolist()
         _epoch_perm_invariant(stepped, model.delta, order.tolist())
         x[:] = stepped
-        fs.append(float(_objective_rows(model, x[None])[0]))
+        fs.append(objective(model, x))
         xs.append(x.copy())
         states.append(rng.bit_generator.state)
     return fs, xs, states
@@ -519,10 +517,9 @@ class TestChunkedOrders:
     """Orders drawn a chunk at a time are the per-epoch draws, and leave the generator there.
 
     The oracle draws one order per epoch.  Against it, the row loop is
-    equal bit for bit, f included: the row form of f after each epoch and
-    `objective` at the start.  The stacked rpcd product (n <=
-    `_BATCH_MAX_N`, more than one start) and the dense kernel equal it to
-    rounding.  The generator state is equal on every path.
+    equal bit for bit; the stacked rpcd product (n <= `_BATCH_MAX_N`, more
+    than one start) and the dense kernel equal it to rounding.  The
+    generator state is equal on every path.
     """
 
     DELTA = 1e-3  # slow enough that f stays far above 0 over 2k+1 epochs at n = 2
