@@ -40,6 +40,7 @@ CASES = {
     "table1_n20_max_epochs5": "table1 --n 20 --delta 1.0 --delta 0.5 --max-epochs 5",
     "table1_n256": "table1 --n 256 --delta 0.5 --replicates 2",
     "table1_n300": "table1 --n 300 --delta 0.8 --replicates 2",
+    "table1_n192_bound": "table1 --n 192 --delta 0.03 --delta 1.005 --replicates 3",
     "table1_n30_replicates1": "table1 --n 30 --delta 0.5 --replicates 1",
     "figure_lu": "figure lu --epochs-budget 50",
     "figure_lu_n16_json": "figure lu --n 16 --epochs-budget 400 --seed 2 --format json",
