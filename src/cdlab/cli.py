@@ -11,8 +11,9 @@ solve        a single trajectory as epoch/objective rows
 
 The predicted columns (rho_C_sq, rho_M and the recurrence coefficients)
 come from (n, delta) through `rates.rho_C` and `recurrence_coeffs`, in
-O(1) and O(n); no command builds the dense epoch matrix of the
-permutation-invariant model.
+O(1) and O(n), and build no dense epoch matrix.  table1's empirical
+columns do: its cyclic column builds epoch_map(model) at n <= 256
+(`engine._cyclic_tail`), and its rpcd stack an n x n matrix at n <= 192.
 
 Each command is a function whose parameters, with their defaults, are
 the flags it reads; it returns its rows as dicts (`cmd_predict` its one

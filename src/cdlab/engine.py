@@ -90,11 +90,11 @@ _BLOCK_EPOCHS = 16
 # and the epochs whose f `_cyclic_tail` returns for it.
 _RATE_WINDOW = 10
 
-# Entries of the rpcd epoch matrix of `_runs` below this in magnitude
-# are 0.  They scale a term by less than 1e-289, so dropping them moves
-# f only where coordinates differ by some 280 orders of magnitude; kept,
-# they and their products with the iterate are subnormal, which made the
-# batched product 3 times slower at n = 256, delta = 0.03.
+# Powers (1-delta) delta^t below this in magnitude are 0 in the rpcd
+# epoch matrix C of `_runs`: they scale a term by under 1e-289, so dropping
+# them moves f only where coordinates differ by some 280 orders of
+# magnitude; kept, they and their products with the iterate are subnormal,
+# which made the batched product 3 times slower at n = 256, delta = 0.03.
 _POWER_FLOOR = 2.0**-960
 
 # Largest n at which `_runs` steps rpcd replicates by one product.  On
@@ -317,14 +317,13 @@ def _block_epochs(n: int) -> int:
     return min(_BLOCK_EPOCHS, _BLOCK_BYTES // (8 * n * n))
 
 
-def _run_blocks(model, M, x, max_epochs, tol, fs) -> tuple[np.ndarray, int]:
+def _run_blocks(model, M, x, max_epochs, tol, fs) -> np.ndarray:
     """Advance up to max_epochs epochs of the fixed map M, K per product.
 
     The stack [M; M^2; ...; M^K] is built once, in place; each block
     computes the next K iterates from the current one as rows of
     (stack @ x) and their objectives in one expression.  Appends to fs
-    up to the first epoch with f <= tol; returns the last iterate and the
-    number of epochs run.
+    up to the first epoch with f <= tol; returns the last iterate.
     """
     n = model.n
     K = min(_block_epochs(n), max_epochs)
@@ -350,7 +349,7 @@ def _run_blocks(model, M, x, max_epochs, tol, fs) -> tuple[np.ndarray, int]:
         epochs += j + 1
         if stops.size:
             break
-    return x, epochs
+    return x
 
 
 def _checked_start(model, policy, x0, max_epochs, tol) -> np.ndarray:
@@ -383,15 +382,16 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     - a fixed order where `_block_epochs(n) >= 2` (n <= 256): `_run_blocks`
       per replicate, K epochs per product with one epoch map;
     - rpcd on the permutation-invariant model with more than one start at
-      n <= `_BATCH_MAX_N`: one matrix product per epoch for the stack.  A
-      step on coordinate i sets x_i <- (1-delta)(x_i - s) and
-      s <- delta(s - x_i), s the coordinate sum, so with each iterate in
-      visit order, Y[t] = x[p[t]], an epoch is
+      n <= `_BATCH_MAX_N`: one matrix product per epoch for the stack.
+      Every permutation's epoch map is P C P' with the same C, so with
+      each iterate in visit order, y[t] = x[order[t]], an epoch is y <- C y,
+      as rows Y <- Y C' with, 0-indexed,
 
-          Y <- (1-delta)(Y T - s p'),   T_kt = delta^(t-k) (k <= t),   p_t = delta^t,
+          C'_kt = p_(t-k) [k <= t] - p_t,   p_t = (1-delta) delta^t,
 
-      0-indexed, then scattered back; entries below `_POWER_FLOOR` are 0.
-      One start is faster on the row loop;
+      then scattered back; p_t below `_POWER_FLOOR` is 0.  Row 0 of C' is
+      0: no step reads the first visited coordinate's old value.  One
+      start is faster on the row loop;
     - any other order on that model: the plain-float row loop
       `_epoch_perm_invariant`;
     - a dense model: `_epoch_dense` on an (S, n, 1) stack.
@@ -409,21 +409,18 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     orders = [_Orders(policy, n, rng) for rng in rngs]
     f0 = [objective(model, x) for x in rows]
     if perm_invariant and policy.kind == "rpcd" and len(X) > 1 and n <= _BATCH_MAX_N:
-        # (1-delta) folded into p and T; row k of T is p shifted right by k
+        # T = C' in visit order: row k is p shifted right by k, less p
         p = (1.0 - model.delta) * model.delta ** np.arange(n, dtype=float)
         p[np.abs(p) < _POWER_FLOOR] = 0.0
-        T = np.zeros((n, n))
+        T = np.tile(-p, (n, 1))
         for k in range(n):
-            T[k, k:] = p[: n - k]
+            T[k, k:] += p[: n - k]
         flat = X.reshape(-1)
 
         def step(active):
             idx = np.array([orders[r].next() for r in active])
             idx += n * np.array(active)[:, None]
-            Y = flat[idx]
-            s = Y.sum(axis=1)
-            Y = Y @ T
-            Y -= np.multiply.outer(s, p)
+            Y = flat[idx] @ T
             flat[idx] = Y
             return _objective_rows(model, Y).tolist()
     elif perm_invariant:
@@ -454,7 +451,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
         M = epoch_map(model, policy.perm)
         for r in active:
             try:
-                rows[r][:] = _run_blocks(model, M, rows[r], max_epochs, tol, fs[r])[0]
+                rows[r][:] = _run_blocks(model, M, rows[r], max_epochs, tol, fs[r])
             except NumericalError as err:
                 out[r] = err
         active = []

@@ -27,7 +27,7 @@ import numpy as np
 from .engine import _RATE_WINDOW
 from .errors import NumericalError
 from .quadratic import PermInvariantQuadratic, QuadraticConstants, quadratic_constants
-from .recurrence import recurrence_coeffs
+from .recurrence import asymptotic_coeffs, recurrence_coeffs
 
 __all__ = [
     "GenericBounds",
@@ -162,13 +162,13 @@ def rho_M(n: int, delta: float) -> float:
 
 
 def rpcd_asymptotic_rate(n: int, delta: float) -> float:
-    """Small-delta approximation 1 - 2*delta - 2*delta/n + 2*delta^2 to rho(M).
+    """Small-delta approximation d1 = 1 - 2*delta - 2*delta/n + 2*delta^2 to rho(M).
 
-    Its domain is where that value is a rate, in [0, 1]: it exceeds 1 for
-    delta > 1 + 1/n (near the upper edge of every window) and is negative
-    around delta = 3/4 at n = 2.  Outside it the result is NaN.
+    d1 is `asymptotic_coeffs`'s; NaN where it is not a rate in [0, 1]: above
+    delta = 1 + 1/n (near the upper edge of every window) and around
+    delta = 3/4 at n = 2.  Raises ValueError outside the window (0, n/(n-1)).
     """
-    rate = 1.0 - 2.0 * delta - 2.0 * delta / n + 2.0 * delta**2
+    rate = asymptotic_coeffs(n, delta).d1
     return rate if 0.0 <= rate <= 1.0 else math.nan
 
 

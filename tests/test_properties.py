@@ -20,7 +20,9 @@ from cdlab import (
     rho_C,
     run,
 )
-from cdlab.engine import _ROW_BLOCK, _cyclic_tail, _epoch_dense, _runs, _unit_lower_inverse
+from cdlab.engine import (
+    _BATCH_MAX_N, _ROW_BLOCK, _cyclic_tail, _epoch_dense, _runs, _unit_lower_inverse,
+)
 from cdlab.quadratic import _objective_rows
 from conftest import eig_radius, simulate_epoch
 
@@ -195,11 +197,13 @@ def run_stacks(draw, variant="rpcd", dense=False):
     """(model, policy, starts, seeds, max_epochs, tol) for 2-6 replicates of one ordering.
 
     With more than one start, rpcd on the permutation-invariant model takes
-    the stacked product of `_runs`, rcd its row loop, and a dense model
-    `_epoch_dense` on a stack of columns.  One start may be nonfinite, so
-    its replicate fails at epoch 0.
+    the stacked product of `_runs`, drawn at every n it serves, up to
+    `_BATCH_MAX_N`; rcd takes its row loop, and a dense model
+    `_epoch_dense` on a stack of columns, both at n <= 64.  One start may
+    be nonfinite, so its replicate fails at epoch 0.
     """
-    n, delta = draw(edge_points(64))
+    stacked = variant == "rpcd" and not dense
+    n, delta = draw(edge_points(_BATCH_MAX_N if stacked else 64))
     model = PermInvariantQuadratic(n, delta)
     if dense:
         model = DenseQuadratic(model.matrix())

@@ -78,8 +78,9 @@ class TestRhoC:
 
     def test_rejects_delta_outside_window(self):
         for n, delta in ((100, 0.0), (100, 100 / 99), (1, 0.5)):
-            with pytest.raises(ValueError):
-                rho_C(n, delta)
+            for rate in (rho_C, rpcd_asymptotic_rate):
+                with pytest.raises(ValueError):
+                    rate(n, delta)
 
     def test_nonconvergence_raises(self, monkeypatch):
         import cdlab.rates as rates
