@@ -164,9 +164,10 @@ def rho_M(n: int, delta: float) -> float:
 def rpcd_asymptotic_rate(n: int, delta: float) -> float:
     """Small-delta approximation d1 = 1 - 2*delta - 2*delta/n + 2*delta^2 to rho(M).
 
-    d1 is `asymptotic_coeffs`'s; NaN where it is not a rate in [0, 1]: above
-    delta = 1 + 1/n (near the upper edge of every window) and around
-    delta = 3/4 at n = 2.  Raises ValueError outside the window (0, n/(n-1)).
+    d1 is taken from `asymptotic_coeffs`; NaN where it is not a rate in
+    [0, 1]: above delta = 1 + 1/n (near the upper edge of every window)
+    and around delta = 3/4 at n = 2.  Raises ValueError outside the
+    window (0, n/(n-1)).
     """
     rate = asymptotic_coeffs(n, delta).d1
     return rate if 0.0 <= rate <= 1.0 else math.nan
