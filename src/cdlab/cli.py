@@ -72,6 +72,7 @@ from .recurrence import evolve, recurrence_coeffs
 
 __all__ = [
     "TABLE1_DELTAS",
+    "DIFFERENT_N",
     "cmd_table1",
     "figure_lu",
     "figure_different_n",
@@ -82,6 +83,7 @@ __all__ = [
 ]
 
 TABLE1_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
+DIFFERENT_N = (10, 20, 40, 80)
 
 # `figure_lu` evaluates its epoch products, the cyclic one too, exactly once a
 # carried E f falls to 1/2 of its last exact value.  Each value stays above half
@@ -236,17 +238,17 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
 
 
 def figure_different_n(delta: float = 0.001, seed: int = 0, tol: float = 1e-8,
-                       epochs_budget: int = 5000, ns=(10, 20, 40, 80)) -> list[dict]:
-    """Per-epoch traces of all three orderings across dimensions.
+                       epochs_budget: int = 5000) -> list[dict]:
+    """Per-epoch traces of all three orderings at each n in `DIFFERENT_N`.
 
     Uses a fixed epoch budget (rather than running tiny-delta cyclic
     descent to tolerance, which would need ~n^2/delta epochs); rates are
     meant to be read off the last-10-epoch window.
     """
-    for n in ns:
+    for n in DIFFERENT_N:
         PermInvariantQuadratic(n, delta)  # window check, every n before the first run
     rows = []
-    for n in ns:
+    for n in DIFFERENT_N:
         for variant in ("ccd", "rpcd", "rcd"):
             traj = _seeded_run(n, delta, variant, seed, n, tol=tol, max_epochs=epochs_budget)
             rows += [{"variant": variant, "n": n, **row} for row in _trace_rows(traj)]

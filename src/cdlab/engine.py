@@ -27,7 +27,7 @@ matrices, each slice in its own order, a block of `_ROW_BLOCK` visited
 rows per pair of batched products, with the blocks' triangular inverses
 by squaring, not LAPACK.  It returns each slice's decrease of f, by which
 `figure lu` carries E f of all its epoch products, cyclic and
-permutation-ordered, between exact evaluations.  A fixed order makes
+permutation-ordered, between exact evaluations.  The cyclic order makes
 every epoch the same map M, so when a block of at least two n x n maps
 fits in about 1 MB (n <= 256) `_runs` builds M, M^2, ..., M^K once and
 advances K epochs with one matrix-vector product, stopping at the first
@@ -131,31 +131,13 @@ _ORDER_CHUNK = 2048
 
 @dataclass(frozen=True)
 class OrderingPolicy:
-    """How coordinate indices are chosen within each epoch.
-
-    `kind` is one of `ORDERINGS` or "fixed_permutation", which visits
-    `perm` every epoch.
-    """
+    """How coordinate indices are chosen within each epoch: `kind` is one of `ORDERINGS`."""
 
     kind: str
-    perm: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ORDERINGS and self.kind != "fixed_permutation":
+        if self.kind not in ORDERINGS:
             raise ValueError(f"unknown ordering kind {self.kind!r}")
-        if self.kind == "fixed_permutation":
-            if self.perm is None:
-                raise ValueError("fixed_permutation requires a permutation")
-            perm = tuple(int(i) for i in self.perm)
-            if sorted(perm) != list(range(len(perm))):
-                raise ValueError(f"{perm} is not a permutation of 0..{len(perm) - 1}")
-            object.__setattr__(self, "perm", perm)
-        elif self.perm is not None:
-            raise ValueError(f"ordering kind {self.kind!r} takes no permutation")
-
-    @classmethod
-    def fixed_permutation(cls, perm) -> OrderingPolicy:
-        return cls("fixed_permutation", perm=tuple(perm))
 
 
 @dataclass
@@ -196,7 +178,7 @@ def derive_seed(base_seed, *indices) -> np.random.SeedSequence:
 class _Orders:
     """One replicate's coordinate orders, drawn a chunk of epochs per generator call.
 
-    A fixed order is returned every epoch and draws nothing.  rcd draws
+    The cyclic order is returned every epoch and draws nothing.  rcd draws
     rng.integers(0, n, size=(k, n)) and rpcd rng.permuted of k rows of
     arange(n), k = 1, 2, 4, ... up to `_ORDER_CHUNK` // n epochs; numpy
     gives the same rows, and leaves the same state, as k single-epoch
@@ -206,7 +188,7 @@ class _Orders:
 
     def __init__(self, policy: OrderingPolicy, n: int, rng: np.random.Generator):
         self.kind, self.n, self.rng = policy.kind, n, rng
-        self.fixed = None if policy.kind in ("rcd", "rpcd") else np.array(policy.perm or range(n))
+        self.fixed = np.arange(n) if policy.kind == "ccd" else None
         self.k = 1  # epochs of the next chunk
         self.chunk, self.used, self.state = None, 0, None
 
@@ -352,7 +334,7 @@ def _run_blocks(model, M, x, max_epochs, tol, fs) -> np.ndarray:
     return x
 
 
-def _checked_start(model, policy, x0, max_epochs, tol) -> np.ndarray:
+def _checked_start(model, x0, max_epochs, tol) -> np.ndarray:
     """A float copy of x0, after the input checks of `run`."""
     x = np.array(x0, dtype=float)
     if x.shape != (model.n,):
@@ -361,8 +343,6 @@ def _checked_start(model, policy, x0, max_epochs, tol) -> np.ndarray:
         raise ValueError(f"tol must be >= 0, got {tol}")
     if max_epochs < 0:
         raise ValueError(f"max_epochs must be >= 0, got {max_epochs}")
-    if policy.perm is not None and len(policy.perm) != model.n:
-        raise ValueError(f"fixed permutation has length {len(policy.perm)}, expected {model.n}")
     return x
 
 
@@ -379,8 +359,8 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     one that takes no epoch draws nothing.  The kernel follows from the
     input:
 
-    - a fixed order where `_block_epochs(n) >= 2` (n <= 256): `_run_blocks`
-      per replicate, K epochs per product with one epoch map;
+    - ccd where `_block_epochs(n) >= 2` (n <= 256): `_run_blocks` per
+      replicate, K epochs per product with one epoch map;
     - rpcd on the permutation-invariant model with more than one start at
       n <= `_BATCH_MAX_N`: one matrix product per epoch for the stack.
       Every permutation's epoch map is P C P' with the same C, so with
@@ -403,7 +383,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     """
     n = model.n
     perm_invariant = isinstance(model, PermInvariantQuadratic)
-    X = np.array([_checked_start(model, policy, x0, max_epochs, tol) for x0 in starts])
+    X = np.array([_checked_start(model, x0, max_epochs, tol) for x0 in starts])
     X = X.reshape(len(starts), n)
     rows = list(X)  # views; indexing a list is cheaper than X[r] in the row loop
     orders = [_Orders(policy, n, rng) for rng in rngs]
@@ -447,8 +427,8 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     out = [None if math.isfinite(f) else NumericalError(f"nonfinite objective at start: {f}")
            for f in f0]
     active = [r for r, f in enumerate(f0) if out[r] is None and f > tol and max_epochs > 0]
-    if policy.kind in ("ccd", "fixed_permutation") and _block_epochs(n) >= 2 and active:
-        M = epoch_map(model, policy.perm)
+    if policy.kind == "ccd" and _block_epochs(n) >= 2 and active:
+        M = epoch_map(model)
         for r in active:
             try:
                 rows[r][:] = _run_blocks(model, M, rows[r], max_epochs, tol, fs[r])
@@ -497,19 +477,20 @@ def run(
     k epochs is run(..., max_epochs=k, tol=0.0).final_x.  This is `_runs`
     with one start, so a seeded replicate of a stacked run is this run.
 
-    A fixed order (`ccd` or a fixed permutation) at n <= 256 runs as
-    blocks of stacked powers of its epoch map (see the module
-    docstring).  It draws nothing from the generator.  Its iterates agree
-    with the per-coordinate loop to rounding, but reusing one rounded map
-    lets f drift from the loop's by about 2e-17 relative per epoch (about
-    1e-12 after 60k epochs at n=100).  Random orders, and fixed orders at
-    larger n, step one epoch at a time.
+    The cyclic order (`ccd`) at n <= 256 runs as blocks of stacked powers
+    of its epoch map (see the module docstring).  It draws nothing from
+    the generator.  Its iterates agree with the per-coordinate loop to
+    rounding, but reusing one rounded map lets f drift from the loop's by
+    about 2e-17 relative per epoch (about 1e-12 after 60k epochs at
+    n=100).  Random orders, and the cyclic order at larger n, step one
+    epoch at a time.  Another fixed visit order p is `ccd` on the
+    relabelled model A[p][:, p] from x0[p].
 
     Raises
     ------
     ValueError
-        On dimension mismatch, negative tol or max_epochs, or a fixed
-        permutation whose length is not n, whether or not an epoch runs.
+        On dimension mismatch or negative tol or max_epochs, whether or
+        not an epoch runs.
     NumericalError
         If a nonfinite objective value is encountered.
     """
@@ -548,11 +529,10 @@ def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     map is worth building stays in this module; above that this is `run`
     itself.  Where squaring stops beating stepping has not been measured.
     """
-    policy = OrderingPolicy("ccd")
     if _block_epochs(model.n) < 2:
-        traj = run(model, policy, x0, max_epochs, tol)
+        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs, tol)
         return traj.epochs, traj.f_per_epoch[-(_RATE_WINDOW + 1):]
-    x0 = _checked_start(model, policy, x0, max_epochs, tol)
+    x0 = _checked_start(model, x0, max_epochs, tol)
 
     def f(y):
         value = _objective_rows(model, y)

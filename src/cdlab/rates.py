@@ -257,6 +257,8 @@ def empirical_rate(traj, window: int = _RATE_WINDOW) -> float:
     least window+1 recorded epochs with strictly positive objective
     values in the window.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     f = np.asarray(getattr(traj, "f_per_epoch", traj), dtype=float)
     if len(f) < window + 1:
         raise ValueError(f"need at least {window + 1} recorded epochs, got {len(f)}")

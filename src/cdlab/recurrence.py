@@ -254,8 +254,7 @@ def first_iteration_expectation(n: int, delta: float) -> float:
 
     and this function returns the factor ((n-1)/n) * delta * (2-delta).
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    PermInvariantQuadratic(n, delta)  # validate the (n, delta) window
     return (n - 1) / n * delta * (2.0 - delta)
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 
 from cdlab import (
+    DenseQuadratic,
+    PermInvariantQuadratic,
     apply_coordinate_step,
     closed_form_C,
     coordinate_gradient,
@@ -21,6 +23,18 @@ def simulate_epoch(model, x, order):
         g = coordinate_gradient(model, state, i)
         apply_coordinate_step(model, state, i, g)
     return state.x
+
+
+def relabel(model, order):
+    """The model on which cyclic descent is descent on `model` in `order`.
+
+    Coordinate j of it is coordinate order[j] of `model`: its matrix is
+    A[order][:, order], and its iterate from x0[order] is x[order].  A
+    permutation-invariant model is its own relabelling.
+    """
+    if isinstance(model, PermInvariantQuadratic):
+        return model
+    return DenseQuadratic(model.matrix()[np.ix_(order, order)])
 
 
 def eig_radius(T):

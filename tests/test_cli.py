@@ -24,6 +24,7 @@ from cdlab import (
     run,
 )
 from cdlab.cli import (
+    DIFFERENT_N,
     TABLE1_DELTAS,
     _parser,
     _valid_rates,
@@ -171,25 +172,25 @@ class TestConfig:
         assert main(argv) == 0
         assert capsys.readouterr().out.count("\n") >= 2
 
-    @pytest.mark.parametrize("argv, func, reads, other_params", [
-        (["table1"], cmd_table1, ("n", "deltas", "seed", "replicates", "tol", "max_epochs"), ()),
+    @pytest.mark.parametrize("argv, func, reads", [
+        (["table1"], cmd_table1, ("n", "deltas", "seed", "replicates", "tol", "max_epochs")),
         (["figure", "lu"], figure_lu,
-         ("n", "seed", "tol", "epochs_budget", "condition", "sequences"), ()),
-        (["figure", "different_n"], figure_different_n,
-         ("delta", "seed", "tol", "epochs_budget"), ("ns",)),
-        (["figure", "expected"], figure_expected, ("n", "delta", "seed", "tol", "max_epochs"), ()),
-        (["predict", "--delta", "0.5"], cmd_predict, ("n", "delta"), ()),
+         ("n", "seed", "tol", "epochs_budget", "condition", "sequences")),
+        (["figure", "different_n"], figure_different_n, ("delta", "seed", "tol", "epochs_budget")),
+        (["figure", "expected"], figure_expected, ("n", "delta", "seed", "tol", "max_epochs")),
+        (["predict", "--delta", "0.5"], cmd_predict, ("n", "delta")),
         (["solve", "--delta", "0.5"], cmd_solve,
-         ("n", "delta", "variant", "seed", "tol", "max_epochs", "x0"), ()),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
-    def test_flag_defaults_are_function_defaults(self, argv, func, reads, other_params):
+         ("n", "delta", "variant", "seed", "tol", "max_epochs", "x0")),
+    ], ids=lambda v: " ".join(v) + "-" if isinstance(v, list) else "")  # stable ids: "table1---"
+    def test_flag_defaults_are_function_defaults(self, argv, func, reads):
         # an omitted flag takes the keyword default of the function the
-        # command calls, so cmd_table1() is table1 at its CLI defaults
+        # command calls, so cmd_table1() is table1 at its CLI defaults,
+        # and every parameter is a flag
         args = _parser().parse_args(argv)
         params = inspect.signature(func).parameters
         assert args.func is func
         assert args.reads == reads
-        assert tuple(params) == reads + other_params
+        assert tuple(params) == reads
         for name in reads:
             if params[name].default is not inspect.Parameter.empty:
                 assert getattr(args, name) == params[name].default, name
@@ -552,9 +553,9 @@ class TestFigures:
         assert all(math.isnan(r["rpcd_rel_std"]) for r in rows)
 
     def test_different_n_structure(self):
-        rows = figure_different_n(seed=0, epochs_budget=50, delta=0.001, ns=(10, 20))
+        rows = figure_different_n(seed=0, epochs_budget=50, delta=0.001)
         variants = {(r["variant"], r["n"]) for r in rows}
-        assert variants == {(v, n) for v in ("ccd", "rpcd", "rcd") for n in (10, 20)}
+        assert variants == {(v, n) for v in ("ccd", "rpcd", "rcd") for n in DIFFERENT_N}
         by_key = {}
         for r in rows:
             by_key.setdefault((r["variant"], r["n"]), []).append(r)

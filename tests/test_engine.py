@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from cdlab.engine import (
     _epoch_perm_invariant,
     _runs,
 )
-from conftest import simulate_epoch
+from conftest import relabel, simulate_epoch
 
 
 class TestOrderingPolicy:
@@ -38,18 +39,11 @@ class TestOrderingPolicy:
         assert ORDERINGS == ("ccd", "rcd", "rpcd")
         for kind in ORDERINGS:
             assert OrderingPolicy(kind).kind == kind
-        for kind in ("cyclic", "random_with_replacement", "random_permutation"):
+        for kind in ("cyclic", "random_with_replacement", "random_permutation",
+                     "fixed_permutation", "bogus"):
             with pytest.raises(ValueError):
                 OrderingPolicy(kind)
-
-    def test_fixed_permutation_validation(self):
-        OrderingPolicy.fixed_permutation([2, 0, 1])
-        with pytest.raises(ValueError):
-            OrderingPolicy.fixed_permutation([0, 0, 1])
-        with pytest.raises(ValueError):
-            OrderingPolicy("ccd", perm=(0, 1))
-        with pytest.raises(ValueError):
-            OrderingPolicy("bogus")
+        assert [field.name for field in dataclasses.fields(OrderingPolicy)] == ["kind"]
 
 
 class TestRun:
@@ -140,50 +134,50 @@ _K = _block_epochs(_N)
 _FIXED_CASES = [
     (model, policy)
     for model in (PermInvariantQuadratic(_N, 0.2), build_log_uniform_spectrum(_N, 100.0, 3))
-    for policy in (
-        OrderingPolicy("ccd"),
-        OrderingPolicy.fixed_permutation(np.random.default_rng(21).permutation(_N)),
-    )
+    for policy in (np.arange(_N), np.random.default_rng(21).permutation(_N))
 ]
-
-
-def _order(policy, n):
-    return list(range(n)) if policy.perm is None else list(policy.perm)
+_CCD = OrderingPolicy("ccd")
 
 
 @pytest.mark.parametrize("model,policy", _FIXED_CASES)
 class TestFixedOrderBlocks:
-    """Fixed orders at small n run as blocks of K stacked epoch-map powers."""
+    """Fixed orders at small n run as blocks of K stacked epoch-map powers.
+
+    `policy` is the order a case visits every epoch, the identity or a
+    permutation p: its run is ccd on relabel(model, p) from x0[p], checked
+    against the step oracle visiting p on `model`.
+    """
 
     def test_max_epochs_sweep_over_block_edges(self, model, policy):
         x0 = np.random.default_rng(22).standard_normal(_N)
-        ref = _oracle_iterates(model, _order(policy, _N), x0, 2 * _K + 1)
+        ref = _oracle_iterates(model, policy, x0, 2 * _K + 1)
         f0, scale = objective(model, x0), np.abs(x0).max()
+        cyclic = relabel(model, policy)
         for max_epochs in range(2 * _K + 2):
-            traj = run(model, policy, x0, max_epochs=max_epochs, tol=0.0)
+            traj = run(cyclic, _CCD, x0[policy], max_epochs=max_epochs, tol=0.0)
             assert traj.epochs == max_epochs
             for f, x_ref in zip(traj.f_per_epoch, ref):
                 assert abs(objective(model, x_ref) - f) <= 1e-12 * f0
             x = traj.final_x
-            assert abs(objective(model, x) - traj.f_per_epoch[-1]) <= 1e-12 * f0
-            assert np.abs(x - ref[max_epochs]).max() <= 1e-12 * scale
+            assert abs(objective(cyclic, x) - traj.f_per_epoch[-1]) <= 1e-12 * f0
+            assert np.abs(x - ref[max_epochs][policy]).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("stop", [1, _K // 2, _K, _K + 1, _K + _K // 2, 2 * _K])
     def test_tolerance_stops_at_first_epoch_below(self, model, policy, stop):
         # first, middle and last epoch of the first two blocks
         x0 = np.random.default_rng(23).standard_normal(_N)
-        ref = _oracle_iterates(model, _order(policy, _N), x0, stop)
+        ref = _oracle_iterates(model, policy, x0, stop)
         tol = 0.5 * (objective(model, ref[stop - 1]) + objective(model, ref[stop]))
-        traj = run(model, policy, x0, max_epochs=10 * _K, tol=tol)
+        traj = run(relabel(model, policy), _CCD, x0[policy], max_epochs=10 * _K, tol=tol)
         assert traj.epochs == stop
         assert np.all(traj.f_per_epoch[:-1] > tol) and traj.f_per_epoch[-1] <= tol
-        assert np.abs(traj.final_x - ref[stop]).max() <= 1e-12 * np.abs(x0).max()
+        assert np.abs(traj.final_x - ref[stop][policy]).max() <= 1e-12 * np.abs(x0).max()
 
     def test_draws_nothing_from_generator(self, model, policy):
         rng = np.random.default_rng(24)
         x0 = rng.standard_normal(_N)
         state = rng.bit_generator.state
-        run(model, policy, x0, max_epochs=3 * _K, tol=0.0, seed=rng)
+        run(relabel(model, policy), _CCD, x0[policy], max_epochs=3 * _K, tol=0.0, seed=rng)
         assert rng.bit_generator.state == state
 
     def test_nonfinite_objective_carries_last_finite_value(self, model, policy, monkeypatch):
@@ -201,8 +195,8 @@ class TestFixedOrderBlocks:
         monkeypatch.setattr(engine, "_objective_rows", poisoned)
         x0 = np.random.default_rng(25).standard_normal(_N)
         with pytest.raises(NumericalError) as err:
-            run(model, policy, x0, max_epochs=3 * _K, tol=0.0)
-        ref = _oracle_iterates(model, _order(policy, _N), x0, bad - 1)
+            run(relabel(model, policy), _CCD, x0[policy], max_epochs=3 * _K, tol=0.0)
+        ref = _oracle_iterates(model, policy, x0, bad - 1)
         assert err.value.last_estimate == pytest.approx(objective(model, ref[-1]), rel=1e-12)
         assert f"after {bad * _N} iterations" in str(err.value)
 
@@ -214,16 +208,15 @@ class TestFixedOrderOutsideBlocks:
         assert _block_epochs(256) == 2
         assert _block_epochs(257) < 2
 
-    def test_wrong_length_fixed_permutation_rejected(self):
+    def test_wrong_length_x0_rejected(self):
         # also when no epoch runs: a zero budget or a start already within tol
-        policy = OrderingPolicy.fixed_permutation([2, 0, 1])
         for model in (PermInvariantQuadratic(4, 0.5), build_log_uniform_spectrum(4, 10.0, 0),
                       PermInvariantQuadratic(300, 0.5)):
             n = model.n
-            for x0, max_epochs, tol in [(np.ones(n), 100, 1e-8), (np.ones(n), 0, 1e-8),
-                                        (np.ones(n), 5, 1e9), (np.zeros(n), 5, 1e-8)]:
-                with pytest.raises(ValueError, match=f"has length 3, expected {n}"):
-                    run(model, policy, x0, max_epochs=max_epochs, tol=tol)
+            for x0, max_epochs, tol in [(np.ones(3), 100, 1e-8), (np.ones(3), 0, 1e-8),
+                                        (np.ones(3), 5, 1e9), (np.zeros(3), 5, 1e-8)]:
+                with pytest.raises(ValueError, match=rf"x0 has shape \(3,\), expected \({n},\)"):
+                    run(model, _CCD, x0, max_epochs=max_epochs, tol=tol)
 
     def test_above_block_size_limit(self):
         # n = 300 keeps the per-coordinate loop
@@ -232,13 +225,11 @@ class TestFixedOrderOutsideBlocks:
         model = PermInvariantQuadratic(n, 0.1)
         rng = np.random.default_rng(26)
         x0 = rng.standard_normal(n)
-        perm = rng.permutation(n)
-        for policy, order in ((OrderingPolicy("ccd"), np.arange(n)),
-                              (OrderingPolicy.fixed_permutation(perm), perm)):
+        for order in (np.arange(n), rng.permutation(n)):
             ref = _oracle_iterates(model, order, x0, 3)
             for k, x_ref in enumerate(ref):
-                x = run(model, policy, x0, max_epochs=k, tol=0.0).final_x
-                assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x0).max()
+                x = run(relabel(model, order), _CCD, x0[order], max_epochs=k, tol=0.0).final_x
+                assert np.abs(x - x_ref[order]).max() <= 1e-12 * np.abs(x0).max()
 
 
 class TestFixedOrderDrift:
@@ -254,21 +245,9 @@ class TestFixedOrderDrift:
         traj = run(PermInvariantQuadratic(n, delta), OrderingPolicy("ccd"), x0,
                    max_epochs=epochs, tol=0.0)
         assert traj.epochs == epochs
-        ld = np.longdouble
-        d, c = ld(delta), ld(1) - ld(delta)
-        x = [ld(v) for v in x0]
-        s = sum(x, ld(0))
-        ref = []
-        for _ in range(epochs):
-            for i in range(n):
-                g = d * x[i] + c * s
-                x[i] -= g
-                s -= g
-            s = sum(x, ld(0))
-            ref.append(ld(0.5) * d * sum((v * v for v in x), ld(0)) + ld(0.5) * c * s * s)
-        ref = np.array(ref)
-        drift = np.abs(traj.f_per_epoch[1:] - ref) / ref
-        assert np.all(drift <= 4e-17 * np.arange(1, epochs + 1) + 2e-15)
+        ref = _longdouble_f(n, delta, x0, epochs)
+        drift = np.abs(traj.f_per_epoch - ref) / ref
+        assert np.all(drift <= 4e-17 * np.arange(epochs + 1) + 2e-15)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
                         reason="longdouble is float64 on this platform")

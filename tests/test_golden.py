@@ -7,7 +7,7 @@ relative (NaN equals NaN), so the files survive a different BLAS.  A
 change that moves an output rewrites its file in the same diff, and
 `--report` names what moved before it does.
 
-# report:     PYTHONPATH=src python tests/test_golden.py --report
+# report:     PYTHONPATH=src python tests/test_golden.py --report  (exit 1 if any case moved)
 # regenerate: PYTHONPATH=src python tests/test_golden.py --regenerate NAME [NAME ...]
 
 `--regenerate` rewrites only the named cases, so a change rewrites just
@@ -152,7 +152,7 @@ def test_report_names_a_case_without_golden_file_and_goes_on(monkeypatch, tmp_pa
         (tmp_path / f"{name}.json").write_text((GOLDEN / f"{name}.json").read_text())
     monkeypatch.setattr(sys.modules[__name__], "CASES", {name: CASES[name] for name in names})
     monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
-    report()
+    assert report() is False
     assert capsys.readouterr().out.splitlines() == [
         "predict: byte-identical", "error_predict_n1: no golden file", "predict_n700_json: byte-identical"]
 
@@ -204,17 +204,20 @@ def _records(parsed):
     return parsed
 
 
-def report() -> None:
+def report() -> bool:
     """Regenerate every case in memory and print how it differs from its file; write nothing.
 
     Per case: "byte-identical", or the largest relative move of each float
     field that moved, and a note where an exit status, stderr or a
     non-float value differs; "no golden file" for a case without one.
+    Returns whether every case is byte-identical.
     """
+    identical = True
     for name, command in CASES.items():
         path = GOLDEN / f"{name}.json"
         if not path.exists():
             print(f"{name}: no golden file")
+            identical = False
             continue
         argv = command.split()
         got = invoke(argv)
@@ -231,6 +234,8 @@ def report() -> None:
             notes += [f"{field} {move:.2g}" for field, move in moves.items()]
             notes = notes or ["floats equal, text differs"]
         print(f"{name}: {'; '.join(notes) or 'byte-identical'}")
+        identical = identical and not notes
+    return identical
 
 
 if __name__ == "__main__":
@@ -242,6 +247,6 @@ if __name__ == "__main__":
                         help="rewrite the files of these cases")
     args = parser.parse_args()
     if args.report:
-        report()
+        sys.exit(0 if report() else 1)
     else:
         regenerate(args.regenerate)

@@ -24,12 +24,16 @@ from cdlab.engine import (
     _BATCH_MAX_N, _ROW_BLOCK, _cyclic_tail, _epoch_dense, _runs, _unit_lower_inverse,
 )
 from cdlab.quadratic import _objective_rows
-from conftest import eig_radius, simulate_epoch
+from conftest import eig_radius, relabel, simulate_epoch
 
 
 @st.composite
 def fixed_order_runs(draw):
-    """(model, policy, order, x0, epochs) for a fixed-order run."""
+    """(model, order, x0, epochs) for a run visiting `order` every epoch.
+
+    The run is `ccd` on relabel(model, order) from x0[order]: its iterates
+    are those of `model` visited in `order`, relabelled.
+    """
     n = draw(st.integers(2, 64))
     # delta = t * n/(n-1), with t pushed towards both open ends by a log scale
     gap = 10.0 ** draw(st.floats(-9.0, -0.3))
@@ -37,34 +41,30 @@ def fixed_order_runs(draw):
     model = PermInvariantQuadratic(n, t * n / (n - 1))
     if draw(st.booleans()):
         model = DenseQuadratic(model.matrix())
-    if draw(st.booleans()):
-        order = list(range(n))
-        policy = OrderingPolicy("ccd")
-    else:
-        order = draw(st.permutations(range(n)))
-        policy = OrderingPolicy.fixed_permutation(order)
+    order = list(range(n)) if draw(st.booleans()) else draw(st.permutations(range(n)))
     x0 = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
-    return model, policy, order, x0, draw(st.integers(1, 40))
+    return model, np.array(order), x0, draw(st.integers(1, 40))
 
 
 @settings(max_examples=150, deadline=None)
 @given(fixed_order_runs())
 def test_fixed_order_run_matches_step_oracle(case):
-    model, policy, order, x0, epochs = case
+    model, order, x0, epochs = case
     # f is compared on the scale of the terms it sums, (1/2)|x0|'|A||x0| <=
     # (1/2)||x0||_1^2: near either edge A is nearly singular, f(x^0) can be
     # far below that, and the map products of the block path then move f by
     # up to ~1e-11 f(x^0) while x stays within ~1e-13 ||x0||_inf.  The
     # iterate after k epochs is the final_x of a k-epoch run.
-    traj = run(model, policy, x0, max_epochs=epochs, tol=0.0)
+    cyclic, ccd = relabel(model, order), OrderingPolicy("ccd")
+    traj = run(cyclic, ccd, x0[order], max_epochs=epochs, tol=0.0)
     f_scale, x_scale = 0.5 * np.abs(x0).sum() ** 2, np.abs(x0).max()
     assert traj.epochs == epochs or traj.f_per_epoch[-1] == 0.0
     x_ref = x0
     for k, f in enumerate(traj.f_per_epoch[1:], start=1):
         x_ref = simulate_epoch(model, x_ref, order)
-        x = run(model, policy, x0, max_epochs=k, tol=0.0).final_x
+        x = run(cyclic, ccd, x0[order], max_epochs=k, tol=0.0).final_x
         assert abs(f - objective(model, x_ref)) <= 1e-12 * f_scale
-        assert np.abs(x - x_ref).max() <= 1e-12 * x_scale
+        assert np.abs(x - x_ref[order]).max() <= 1e-12 * x_scale
 
 
 @settings(max_examples=150, deadline=None)
@@ -74,9 +74,11 @@ def test_fixed_order_run_nonincreasing_up_to_rounding(case):
     # |A_ij| <= 1, about n*eps*||x||_1^2.  Near either edge of the window A is
     # nearly singular, and that error exceeds 1e-10 f(x^0) on the block path
     # and on the per-coordinate loop alike.
-    model, policy, _, x0, epochs = case
-    traj = run(model, policy, x0, max_epochs=epochs, tol=0.0)
-    iterates = [run(model, policy, x0, max_epochs=k, tol=0.0).final_x for k in range(traj.epochs)]
+    model, order, x0, epochs = case
+    cyclic, ccd = relabel(model, order), OrderingPolicy("ccd")
+    traj = run(cyclic, ccd, x0[order], max_epochs=epochs, tol=0.0)
+    iterates = [run(cyclic, ccd, x0[order], max_epochs=k, tol=0.0).final_x
+                for k in range(traj.epochs)]
     slack = [2 * model.n * np.finfo(float).eps * np.abs(x).sum() ** 2 for x in iterates]
     assert np.all(np.diff(traj.f_per_epoch) <= slack)
 

@@ -257,6 +257,13 @@ class TestEmpiricalRate:
         with pytest.raises(ValueError):
             empirical_rate(_traj(0.9 ** np.arange(10)))
 
+    def test_window_below_one_rejected(self):
+        # window = -1 read 2048.0 on these values and window = 0 divided by zero
+        f = 0.5 ** np.arange(12)
+        for window in (-1, 0):
+            with pytest.raises(ValueError, match="window must be >= 1"):
+                empirical_rate(_traj(f), window=window)
+
     def test_zero_in_window(self):
         f = np.concatenate([0.9 ** np.arange(12), [0.0]])
         with pytest.raises(ValueError):

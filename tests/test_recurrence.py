@@ -289,6 +289,14 @@ class TestFirstIteration:
         assert avg == pytest.approx((n - 1) / n * objective(model, x0), abs=1e-12)
         assert first_iteration_expectation(n, 1.0) == pytest.approx((n - 1) / n, abs=1e-15)
 
+    def test_rejects_outside_window(self):
+        # (100, 5.0) read -14.85, a negative expectation factor
+        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+            first_iteration_expectation(1, 0.5)
+        for n, delta in ((100, 5.0), (10, 10 / 9), (10, 0.0)):
+            with pytest.raises(ValueError, match="delta must lie in"):
+                first_iteration_expectation(n, delta)
+
     def test_conditional_matches_simulation(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
