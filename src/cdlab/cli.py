@@ -13,7 +13,7 @@ The predicted columns (rho_C_sq, rho_M and the recurrence coefficients)
 come from (n, delta) through `rates.rho_C` and `recurrence_coeffs`, in
 O(1) and O(n), and build no dense epoch matrix.  table1's empirical
 columns do: its cyclic column builds epoch_map(model) at n <= 256
-(`engine._cyclic_tail`), and its rpcd stack an n x n matrix at n <= 192.
+(`engine._cyclic_tail`), and its rpcd stack epoch_map(model) at n <= 192.
 
 Each command is a function whose parameters, with their defaults, are
 the flags it reads; it returns its rows as dicts (`cmd_predict` its one
@@ -164,20 +164,23 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
                replicates: int = 20, tol: float = 1e-8, max_epochs: int = 500_000) -> list[dict]:
     """Empirical and predicted rate columns for each delta.
 
-    Every delta is checked against the model's window before the first
-    run.  Cyclic descent is run once per delta; at n <= 256 its rate
-    comes from the stop epoch alone (`engine._cyclic_tail` squares the
-    epoch map rather than stepping every epoch).  The randomized
-    orderings are run over `replicates` derived seeds and reported as
-    replicate means (the permutation variant also with the replicate
-    standard deviation).  The replicates of an ordering run as one stack
-    (`engine._runs`), which at n <= 192 advances all rpcd replicates one
-    epoch per matrix product.  A cell with no valid replicate is NaN;
-    predicted columns are always emitted, from the scalar predictors
-    rho_C(n, delta)^2 and rho_M(n, delta).
+    Every delta is checked against the model's window, and `replicates`
+    against 1, before the first run.  Cyclic descent is run once per
+    delta; at n <= 256 its rate comes from the stop epoch alone
+    (`engine._cyclic_tail` squares the epoch map rather than stepping
+    every epoch).  The randomized orderings are run over `replicates`
+    derived seeds and reported as replicate means (the permutation
+    variant also with the replicate standard deviation).  The replicates
+    of an ordering run as one stack (`engine._runs`), which at n <= 192
+    advances all rpcd replicates one epoch per matrix product.  A cell
+    with no valid replicate is NaN; predicted columns are always
+    emitted, from the scalar predictors rho_C(n, delta)^2 and
+    rho_M(n, delta).
     """
     for delta in deltas:
         PermInvariantQuadratic(n, delta)  # window check
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     rows = []
     for d_idx, delta in enumerate(deltas):
         ccd, rcd, rpcd = (_valid_rates(n, delta, d_idx, v, seed=seed, replicates=replicates,

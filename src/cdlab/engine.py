@@ -90,11 +90,11 @@ _BLOCK_EPOCHS = 16
 # and the epochs whose f `_cyclic_tail` returns for it.
 _RATE_WINDOW = 10
 
-# Powers (1-delta) delta^t below this in magnitude are 0 in the rpcd
-# epoch matrix C of `_runs`: they scale a term by under 1e-289, so dropping
-# them moves f only where coordinates differ by some 280 orders of
-# magnitude; kept, they and their products with the iterate are subnormal,
-# which made the batched product 3 times slower at n = 256, delta = 0.03.
+# Entries of the rpcd epoch matrix C of `_runs` below this in magnitude
+# are set to 0: they scale a term by under 1e-289, so dropping them moves
+# f only where coordinates differ by some 280 orders of magnitude; kept,
+# they and their products with the iterate are subnormal, which made the
+# batched product 3 times slower at n = 256, delta = 0.03.
 _POWER_FLOOR = 2.0**-960
 
 # Largest n at which `_runs` steps rpcd replicates by one product.  On
@@ -365,13 +365,10 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
       n <= `_BATCH_MAX_N`: one matrix product per epoch for the stack.
       Every permutation's epoch map is P C P' with the same C, so with
       each iterate in visit order, y[t] = x[order[t]], an epoch is y <- C y,
-      as rows Y <- Y C' with, 0-indexed,
-
-          C'_kt = p_(t-k) [k <= t] - p_t,   p_t = (1-delta) delta^t,
-
-      then scattered back; p_t below `_POWER_FLOOR` is 0.  Row 0 of C' is
-      0: no step reads the first visited coordinate's old value.  One
-      start is faster on the row loop;
+      as rows Y <- Y C', C' from `epoch_map`, entries below `_POWER_FLOOR`
+      set to 0, then scattered back.  Row 0 of C' is exactly 0: no step
+      reads the first visited coordinate's old value.  One start is faster
+      on the row loop;
     - any other order on that model: the plain-float row loop
       `_epoch_perm_invariant`;
     - a dense model: `_epoch_dense` on an (S, n, 1) stack.
@@ -389,12 +386,8 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     orders = [_Orders(policy, n, rng) for rng in rngs]
     f0 = [objective(model, x) for x in rows]
     if perm_invariant and policy.kind == "rpcd" and len(X) > 1 and n <= _BATCH_MAX_N:
-        # T = C' in visit order: row k is p shifted right by k, less p
-        p = (1.0 - model.delta) * model.delta ** np.arange(n, dtype=float)
-        p[np.abs(p) < _POWER_FLOOR] = 0.0
-        T = np.tile(-p, (n, 1))
-        for k in range(n):
-            T[k, k:] += p[: n - k]
+        T = epoch_map(model).T.copy()  # C' in visit order, C-contiguous for the product
+        T[np.abs(T) < _POWER_FLOOR] = 0.0
         flat = X.reshape(-1)
 
         def step(active):

@@ -250,5 +250,4 @@ def build_log_uniform_spectrum(n: int, condition: float, seed) -> DenseQuadratic
     d = np.sqrt(np.diag(A))
     A = A / np.outer(d, d)
     np.fill_diagonal(A, 1.0)
-    A = 0.5 * (A + A.T)
     return DenseQuadratic(A)

@@ -274,10 +274,15 @@ def rcd_one_step_example(n: int, delta: float) -> tuple[float, float]:
     With x_i = (-1)^i and n even, the coordinate sum vanishes, so
     f = delta*n/2, and one exact-line-search step at any coordinate gives
     f+ = delta*(n-delta)/2 = (1 - delta/n) f, matching the per-iteration
-    randomized-descent rate exactly.
+    randomized-descent rate exactly.  delta must lie in [0, n/(n-1)):
+    the model's window and its degenerate edge delta = 0, where both
+    values are 0.
     """
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
+    if not 0.0 <= delta < n / (n - 1):
+        raise ValueError(f"delta must lie in [0, n/(n-1)) = [0, {n / (n - 1)}) "
+                         f"for n = {n}, got {delta}")
     f0 = 0.5 * delta * n
     f1 = 0.5 * delta * (n - delta)
     return f0, f1

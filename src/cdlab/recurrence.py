@@ -41,6 +41,10 @@ __all__ = [
     "first_iteration_objective",
 ]
 
+# Largest n and t `brute_force_abar` enumerates: 5! permutation maps, 3 levels.
+_BRUTE_MAX_N = 5
+_BRUTE_MAX_T = 3
+
 
 @dataclass(frozen=True)
 class SymmetrizedForm:
@@ -200,16 +204,17 @@ def evolve(M: RecurrenceMatrix, delta: float, t: int) -> np.ndarray:
     return np.array(pairs)
 
 
-def brute_force_abar(n: int, delta: float, t: int, max_n: int = 5, max_t: int = 3) -> np.ndarray:
+def brute_force_abar(n: int, delta: float, t: int) -> np.ndarray:
     """Exact permutation-averaged t-epoch quadratic form, by enumeration.
 
     Abar^(0) = A and Abar^(t) = mean over all n! permutations of
     (P C P')' Abar^(t-1) (P C P').  The levels average independently, so
-    the recursion over t is exact.  Guarded to small n and t: the work
-    grows factorially.
+    the recursion over t is exact.  Guarded to n <= `_BRUTE_MAX_N` and
+    t <= `_BRUTE_MAX_T`: the work grows factorially.
     """
-    if n > max_n or t > max_t:
-        raise ValueError(f"brute force capped at n <= {max_n}, t <= {max_t}; got n={n}, t={t}")
+    if n > _BRUTE_MAX_N or t > _BRUTE_MAX_T:
+        raise ValueError(f"brute force capped at n <= {_BRUTE_MAX_N}, t <= {_BRUTE_MAX_T}; "
+                         f"got n={n}, t={t}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     model = PermInvariantQuadratic(n, delta)
@@ -268,10 +273,12 @@ def first_iteration_objective(x0: np.ndarray, delta: float, i: int) -> float:
                  + (sum_{j != i} x0_j)^2 * [ (delta/2)(1-delta)^2
                                              + (delta^2/2)(1-delta) ].
 
-    This matches direct simulation of the step to rounding error.
+    This matches direct simulation of the step to rounding error.  A
+    delta outside the model's window (0, n/(n-1)) raises ValueError.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
+    PermInvariantQuadratic(n, delta)  # validate the (n, delta) window
     if not 0 <= i < n:
         raise IndexError(f"coordinate index {i} out of range for n={n}")
     rest_sq = float(x0 @ x0) - float(x0[i]) ** 2

@@ -248,6 +248,16 @@ class TestTable1:
             cmd_table1(n=10, deltas=(0.5,), replicates=2, max_epochs=-1)
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("replicates", [0, -2])
+    def test_replicates_below_one_rejected(self, replicates, capsys):
+        with pytest.raises(ValueError, match=f"replicates must be >= 1, got {replicates}"):
+            cmd_table1(n=10, deltas=(0.5,), replicates=replicates)
+        assert capsys.readouterr().err == ""
+
+    def test_figure_lu_sequences_below_one_rejected(self):
+        with pytest.raises(ValueError, match="sequences must be >= 1, got 0"):
+            figure_lu(n=4, sequences=0)
+
     def test_every_delta_checked_before_the_first_run(self, monkeypatch):
         import cdlab.cli
 

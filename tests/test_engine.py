@@ -380,11 +380,12 @@ class TestRpcdTails:
     def stack(model, starts, rngs, max_epochs, tol):
         return _runs(model, OrderingPolicy("rpcd"), starts, rngs, max_epochs, tol)
 
-    @pytest.mark.parametrize("delta", [0.2, 0.03])
+    @pytest.mark.parametrize("delta", [0.2, 0.03, 0.005])
     def test_batch_matches_run_at_its_bound(self, delta, monkeypatch):
         # at n = 192 and delta = 0.03 the powers of delta from 190 on are below
-        # the floor; the row loop is patched to raise, so the product must do
-        # the stepping
+        # the floor; at 0.005 the raw epoch_map holds 378 subnormal entries,
+        # which the floor sets to 0.  The row loop is patched to raise, so the
+        # product must do the stepping
         n = _BATCH_MAX_N
         model = PermInvariantQuadratic(n, delta)
         starts = np.random.default_rng(1).standard_normal((4, n))

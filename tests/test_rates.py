@@ -299,6 +299,12 @@ class TestRcdOneStepExample:
         with pytest.raises(ValueError):
             rcd_one_step_example(5, 0.1)
 
+    @pytest.mark.parametrize("delta", [5.0, 4 / 3, -0.1])
+    def test_delta_outside_window_rejected(self, delta):
+        # (4, 5.0) read (10.0, -2.5), a negative objective
+        with pytest.raises(ValueError, match="delta must lie in"):
+            rcd_one_step_example(4, delta)
+
     def test_matches_simulation_for_every_coordinate(self):
         from cdlab import apply_coordinate_step, coordinate_gradient, init_state, objective
 

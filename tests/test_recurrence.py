@@ -296,6 +296,9 @@ class TestFirstIteration:
         for n, delta in ((100, 5.0), (10, 10 / 9), (10, 0.0)):
             with pytest.raises(ValueError, match="delta must lie in"):
                 first_iteration_expectation(n, delta)
+        # the conditional form read -82.5 here
+        with pytest.raises(ValueError, match="delta must lie in"):
+            first_iteration_objective(np.ones(4), 5.0, 0)
 
     def test_conditional_matches_simulation(self):
         rng = np.random.default_rng(17)
