@@ -11,9 +11,8 @@ solve        a single trajectory as epoch/objective rows
 
 The predicted columns (rho_C_sq, rho_M and the recurrence coefficients)
 come from (n, delta) through `rates.rho_C` and `recurrence_coeffs`, in
-O(1) and O(n), and build no dense epoch matrix.  table1's empirical
-columns do: its cyclic column builds epoch_map(model) at n <= 256
-(`engine._cyclic_tail`), and its rpcd stack epoch_map(model) at n <= 192.
+O(1) and O(n), and build no dense epoch matrix.  Only table1's cyclic
+column does, epoch_map(model) at n <= 256 (`engine._cyclic_tail`).
 
 Each command is a function whose parameters, with their defaults, are
 the flags it reads; it returns its rows as dicts (`cmd_predict` its one
@@ -127,8 +126,7 @@ def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs
     objective over the rate window, found by squaring the epoch map at
     n <= 256.  The rcd and rpcd replicates run in one `_runs` call, each
     drawing its orders from its own seeded generator: rcd one row loop per
-    replicate, rpcd one matrix product per epoch for all of them at
-    n <= 192.
+    replicate, rpcd one blocked scan per epoch for all of them.
 
     A replicate is dropped when its run loses numerical meaning (a
     NumericalError) or its rate window is too short or not positive (the
@@ -170,12 +168,10 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
     (`engine._cyclic_tail` squares the epoch map rather than stepping
     every epoch).  The randomized orderings are run over `replicates`
     derived seeds and reported as replicate means (the permutation
-    variant also with the replicate standard deviation).  The replicates
-    of an ordering run as one stack (`engine._runs`), which at n <= 192
-    advances all rpcd replicates one epoch per matrix product.  A cell
-    with no valid replicate is NaN; predicted columns are always
-    emitted, from the scalar predictors rho_C(n, delta)^2 and
-    rho_M(n, delta).
+    variant also with the replicate standard deviation), one stack of
+    replicates per ordering (`engine._runs`).  A cell with no valid
+    replicate is NaN; predicted columns are always emitted, from the
+    scalar predictors rho_C(n, delta)^2 and rho_M(n, delta).
     """
     for delta in deltas:
         PermInvariantQuadratic(n, delta)  # window check

@@ -33,19 +33,13 @@ fits in about 1 MB (n <= 256) `_runs` builds M, M^2, ..., M^K once and
 advances K epochs with one matrix-vector product, stopping at the first
 epoch that reaches the tolerance.
 
-Random orders are drawn a chunk of epochs per generator call
-(`_Orders`), about 1 us per rcd epoch at n = 100 against 8-10 us for a
-call per epoch.  The orders, and the state each generator is left in,
-are those of one rng.integers(0, n, size=n) (rcd) or rng.permutation(n)
-(rpcd) call per epoch.
-
 A rate over the last epochs of a cyclic run needs only its stop epoch
 and those epochs.  Where the block path would run, `_cyclic_tail` finds
 both from the powers M^(2^j), built by squaring, in O(log L) matrix
 products instead of L epochs; Table 1's cyclic column uses it, and its
 random columns one `_runs` call per ordering.
 
-Every f recorded here, by the row loop, the stacked rpcd product, the
+Every f recorded here, by the row loop, the rpcd scan, the
 block path and `_cyclic_tail`, is one float: `quadratic.objective`, or
 its row form `_objective_rows` for a stack of iterates.
 """
@@ -90,20 +84,11 @@ _BLOCK_EPOCHS = 16
 # and the epochs whose f `_cyclic_tail` returns for it.
 _RATE_WINDOW = 10
 
-# Entries of the rpcd epoch matrix C of `_runs` below this in magnitude
-# are set to 0: they scale a term by under 1e-289, so dropping them moves
-# f only where coordinates differ by some 280 orders of magnitude; kept,
-# they and their products with the iterate are subnormal, which made the
-# batched product 3 times slower at n = 256, delta = 0.03.
+# Powers of delta below this are 0 in the rpcd scan of `_runs`: they scale a
+# term by under 1e-289, so dropping them moves f only where coordinates
+# differ by some 280 orders of magnitude; kept, their subnormal products
+# made the dense product the scan replaced 3x slower (n = 256, delta = 0.03).
 _POWER_FLOOR = 2.0**-960
-
-# Largest n at which `_runs` steps rpcd replicates by one product.  On
-# the rpcd cells of Table 1's six deltas with 20 replicates, on a 2-core
-# host, the batch took 0.2-0.5 of the serial time at every n from 100 to
-# 192, idle or with one or both cores busy.  At n = 224 and 256 with both
-# cores busy it took up to 7 times as long: OpenBLAS splits the larger
-# products over two threads and waits on the descheduled one.
-_BATCH_MAX_N = 192
 
 # Visits per row block of the dense epoch kernel `_epoch_dense`.  With the
 # inverses by squaring, one epoch of a (10, 100, 100) stack on a 2-core host
@@ -294,6 +279,12 @@ def _epoch_dense(G: np.ndarray, A: np.ndarray, orders: np.ndarray) -> np.ndarray
     return 0.5 * np.einsum("snm,snm->s", steps, steps)
 
 
+def _lower_toeplitz(v: np.ndarray, k: int) -> np.ndarray:
+    """The square matrix T[i, j] = v[i - j - k] where i - j >= k, and 0 elsewhere."""
+    t = np.arange(len(v))
+    return np.where(t[:, None] - t >= k, v[t[:, None] - t - k], 0.0)
+
+
 def _block_epochs(n: int) -> int:
     """Epoch-map powers per block at dimension n; below 2 the block path is off."""
     return min(_BLOCK_EPOCHS, _BLOCK_BYTES // (8 * n * n))
@@ -361,14 +352,17 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
 
     - ccd where `_block_epochs(n) >= 2` (n <= 256): `_run_blocks` per
       replicate, K epochs per product with one epoch map;
-    - rpcd on the permutation-invariant model with more than one start at
-      n <= `_BATCH_MAX_N`: one matrix product per epoch for the stack.
-      Every permutation's epoch map is P C P' with the same C, so with
-      each iterate in visit order, y[t] = x[order[t]], an epoch is y <- C y,
-      as rows Y <- Y C', C' from `epoch_map`, entries below `_POWER_FLOOR`
-      set to 0, then scattered back.  Row 0 of C' is exactly 0: no step
-      reads the first visited coordinate's old value.  One start is faster
-      on the row loop;
+    - rpcd on the permutation-invariant model with more than one start: a
+      blocked scan.  With each iterate in visit order, y_t = x[order[t]],
+      zero-padded into m = ceil(n/b) blocks of b = ceil(sqrt(n)), a block
+      entered with coordinate sum c steps d = c p - Y_b U' (p_t = delta^t,
+      U[t, k] = delta^(t-k) for k <= t); with s the iterate's sum, the c
+      are s q - L (Y_b v) (q_J = delta^(bJ), v_k = delta^(b-k),
+      L[J, I] = delta^(b(J-1-I)) for I < J); then y <- (delta-1) d by the
+      row loop's rule.  Powers below `_POWER_FLOOR` are 0; no exponent < 0.
+      One start keeps the row loop: it is faster at n <= 150 or so, and
+      above that a faster single start reads as a peak-RSS regression in
+      the benchmark, whose worker keeps every pass's output;
     - any other order on that model: the plain-float row loop
       `_epoch_perm_invariant`;
     - a dense model: `_epoch_dense` on an (S, n, 1) stack.
@@ -385,17 +379,27 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     rows = list(X)  # views; indexing a list is cheaper than X[r] in the row loop
     orders = [_Orders(policy, n, rng) for rng in rngs]
     f0 = [objective(model, x) for x in rows]
-    if perm_invariant and policy.kind == "rpcd" and len(X) > 1 and n <= _BATCH_MAX_N:
-        T = epoch_map(model).T.copy()  # C' in visit order, C-contiguous for the product
-        T[np.abs(T) < _POWER_FLOOR] = 0.0
-        flat = X.reshape(-1)
+    if perm_invariant and policy.kind == "rpcd" and len(X) > 1:
+        delta, b = model.delta, math.isqrt(n - 1) + 1  # b = ceil(sqrt(n))
+        m = -(-n // b)
+        powers = delta ** np.concatenate([np.arange(b), np.arange(b, 0, -1), b * np.arange(m)])
+        powers[powers < _POWER_FLOOR] = 0.0
+        p, v, q = np.split(powers, [b, 2 * b])
+        sums = np.column_stack([v, np.ones(b)])  # each block's Y_b v and sum, weighted by K
+        K = np.stack([-_lower_toeplitz(q, 1).T, np.broadcast_to(q, (m, m))], 1).reshape(2 * m, m)
+        PU = np.vstack([p, -_lower_toeplitz(p, 0).T])  # [c, Y_b] PU = c p - Y_b U'
+        flat, Y, E = X.reshape(-1), np.zeros((len(X), m * b)), np.empty((len(X), m, b + 1))
 
         def step(active):
+            R = len(active)
             idx = np.array([orders[r].next() for r in active])
             idx += n * np.array(active)[:, None]
-            Y = flat[idx] @ T
-            flat[idx] = Y
-            return _objective_rows(model, Y).tolist()
+            Y[:R, :n] = flat[idx]
+            E[:R, :, 0] = (Y[:R].reshape(-1, b) @ sums).reshape(R, 2 * m) @ K  # s q - L Y_b v
+            E[:R, :, 1:] = Y[:R].reshape(R, m, b)
+            d = (E[:R].reshape(-1, b + 1) @ PU).reshape(R, -1)[:, :n]
+            y = flat[idx] = delta * d - d if delta < 0.5 else (delta - 1.0) * d
+            return _objective_rows(model, y).tolist()
     elif perm_invariant:
         delta = model.delta
         lists = [x.tolist() for x in rows]  # each iterate as floats between epochs
@@ -518,9 +522,10 @@ def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     L does not bracket tol, which only rounding can cause.
 
     Squaring is used exactly where `run` would take the block path
-    (`_block_epochs(n) >= 2`, n <= 256), so the one decision of when a
-    map is worth building stays in this module; above that this is `run`
-    itself.  Where squaring stops beating stepping has not been measured.
+    (`_block_epochs(n) >= 2`, n <= 256); above that this is `run` itself.
+    Squaring wins beyond the cap (one cell from table1's start, delta =
+    0.5, one BLAS thread: 0.03 s against 0.60 s stepping at n = 300, 0.82 s
+    against 26 s at n = 1000), which stays for memory (185 MB at n = 1000).
     """
     if _block_epochs(model.n) < 2:
         traj = run(model, OrderingPolicy("ccd"), x0, max_epochs, tol)

@@ -74,6 +74,8 @@ class DenseQuadratic:
         A = np.asarray(self.A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
+        if not np.isfinite(A).all():
+            raise ValueError("A must have finite entries")
         if np.abs(A - A.T).max() > _SYM_TOL:
             raise ValueError("A must be symmetric to within 1e-12 entrywise")
         if np.abs(np.diag(A) - 1.0).max() > _SYM_TOL:

@@ -206,8 +206,10 @@ def rcd_rates(n: int, delta: float) -> tuple[float, float]:
     eigenvalue of A (delta for delta <= 1, n(1-delta)+delta above), and
     the sharper R-linear rate (1 - 2*delta/(n(1+delta)))^n.  The
     derivation of the latter takes mu = delta, so it is NaN for
-    delta > 1.
+    delta > 1.  Raises ValueError outside n >= 2, 0 <= delta < n/(n-1).
     """
+    if not (n >= 2 and 0.0 <= delta < n / (n - 1)):
+        raise ValueError(f"delta must lie in [0, n/(n-1)) with n >= 2, got n={n}, delta={delta}")
     mu = min(delta, n * (1.0 - delta) + delta)
     q_epoch = (1.0 - mu / n) ** n
     r_epoch = (1.0 - 2.0 * delta / (n * (1.0 + delta))) ** n if delta <= 1.0 else math.nan
@@ -254,8 +256,8 @@ def empirical_rate(traj, window: int = _RATE_WINDOW) -> float:
     `traj` is a Trajectory, or its per-epoch objective values (at least
     the last ones).  Returns (f_L / f_{L-window})^(1/window) with L the
     last recorded epoch, discounting the early transient.  Requires at
-    least window+1 recorded epochs with strictly positive objective
-    values in the window.
+    least window+1 recorded epochs with strictly positive, finite
+    objective values in the window.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -263,8 +265,8 @@ def empirical_rate(traj, window: int = _RATE_WINDOW) -> float:
     if len(f) < window + 1:
         raise ValueError(f"need at least {window + 1} recorded epochs, got {len(f)}")
     tail = f[-(window + 1):]
-    if np.any(tail <= 0.0):
-        raise ValueError("objective values in the rate window must be strictly positive")
+    if not np.all((tail > 0.0) & (tail < math.inf)):
+        raise ValueError("objective values in the rate window must be finite and > 0")
     return float((tail[-1] / tail[0]) ** (1.0 / window))
 
 

@@ -24,7 +24,6 @@ from cdlab import (
 )
 import cdlab.engine as engine
 from cdlab.engine import (
-    _BATCH_MAX_N,
     _ORDER_CHUNK,
     _block_epochs,
     _cyclic_tail,
@@ -381,12 +380,11 @@ class TestRpcdTails:
         return _runs(model, OrderingPolicy("rpcd"), starts, rngs, max_epochs, tol)
 
     @pytest.mark.parametrize("delta", [0.2, 0.03, 0.005])
-    def test_batch_matches_run_at_its_bound(self, delta, monkeypatch):
-        # at n = 192 and delta = 0.03 the powers of delta from 190 on are below
-        # the floor; at 0.005 the raw epoch_map holds 378 subnormal entries,
-        # which the floor sets to 0.  The row loop is patched to raise, so the
-        # product must do the stepping
-        n = _BATCH_MAX_N
+    def test_stack_matches_run_with_powers_floored(self, delta, monkeypatch):
+        # n = 192 gives blocks of b = 14 and m = 14; at delta = 0.005 the
+        # powers delta^(14J) from J = 9 on are below the floor and set to 0.
+        # The row loop is patched to raise, so the scan must do the stepping
+        n = 192
         model = PermInvariantQuadratic(n, delta)
         starts = np.random.default_rng(1).standard_normal((4, n))
 
@@ -431,15 +429,15 @@ class TestRpcdTails:
         assert zero.epochs == 0 and np.array_equal(zero.f_per_epoch, [0.0])
         assert rngs[1].bit_generator.state == fresh[1].bit_generator.state
 
-    def test_is_run_above_the_batch_bound(self):
-        # above the bound, and for one start, the stack is the row loop of `run`
-        for n, count in [(_BATCH_MAX_N + 1, 3), (30, 1)]:
+    def test_one_start_is_the_row_loop(self):
+        # a stack of one is `run` bit for bit at any n; more starts take the scan
+        for n in (30, 300):
             model = PermInvariantQuadratic(n, 0.5)
-            starts = np.random.default_rng(3).standard_normal((count, n))
-            trajs = self.stack(model, starts, self.rngs(count), 40, 1e-8)
-            for traj, ref in zip(trajs, self.runs(model, starts, self.rngs(count), 40, 1e-8)):
-                assert np.array_equal(traj.f_per_epoch, ref.f_per_epoch)
-                assert np.array_equal(traj.final_x, ref.final_x)
+            start = np.random.default_rng(3).standard_normal((1, n))
+            (traj,) = self.stack(model, start, self.rngs(1), 40, 1e-8)
+            (ref,) = self.runs(model, start, self.rngs(1), 40, 1e-8)
+            assert np.array_equal(traj.f_per_epoch, ref.f_per_epoch)
+            assert np.array_equal(traj.final_x, ref.final_x)
 
     def test_inputs_raise_as_run_does(self):
         model = PermInvariantQuadratic(4, 0.5)
@@ -497,9 +495,9 @@ class TestChunkedOrders:
     """Orders drawn a chunk at a time are the per-epoch draws, and leave the generator there.
 
     The oracle draws one order per epoch.  Against it, the row loop is
-    equal bit for bit; the stacked rpcd product (n <= `_BATCH_MAX_N`, more
-    than one start) and the dense kernel equal it to rounding.  The
-    generator state is equal on every path.
+    equal bit for bit; the rpcd scan (more than one start) and the dense
+    kernel equal it to rounding.  The generator state is equal on every
+    path.
     """
 
     DELTA = 1e-3  # slow enough that f stays far above 0 over 2k+1 epochs at n = 2
@@ -515,7 +513,7 @@ class TestChunkedOrders:
             assert np.abs(traj.final_x - x).max() <= 1e-12 * np.abs(x).max()
 
     @pytest.mark.parametrize("kind", ["rcd", "rpcd"])
-    @pytest.mark.parametrize("n", [2, 7, 100, _BATCH_MAX_N + 1, 300])
+    @pytest.mark.parametrize("n", [2, 7, 100, 193, 300])
     def test_budget_and_stop_at_chunk_points(self, n, kind):
         model, policy = PermInvariantQuadratic(n, self.DELTA), OrderingPolicy(kind)
         x0 = np.random.default_rng(n).standard_normal(n)
@@ -534,7 +532,7 @@ class TestChunkedOrders:
 
     @pytest.mark.parametrize("kind", ["rcd", "rpcd"])
     @pytest.mark.parametrize("n, dense", [(2, False), (7, False), (100, False),
-                                          (_BATCH_MAX_N + 1, False), (300, False),
+                                          (193, False), (300, False),
                                           (2, True), (7, True), (100, True)])
     def test_stack_stops_at_different_epochs(self, n, kind, dense):
         # replicate r's start is scaled so that it stops at tol = 1 near
@@ -556,7 +554,7 @@ class TestChunkedOrders:
         rngs = [np.random.default_rng([n, r]) for r in range(len(starts))]
         run_model = DenseQuadratic(model.matrix()) if dense else model
         trajs = _runs(run_model, policy, starts, rngs, budget, 1.0)
-        exact = not dense and (kind == "rcd" or n > _BATCH_MAX_N)
+        exact = not dense and kind == "rcd"
         for r, stop in enumerate(stops):
             fs, xs, states = _oracle(model, kind, starts[r], np.random.default_rng([n, r]), stop)
             assert all(f > 1.0 for f in fs[:-1]) and (fs[-1] <= 1.0 or stop == budget)
@@ -594,7 +592,7 @@ class TestChunkedOrders:
                 patch.setattr(engine, "_objective_rows", rows)
                 patch.setattr(engine, "objective", one)
                 trajs = _runs(run_model, policy, starts, rngs, budget, 0.0)
-            exact = not dense and (kind == "rcd" or n > _BATCH_MAX_N)
+            exact = not dense and kind == "rcd"
             for r in range(count):
                 fs, xs, states = _oracle(model, kind, starts[r], np.random.default_rng([n, r]),
                                          budget)

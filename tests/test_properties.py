@@ -1,5 +1,8 @@
 """Property tests over the whole delta window (0, n/(n-1)), edges included."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +24,7 @@ from cdlab import (
     run,
 )
 from cdlab.engine import (
-    _BATCH_MAX_N, _ROW_BLOCK, _cyclic_tail, _epoch_dense, _runs, _unit_lower_inverse,
+    _ROW_BLOCK, _cyclic_tail, _epoch_dense, _runs, _unit_lower_inverse,
 )
 from cdlab.quadratic import _objective_rows
 from conftest import eig_radius, relabel, simulate_epoch
@@ -199,13 +202,14 @@ def run_stacks(draw, variant="rpcd", dense=False):
     """(model, policy, starts, seeds, max_epochs, tol) for 2-6 replicates of one ordering.
 
     With more than one start, rpcd on the permutation-invariant model takes
-    the stacked product of `_runs`, drawn at every n it serves, up to
-    `_BATCH_MAX_N`; rcd takes its row loop, and a dense model
-    `_epoch_dense` on a stack of columns, both at n <= 64.  One start may
-    be nonfinite, so its replicate fails at epoch 0.
+    the blocked scan of `_runs`, drawn up to n = 300 (m = 17 blocks of 18,
+    the last padded; `test_rpcd_stack_matches_run_at_every_n` goes to
+    3000); rcd takes its row loop, and a dense model `_epoch_dense` on a
+    stack of columns, both at n <= 64.  One start may be nonfinite, so its
+    replicate fails at epoch 0.
     """
     stacked = variant == "rpcd" and not dense
-    n, delta = draw(edge_points(_BATCH_MAX_N if stacked else 64))
+    n, delta = draw(edge_points(300 if stacked else 64))
     model = PermInvariantQuadratic(n, delta)
     if dense:
         model = DenseQuadratic(model.matrix())
@@ -256,6 +260,48 @@ def test_rpcd_batch_matches_run(case):
         assert (rate is None) == (stack_rate is None)
         if rate is not None:
             assert abs(stack_rate - rate) <= 1e-12 * rate
+
+
+@st.composite
+def rpcd_stacks(draw):
+    """(model, starts, seed, max_epochs, tol): 2-20 rpcd starts at n in [2, 3000].
+
+    delta is t n/(n-1) with t log-close to 0 or to 1, exactly 1 (A = I), or
+    the largest float below n/(n-1).  The budget keeps replicates * n *
+    epochs under about 2e5 coordinate steps.
+    """
+    n = draw(st.integers(2, 3000))
+    top, gap = n / (n - 1), 10.0 ** draw(st.floats(-9.0, -0.3))
+    delta = draw(st.sampled_from([gap * top, (1.0 - gap) * top, 1.0, np.nextafter(top, 0.0)]))
+    replicates, seed = draw(st.integers(2, 20)), draw(st.integers(0, 2**32 - 1))
+    starts = np.random.default_rng(seed).standard_normal((replicates, n))
+    max_epochs = draw(st.integers(0, max(1, 200_000 // (n * replicates))))
+    return (PermInvariantQuadratic(n, delta), starts, seed, max_epochs,
+            10.0 ** draw(st.floats(-14.0, -1.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rpcd_stacks())
+def test_rpcd_stack_matches_run_at_every_n(case):
+    # each replicate of the scan is `run` from its start and generator: the
+    # same stop epoch and generator state, and every f within 1e-12 relative
+    # plus what rounding the iterate allows.  A relative change eps' of x
+    # moves f by up to 2 eps' sqrt(cond(A)) f, and two roundings of the same
+    # length-n sums differ by some sqrt(n) eps.  cond(A) is large only near
+    # the edges: near n/(n-1) the row loop itself is 2e-12 off a 40-digit
+    # run at n = 3, t = 1 - 1e-9
+    model, starts, seed, max_epochs, tol = case
+    n, delta, eps = model.n, model.delta, np.finfo(float).eps
+    lam = float(n - (n - 1) * Fraction(delta))  # the eigenvalue along ones, without cancellation
+    rtol = 1e-12 + 2.0 * eps * math.sqrt(n * max(delta, lam) / min(delta, lam))
+    rngs = _rngs([[seed, r] for r in range(len(starts))])
+    trajs = _runs(model, OrderingPolicy("rpcd"), starts, rngs, max_epochs, tol)
+    for r, (x0, traj) in enumerate(zip(starts, trajs)):
+        rng = np.random.default_rng([seed, r])
+        ref = run(model, OrderingPolicy("rpcd"), x0, max_epochs=max_epochs, tol=tol, seed=rng)
+        assert traj.epochs == ref.epochs
+        assert np.all(np.abs(traj.f_per_epoch - ref.f_per_epoch) <= rtol * ref.f_per_epoch)
+        assert rngs[r].bit_generator.state == rng.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)

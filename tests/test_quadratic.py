@@ -142,6 +142,12 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             DenseQuadratic(2.0 * np.eye(3))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_dense_rejects_nonfinite(self, value):
+        # every other check is a comparison, which NaN fails silently
+        with pytest.raises(ValueError, match="finite"):
+            DenseQuadratic([[1.0, value], [value, 1.0]])
+
     def test_dense_rejects_indefinite(self):
         A = np.eye(2)
         A[0, 1] = A[1, 0] = 2.0

@@ -200,6 +200,13 @@ class TestRcdRates:
     def test_q_rate_form(self):
         assert rcd_rates(50, 0.2)[0] == pytest.approx((1 - 0.2 / 50) ** 50, abs=1e-15)
 
+    @pytest.mark.parametrize("n, delta", [(100, 5.0), (100, -0.5), (100, 100 / 99), (1, 0.5),
+                                          (0, 0.5), (100, math.nan)])
+    def test_outside_window_rejected(self, n, delta):
+        # (100, 5.0) read an epoch rate of 2.9e69 and (100, -0.5) read (1.65, 7.24)
+        with pytest.raises(ValueError, match="delta must lie in"):
+            rcd_rates(n, delta)
+
 
 class TestGenericBounds:
     def test_alpha_inverse_L(self):
@@ -267,6 +274,15 @@ class TestEmpiricalRate:
     def test_zero_in_window(self):
         f = np.concatenate([0.9 ** np.arange(12), [0.0]])
         with pytest.raises(ValueError):
+            empirical_rate(_traj(f))
+
+    @pytest.mark.parametrize("where, value", [(-1, math.inf), (-11, math.inf), (-1, math.nan),
+                                              (-5, math.nan)])
+    def test_nonfinite_in_window_rejected(self, where, value):
+        # these read inf, 0.0, nan and 0.9: the rate takes only the window's ends
+        f = 0.9 ** np.arange(12)
+        f[where] = value
+        with pytest.raises(ValueError, match="finite"):
             empirical_rate(_traj(f))
 
     def test_ccd_run_converges_to_spectral_prediction(self):
