@@ -11,8 +11,10 @@ solve        a single trajectory as epoch/objective rows
 
 The predicted columns (rho_C_sq, rho_M and the recurrence coefficients)
 come from (n, delta) through `rates.rho_C` and `recurrence_coeffs`, in
-O(1) and O(n), and build no dense epoch matrix.  Only table1's cyclic
-column does, epoch_map(model) at n <= 256 (`engine._cyclic_tail`).
+O(1) and O(n), and build no dense epoch matrix.  Neither does table1's
+cyclic column below delta = 1, which reads the closed-form spectrum of C
+(`engine._cyclic_tail`); only the cells its guard rejects and delta >= 1
+build epoch_map(model), at n <= 256.
 
 Each command is a function whose parameters, with their defaults, are
 the flags it reads; it returns its rows as dicts (`cmd_predict` its one
@@ -123,8 +125,9 @@ def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs
     """Rates of the valid replicates of one variant; cyclic descent runs once.
 
     The cyclic rate comes from `_cyclic_tail`: the stop epoch and the
-    objective over the rate window, found by squaring the epoch map at
-    n <= 256.  The rcd and rpcd replicates run in one `_runs` call, each
+    objective over the rate window, from the spectrum of C at any n below
+    delta = 1 (else by squaring the epoch map at n <= 256).  The rcd and
+    rpcd replicates run in one `_runs` call, each
     drawing its orders from its own seeded generator: rcd one row loop per
     replicate, rpcd one blocked scan per epoch for all of them.
 
@@ -164,9 +167,9 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
 
     Every delta is checked against the model's window, and `replicates`
     against 1, before the first run.  Cyclic descent is run once per
-    delta; at n <= 256 its rate comes from the stop epoch alone
-    (`engine._cyclic_tail` squares the epoch map rather than stepping
-    every epoch).  The randomized orderings are run over `replicates`
+    delta, its rate from the stop epoch and the window alone
+    (`engine._cyclic_tail` reads them off the spectrum of C rather than
+    stepping every epoch).  The randomized orderings are run over `replicates`
     derived seeds and reported as replicate means (the permutation
     variant also with the replicate standard deviation), one stack of
     replicates per ordering (`engine._runs`).  A cell with no valid

@@ -34,10 +34,14 @@ advances K epochs with one matrix-vector product, stopping at the first
 epoch that reaches the tolerance.
 
 A rate over the last epochs of a cyclic run needs only its stop epoch
-and those epochs.  Where the block path would run, `_cyclic_tail` finds
-both from the powers M^(2^j), built by squaring, in O(log L) matrix
-products instead of L epochs; Table 1's cyclic column uses it, and its
-random columns one `_runs` call per ordering.
+and those epochs, and `_cyclic_tail` finds both without stepping them.
+For the permutation-invariant model at delta < 1 it evaluates f at any
+epoch in O(n^2) from the closed-form eigenvalues and eigenvectors of C
+(`_spectral_tail`), at any n and with no epoch map.  The cells that
+route's guard rejects, the dense model and delta >= 1 take the powers
+M^(2^j), built by squaring, where the block path would run, and `run`
+above.  Table 1's cyclic column uses it, and its random columns one
+`_runs` call per ordering.
 
 Every f recorded here, by the row loop, the rpcd scan, the
 block path and `_cyclic_tail`, is one float: `quadratic.objective`, or
@@ -46,6 +50,7 @@ its row form `_objective_rows` for a stack of iterates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -83,6 +88,15 @@ _BLOCK_EPOCHS = 16
 # Epochs a rate is read over: the default window of `rates.empirical_rate`
 # and the epochs whose f `_cyclic_tail` returns for it.
 _RATE_WINDOW = 10
+
+# Newton iterations on the branch equation (`_branch_step`) before a root fails.
+_NEWTON_ITERATIONS = 100
+
+# Most f after epoch 1 of `_spectral_tail` may differ, relative, from one row-loop
+# epoch's.  Against a 60-digit loop (n = 3-64, up to 60 epochs) it read under
+# 4e-14 for 1e-10 <= delta <= 1 - 1e-4, where f over the window was within
+# 7e-14, and 8e-12 to 5 at delta = 1e-20 and 1e-30, where the window was as far off.
+_SPECTRAL_RTOL = 1e-13
 
 # Powers of delta below this are 0 in the rpcd scan of `_runs`: they scale a
 # term by under 1e-289, so dropping them moves f only where coordinates
@@ -497,39 +511,135 @@ def run(
     return result
 
 
+def _branch_step(mu, n, delta, dw):
+    """Newton step on mu^n - dw mu^(n-1) + delta - 1, dw = delta w^k (`rates.rho_C`)."""
+    return (mu ** (n - 1) * (mu - dw) + (delta - 1.0)) / (mu ** (n - 2) * (n * mu - (n - 1) * dw))
+
+
+def _cyclic_spectrum(n: int, delta: float):
+    """t_k = log mu_k, k = 1..n//2, for the cyclic map at delta < 1, or None.
+
+    C's nonzero eigenvalues are e^(n t_k) and their conjugates (branches
+    n - k).  Newton's method (`_branch_step`) from mu = 1, then three steps
+    in long double on expm1(nt) + delta = delta e^(i theta_k + (n-1)t),
+    theta_k = 2 pi k/n: lambda^e = e^(e n t) is then off by about
+    e |log lambda| ulps, not e (f after 70 epochs at (64, 0.9): 2.3e-15
+    off 40 digits, 1.8e-13 with a double polish).  None where a branch does
+    not converge, moves by over an ulp of t in its last step (under 0.32
+    up to n = 1e4; where long double is double, 5 of the 6 default cells
+    fail this), or gives an eigenvalue twice.
+    """
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    theta = 2 * pi * np.arange(1, n // 2 + 1) / n
+    dw = delta * np.exp(1j * theta.astype(float))
+    mu = np.ones(len(theta), dtype=complex)
+    for _ in range(_NEWTON_ITERATIONS):
+        s = _branch_step(mu, n, delta, dw)
+        mu -= s
+        if np.all(abs(s) <= 1e-14 * abs(mu)):
+            break
+    else:
+        return None
+    t, delta = np.log(mu).astype(np.clongdouble), np.longdouble(delta)
+    for _ in range(3):
+        z, zw = n * t, 1j * theta + (n - 1) * t
+        s = (np.expm1(z) - delta * np.expm1(zw)) / (n * np.exp(z) - delta * (n - 1) * np.exp(zw))
+        t -= s
+    t = t.astype(complex)
+    log_lam = np.sort(np.concatenate([n * t, (n * t[: (n - 1) // 2]).conj()]))
+    if np.all(abs(s) <= 2.0**-52 * abs(t)) and np.all(log_lam[1:] != log_lam[:-1]):
+        return t
+
+
+def _spectral_tail(model, x0, max_epochs, tol):
+    """`_cyclic_tail` from the spectrum of C, or None outside its reach.
+
+    For the permutation-invariant model at delta < 1 and e >= 1,
+    x^e = Re sum_k c_k lambda_k^e v_k over `_cyclic_spectrum`'s branches
+    (conjugates doubled; C's zero first column drops out): v_k,i = r_k^i,
+    r_k = mu_k w^-k, and c_k = u_k'x0 / u_k'v_k by the left eigenvector
+    u_k = (L+D)' J v_k, J reversing the order, with u_k'x0 = sum_j
+    r^(n-1-j) ((L+D) x0)_j and u_k'v_k = n r^(n-1) + (1-delta)/(1-r)
+    ((1-r^n)/(1-r) - n r^(n-1)).  Any f costs O(n^2), in 8 MB row blocks.
+    f is nonincreasing: two Newton steps on log f at the slowest rate,
+    then steps of 1, 2, 4, ... epochs and bisection find L.  None also if
+    f after epoch 1 is over `_SPECTRAL_RTOL` off one row-loop epoch's.
+    """
+    if not (isinstance(model, PermInvariantQuadratic) and model.delta < 1.0):
+        return None
+    n, delta = model.n, model.delta
+    t = _cyclic_spectrum(n, delta)
+    if t is None:
+        return None
+    k, log_lam = np.arange(1, len(t) + 1), n * t
+    unit = np.exp(-2j * np.pi * np.arange(n) / n)  # w^-j
+    b = -(-n // -(-n * len(t) // 2**19))  # rows per block of about 8 MB of r_k^i
+    R = np.exp(np.arange(b)[:, None] * t) * unit[np.arange(b)[:, None] * k % n]  # r_k^j, j < b
+
+    def blocks():  # rows i.. of [Re V, Im V], V[i, k] = r_k^i: a complex gemv
+        for i in range(0, n, b):  # stalled 8 ms in 2 of 10 processes on two threads
+            V = R[: n - i] * (np.exp(i * t) * unit[i * k % n]) if i else R
+            yield slice(i, i + b), np.hstack([V.real, V.imag])
+
+    xt = x0.copy()
+    xt[1:] += (1.0 - delta) * np.cumsum(x0)[:-1]
+    num = sum(xt[::-1][r] @ W for r, W in blocks())
+    r_last, one_r = np.exp((n - 1) * t) * unit[(n - 1) * k % n], -np.expm1(t - 2j * np.pi * k / n)
+    c = (num[: len(t)] + 1j * num[len(t):]) * np.where(2 * k == n, 1.0, 2.0)
+    c /= n * r_last + (1.0 - delta) / one_r * (-np.expm1(log_lam) / one_r - n * r_last)
+
+    def f(epochs):
+        a = c * np.exp(np.multiply.outer(np.asarray(epochs, dtype=float), log_lam))
+        a, Y = np.hstack([a.real, -a.imag]), np.empty((len(a), n))
+        for r, W in blocks():
+            Y[:, r] = a @ W.T
+        return _objective_rows(model, Y)
+
+    xs = x0.tolist()
+    _epoch_perm_invariant(xs, delta, range(n))
+    f1, fe = objective(model, np.array(xs)), f([1])[0]
+    if not abs(fe - f1) <= _SPECTRAL_RTOL * f1:
+        return None
+    rate = 2.0 * log_lam.real.max()
+    lo, hi, e, step = 0, max_epochs, 1, 1  # f(lo) > tol; the stop epoch is in (lo, hi]
+    for probe in itertools.count():
+        lo, hi = (e, hi) if fe > tol else (lo, e)
+        if hi - lo <= 1:
+            break
+        if probe < 2 and tol > 0.0 < fe and rate < 0.0:
+            target = min(max(e + math.log(tol / fe) / rate, lo + 1), hi - 1)
+            e = math.ceil(target) if fe > tol else math.floor(target)
+        else:
+            e, step = e + step if fe > tol else e - step, 2 * step
+            e = e if lo < e < hi else (lo + hi) // 2
+        fe = f([e])[0]
+    start = hi - min(_RATE_WINDOW, hi)
+    fs = f(np.arange(max(start, 1), hi + 1))
+    return hi, np.concatenate([_objective_rows(model, x0[None]), fs]) if start == 0 else fs
+
+
 def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     """Stop epoch L of the cyclic `run` from x0, and f at epochs max(0, L-10)..L.
 
     These are all a rate over the last `_RATE_WINDOW` = 10 epochs needs,
-    and they come without stepping the L epochs: with M = epoch_map(model)
-    the iterate after e epochs is M^e x0.  The powers P_j = M^(2^j) are
-    built by squaring while 2^j <= max_epochs - 1 and f(P_j x0) > tol;
-    f is nonincreasing along the run, so no larger jump could be taken,
-    and capping there keeps the powers away from subnormals.  They take
-    at most about log2(max_epochs) maps of 8n^2 bytes (19 maps, 1.5 MB at
-    n = 100 and table1's 500,000-epoch budget; 10 MB at n = 256), which
-    `_BLOCK_BYTES` does not bound.  A greedy descent over j, largest
-    first, takes every jump x <- P_j x that keeps f > tol and
-    e + 2^j <= max_epochs - 1.  It ends at the last epoch e with f > tol,
-    so the run stops at L = e + 1 (or at the budget).  The iterate at
-    L - 10 is rebuilt from x0 by the binary digits of L - 10 and stepped
-    to L with M.
+    and they come without stepping the L epochs: from the spectrum of C
+    (`_spectral_tail`) at any n for the permutation-invariant model below
+    delta = 1.  The cells its guard rejects, the dense model and
+    delta >= 1 square M = epoch_map(model) where `run` would take the
+    block path (n <= 256), and run `run` above.  P_j = M^(2^j) is built
+    while 2^j <= max_epochs - 1 and f(P_j x0) > tol (f is nonincreasing;
+    the cap keeps the powers off subnormals): about log2(max_epochs) maps
+    of 8n^2 bytes, 10 MB at n = 256.  A greedy descent over j, largest
+    first, takes every jump x <- P_j x that keeps f > tol, so the run
+    stops at L = e + 1 (or at the budget); the iterate at L - 10 is
+    rebuilt from x0 by the binary digits of L - 10 and stepped with M.
 
     f is `run`'s formula (`_objective_rows`).  L equals `run`'s (the first
     epoch with f <= tol, or max_epochs) and the returned f its f, up to
-    the rounding of a different product of the same map.  Takes `run`'s
-    inputs and raises as it does; NumericalError also when f at L - 1 and
-    L does not bracket tol, which only rounding can cause.
-
-    Squaring is used exactly where `run` would take the block path
-    (`_block_epochs(n) >= 2`, n <= 256); above that this is `run` itself.
-    Squaring wins beyond the cap (one cell from table1's start, delta =
-    0.5, one BLAS thread: 0.03 s against 0.60 s stepping at n = 300, 0.82 s
-    against 26 s at n = 1000), which stays for memory (185 MB at n = 1000).
+    rounding.  Takes `run`'s inputs and raises as it does; NumericalError
+    also when f at L - 1 and L does not bracket tol, which only rounding
+    can cause.
     """
-    if _block_epochs(model.n) < 2:
-        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs, tol)
-        return traj.epochs, traj.f_per_epoch[-(_RATE_WINDOW + 1):]
     x0 = _checked_start(model, x0, max_epochs, tol)
 
     def f(y):
@@ -541,28 +651,35 @@ def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     f0 = f(x0)
     if f0 <= tol or max_epochs == 0:
         return 0, np.array([f0])
-    last = max_epochs - 1  # the largest e whose f the descent may read
-    M = epoch_map(model)
-    powers = [M]
-    while 2 ** len(powers) <= last and f(powers[-1] @ x0) > tol:
-        powers.append(powers[-1] @ powers[-1])
-    e, x = 0, x0
-    for j in reversed(range(len(powers))):
-        if e + 2**j <= last:
-            y = powers[j] @ x
-            if f(y) > tol:
-                e, x = e + 2**j, y
-    stop = e + 1
-    start = stop - min(_RATE_WINDOW, stop)
-    x = x0
-    for j in reversed(range(len(powers))):
-        if start >> j & 1:
-            x = powers[j] @ x
-    Y = np.empty((stop - start + 1, model.n))
-    Y[0] = x
-    for k in range(stop - start):
-        Y[k + 1] = M @ Y[k]
-    fs = f(Y)
+    tail = _spectral_tail(model, x0, max_epochs, tol)
+    if tail is not None:
+        stop, fs = tail
+    elif _block_epochs(model.n) < 2:
+        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs, tol)
+        return traj.epochs, traj.f_per_epoch[-(_RATE_WINDOW + 1):]
+    else:
+        last = max_epochs - 1  # the largest e whose f the descent may read
+        M = epoch_map(model)
+        powers = [M]
+        while 2 ** len(powers) <= last and f(powers[-1] @ x0) > tol:
+            powers.append(powers[-1] @ powers[-1])
+        e, x = 0, x0
+        for j in reversed(range(len(powers))):
+            if e + 2**j <= last:
+                y = powers[j] @ x
+                if f(y) > tol:
+                    e, x = e + 2**j, y
+        stop = e + 1
+        start = stop - min(_RATE_WINDOW, stop)
+        x = x0
+        for j in reversed(range(len(powers))):
+            if start >> j & 1:
+                x = powers[j] @ x
+        Y = np.empty((stop - start + 1, model.n))
+        Y[0] = x
+        for k in range(stop - start):
+            Y[k + 1] = M @ Y[k]
+        fs = f(Y)
     if not (fs[-2] > tol and (fs[-1] <= tol or stop == max_epochs)):
         raise NumericalError(
             f"f at epochs {stop - 1} and {stop} is {fs[-2]}, {fs[-1]}: it does not cross "

@@ -363,6 +363,19 @@ class TestTable1:
         assert tails == list(TABLE1_DELTAS)
         assert stacks == [("rcd", 20), ("rpcd", 20)] * 6
 
+    def test_default_table_calls_no_lapack(self, monkeypatch):
+        # every cyclic cell of the default grid comes from the spectrum of C:
+        # no epoch map, no solve
+        import cdlab.engine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(cdlab.engine, "epoch_map", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        rows = cmd_table1()
+        assert all(math.isfinite(row["rho_ccd_emp"]) for row in rows)
+
 
 class TestPredictorsWithoutDenseC:
     @pytest.fixture

@@ -265,6 +265,23 @@ class TestFixedOrderDrift:
         assert np.all(drift <= 4e-17 * np.arange(epochs + 1) + 2e-15)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def _mp_f(mpmath, delta, x0, epochs):
+    """f at epochs 0..epochs of cyclic descent at mpmath's working precision."""
+    d, x = mpmath.mpf(delta), [mpmath.mpf(v) for v in x0]
+    fs = []
+    for epoch in range(epochs + 1):
+        s = mpmath.fsum(x)
+        fs.append(float((d * mpmath.fsum(v * v for v in x) + (1 - d) * s * s) / 2))
+        for i in range(len(x) if epoch < epochs else 0):
+            g = s - x[i]
+            x[i], s = (d - 1) * g, d * g
+    return np.array(fs)
+
+
 def _longdouble_f(n, delta, x0, epochs):
     """f at epochs 0..epochs of cyclic descent in extended precision, without cancellation."""
     ld = np.longdouble
@@ -346,13 +363,64 @@ class TestCyclicTail:
         stop, f_tail = _cyclic_tail(model, np.ones(4), 0, 1e-8)
         assert stop == 0 and np.array_equal(f_tail, [objective(model, np.ones(4))])
 
-    def test_is_run_above_block_size_limit(self):
-        model = PermInvariantQuadratic(300, 0.5)
-        x0 = np.random.default_rng(0).standard_normal(300)
-        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=40, tol=1e-8)
-        stop, f_tail = _cyclic_tail(model, x0, 40, 1e-8)
-        assert stop == traj.epochs == 40
-        assert np.array_equal(f_tail, traj.f_per_epoch[-11:])
+    @pytest.mark.parametrize("n, delta, max_epochs", [(257, 0.9, 2000), (300, 0.5, 400),
+                                                      (1000, 0.95, 2000)])
+    def test_spectral_route_above_block_size_limit(self, n, delta, max_epochs, monkeypatch):
+        # above n = 256 the cell steps no epoch and builds no map: the stop
+        # epoch of `run` (by tol, or at the capped budget) and its rate
+        model = PermInvariantQuadratic(n, delta)
+        x0 = np.random.default_rng(n).standard_normal(n)
+        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=max_epochs, tol=1e-8)
+        for name in ("run", "epoch_map"):
+            monkeypatch.setattr(engine, name, _refuse)
+        stop, f_tail = _cyclic_tail(model, x0, max_epochs, 1e-8)
+        assert stop == traj.epochs
+        assert (stop < max_epochs) == (max_epochs == 2000)
+        assert abs(empirical_rate(f_tail) - empirical_rate(traj)) <= 1e-12 * empirical_rate(traj)
+
+    @pytest.mark.parametrize("n, delta", [(64, 1.0 - 1e-12), (30, 1e-30)])
+    def test_guard_sends_the_cell_to_squaring(self, n, delta, monkeypatch):
+        # near delta = 1 cond(V) ~ 1/(1 - delta), and below about 1e-16 the
+        # form loses the coordinate sum: f after epoch 1 is off the row
+        # loop's, so the cell squares the epoch map as before
+        model = PermInvariantQuadratic(n, delta)
+        x0 = np.random.default_rng(n).standard_normal(n)
+        assert engine._spectral_tail(model, x0, 300, 1e-14) is None
+        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=300, tol=1e-14)
+        maps = []
+        monkeypatch.setattr(engine, "epoch_map", lambda m: maps.append(m) or epoch_map(m))
+        stop, f_tail = _cyclic_tail(model, x0, 300, 1e-14)
+        assert maps == [model] and stop == traj.epochs
+        assert np.array_equal(f_tail, traj.f_per_epoch[-len(f_tail):])
+
+    def test_spectral_form_against_40_digits(self, monkeypatch):
+        # f over the rate window from stepping (`run`), squaring and the
+        # spectral form, against a 40-digit cyclic run.  The spectral form
+        # is within 2e-14 everywhere, and closest where the run is long:
+        # the others drift with the epoch count (up to 2e-13 here)
+        mpmath = pytest.importorskip("mpmath")
+        for n, delta, max_epochs in [(5, 1e-6, 3000), (30, 1e-3, 2000), (30, 0.3, 10**5),
+                                     (30, 0.5, 10**5), (20, 0.8, 10**5), (30, 0.95, 10**5),
+                                     (30, 0.999, 10**5)]:
+            model = PermInvariantQuadratic(n, delta)
+            x0 = np.random.default_rng(n).standard_normal(n)
+            traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=max_epochs, tol=1e-8)
+            with mpmath.workdps(40):
+                ref = _mp_f(mpmath, delta, x0, traj.epochs)[-11:]
+            spectral = engine._spectral_tail(model, x0, max_epochs, 1e-8)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_spectral_tail", lambda *args: None)
+                squared = _cyclic_tail(model, x0, max_epochs, 1e-8)
+            errors = {}
+            for name, (stop, f) in [("run", (traj.epochs, traj.f_per_epoch[-11:])),
+                                    ("squaring", squared), ("spectral", spectral)]:
+                assert stop == traj.epochs
+                errors[name] = np.abs(f / ref - 1)
+            assert errors["spectral"].max() <= 2e-14
+            if traj.epochs >= 100:
+                for name in ("run", "squaring"):
+                    assert errors["spectral"][-1] <= errors[name][-1]
+                    assert errors["spectral"].max() <= errors[name].max()
 
     def test_dense_model_matches_run(self):
         model = build_log_uniform_spectrum(12, 1e2, derive_seed(1, 0))
