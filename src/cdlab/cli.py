@@ -14,7 +14,10 @@ come from (n, delta) through `rates.rho_C` and `recurrence_coeffs`, in
 O(1) and O(n), and build no dense epoch matrix.  Neither does table1's
 cyclic column below delta = 1, which reads the closed-form spectrum of C
 (`engine._cyclic_tail`); only the cells its guard rejects and delta >= 1
-build epoch_map(model), at n <= 256.
+build epoch_map(model), at n <= 256.  table1's cells and figure
+different_n's runs are independent: `_in_processes` spreads them over
+one forked process per available CPU, and no output byte depends on
+how many there are.
 
 Each command is a function whose parameters, with their defaults, are
 the flags it reads; it returns its rows as dicts (`cmd_predict` its one
@@ -41,6 +44,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import sys
 
@@ -134,8 +138,7 @@ def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs
     A replicate is dropped when its run loses numerical meaning (a
     NumericalError) or its rate window is too short or not positive (the
     ValueError of `empirical_rate`).  Any other error, such as a
-    ValueError from the input checks of `run`, propagates.  A variant
-    left with no valid replicate is reported on stderr.
+    ValueError from the input checks of `run`, propagates.
     """
     model = PermInvariantQuadratic(n, delta)
     tried = 1 if variant == "ccd" else replicates
@@ -155,10 +158,67 @@ def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs
             rates.append(empirical_rate(f))
         except ValueError:
             pass
-    if not rates:
-        print(f"cdlab table1: no valid {variant} replicate at delta={delta} ({tried} tried); "
-              "its empirical cells are NaN", file=sys.stderr)
     return np.array(rates)
+
+
+def _in_processes(jobs, costs):
+    """Yield the results of the zero-argument `jobs` in job order, as a serial loop would.
+
+    The jobs are split over min(available CPUs, jobs) forked processes,
+    costliest first to the least-loaded; this process runs the first
+    share.  Each child pickles its results, or the exceptions raised,
+    through a pipe and leaves by os._exit.  Every pipe is read before any
+    child is reaped, so a child blocked on a full pipe cannot hang this
+    one.  A job's exception is raised when iteration reaches it, with its
+    type and message.  With one CPU, or no os.fork or os.sched_getaffinity,
+    all jobs run here and nothing forks.
+    """
+    procs = (max(1, min(len(os.sched_getaffinity(0)), len(jobs)))
+             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    shares, loads = [[] for _ in range(procs)], [0.0] * procs
+    for i in sorted(range(len(jobs)), key=lambda i: -costs[i]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += costs[i]
+
+    def outcomes(share):  # {job: result}, in job order up to the first exception raised
+        out = {}
+        try:
+            for i in sorted(share):
+                out[i] = jobs[i]()
+        except Exception as err:
+            out[i] = err
+        return out
+
+    children = []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(r)
+                    try:
+                        data = pickle.dumps(outcomes(share))
+                    except Exception as err:  # an exception that does not pickle
+                        data = pickle.dumps({i: RuntimeError(repr(err)) for i in share})
+                    with open(w, "wb") as pipe:
+                        pipe.write(data)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        results = outcomes(shares[0])
+        for _, r in children:
+            with open(r, "rb", closefd=False) as pipe:
+                results.update(pickle.load(pipe))
+    finally:
+        for pid, r in children:
+            os.close(r)
+            os.waitpid(pid, 0)
+    for i in range(len(jobs)):
+        if isinstance(results[i], Exception):
+            raise results[i]
+        yield results[i]
 
 
 def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: int = 0,
@@ -173,27 +233,46 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
     derived seeds and reported as replicate means (the permutation
     variant also with the replicate standard deviation), one stack of
     replicates per ordering (`engine._runs`).  A cell with no valid
-    replicate is NaN; predicted columns are always emitted, from the
-    scalar predictors rho_C(n, delta)^2 and rho_M(n, delta).
+    replicate is NaN and named on stderr; predicted columns are always
+    emitted, from the scalar predictors rho_C(n, delta)^2 and rho_M(n, delta).
+    The cells run in `_in_processes`, priced by predicted epochs
+    ln(f0/tol)/-ln(rho) times replicates (a ccd cell at 1, a rho outside
+    (0, 1) at the budget); no output byte depends on the CPU count.
     """
     for delta in deltas:
         PermInvariantQuadratic(n, delta)  # window check
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    preds = [(rho_C(n, delta) ** 2, rcd_rates(n, delta)[1], rho_M(n, delta)) for delta in deltas]
+    cells = [(d_idx, v) for d_idx in range(len(deltas)) for v in ORDERINGS]
+
+    def cost(d_idx, variant):
+        rho = preds[d_idx][ORDERINGS.index(variant)]  # preds follow ORDERINGS
+        epochs = math.log(0.5 * n / tol) / -math.log(rho) if 0 < rho < 1 else max_epochs
+        return 1 if variant == "ccd" else min(epochs, max_epochs) * replicates
+
+    jobs = [functools.partial(_valid_rates, n, deltas[d_idx], d_idx, v, seed=seed,
+                              replicates=replicates, tol=tol, max_epochs=max_epochs)
+            for d_idx, v in cells]
+    emp = []
+    for (d_idx, v), rates in zip(cells, _in_processes(jobs, [cost(*cell) for cell in cells])):
+        if not rates.size:
+            print(f"cdlab table1: no valid {v} replicate at delta={deltas[d_idx]} "
+                  f"({1 if v == 'ccd' else replicates} tried); its empirical cells are NaN",
+                  file=sys.stderr)
+        emp.append(rates)
     rows = []
-    for d_idx, delta in enumerate(deltas):
-        ccd, rcd, rpcd = (_valid_rates(n, delta, d_idx, v, seed=seed, replicates=replicates,
-                                       tol=tol, max_epochs=max_epochs)
-                          for v in ORDERINGS)
+    for d_idx, (delta, (rho_c_sq, rho_rcd, rho_m)) in enumerate(zip(deltas, preds)):
+        ccd, rcd, rpcd = emp[3 * d_idx:3 * d_idx + 3]
         rows.append({
             "delta": delta,
             "rho_ccd_emp": float(ccd.mean()) if ccd.size else math.nan,
-            "rho_C_sq": rho_C(n, delta) ** 2,
+            "rho_C_sq": rho_c_sq,
             "rho_rcd_emp": float(rcd.mean()) if rcd.size else math.nan,
-            "rho_rcd_pred": rcd_rates(n, delta)[1],
+            "rho_rcd_pred": rho_rcd,
             "rho_rpcd_emp": float(rpcd.mean()) if rpcd.size else math.nan,
             "rho_rpcd_emp_std": float(rpcd.std(ddof=1)) if rpcd.size > 1 else math.nan,
-            "rho_M": rho_M(n, delta),
+            "rho_M": rho_m,
         })
     return rows
 
@@ -245,16 +324,17 @@ def figure_different_n(delta: float = 0.001, seed: int = 0, tol: float = 1e-8,
 
     Uses a fixed epoch budget (rather than running tiny-delta cyclic
     descent to tolerance, which would need ~n^2/delta epochs); rates are
-    meant to be read off the last-10-epoch window.
+    meant to be read off the last-10-epoch window.  The runs go through
+    `_in_processes`, priced at n each (a ccd run at 1).
     """
     for n in DIFFERENT_N:
         PermInvariantQuadratic(n, delta)  # window check, every n before the first run
-    rows = []
-    for n in DIFFERENT_N:
-        for variant in ("ccd", "rpcd", "rcd"):
-            traj = _seeded_run(n, delta, variant, seed, n, tol=tol, max_epochs=epochs_budget)
-            rows += [{"variant": variant, "n": n, **row} for row in _trace_rows(traj)]
-    return rows
+    runs = [(n, variant) for n in DIFFERENT_N for variant in ("ccd", "rpcd", "rcd")]
+    trajs = _in_processes([functools.partial(_seeded_run, n, delta, variant, seed, n, tol=tol,
+                                             max_epochs=epochs_budget) for n, variant in runs],
+                          [1 if variant == "ccd" else n for n, variant in runs])
+    return [{"variant": variant, "n": n, **row}
+            for (n, variant), traj in zip(runs, trajs) for row in _trace_rows(traj)]
 
 
 def figure_expected(n: int = 100, delta: float = 0.05, seed: int = 0, tol: float = 1e-8,

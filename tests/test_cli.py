@@ -1,10 +1,12 @@
 import csv
+import functools
 import inspect
 import json
 import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,7 @@ from cdlab import (
 from cdlab.cli import (
     DIFFERENT_N,
     TABLE1_DELTAS,
+    _in_processes,
     _parser,
     _valid_rates,
     cmd_predict,
@@ -317,6 +320,8 @@ class TestTable1:
         # one _runs call runs the cell; stderr names the replicates tried
         rates = _valid_rates(20, 0.5, 0, "rpcd", seed=0, replicates=20, tol=1e-8, max_epochs=5)
         assert rates.size == 0
+        row = cmd_table1(n=20, deltas=(0.5,), replicates=20, max_epochs=5)[0]
+        assert math.isnan(row["rho_rpcd_emp"])
         err = capsys.readouterr().err
         assert "no valid rpcd replicate at delta=0.5 (20 tried)" in err
 
@@ -338,9 +343,12 @@ class TestTable1:
     def test_default_table_runs_only_the_random_orders(self, monkeypatch):
         # cyclic descent is one call of _cyclic_tail per delta, and the 20
         # replicates of each random ordering one call of _runs per delta; no
-        # cell goes through run()
+        # cell goes through run().  One CPU keeps every call in this process,
+        # where the lists can count it.
         import cdlab.cli
         import cdlab.engine
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
         tails, stacks = [], []
 
@@ -375,6 +383,71 @@ class TestTable1:
         monkeypatch.setattr(np.linalg, "solve", refuse)
         rows = cmd_table1()
         assert all(math.isfinite(row["rho_ccd_emp"]) for row in rows)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestInProcesses:
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # fork whatever the host's CPU count, and fail rather than hang
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def expire(signum, frame):
+            raise TimeoutError("forked jobs still running after 30 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(30)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def in_child(err):
+        """A job that raises `err` in a forked child and returns 0.5 in this process."""
+        parent = os.getpid()
+
+        def job(*args, **kwargs):
+            if os.getpid() != parent:
+                raise err
+            return np.array([0.5])
+        return job
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_results_in_job_order_past_the_pipe_buffer(self, two_cpus):
+        # each result pickles to 160 kB, more than a pipe holds unread
+        jobs = [functools.partial(np.full, 20_000, k) for k in range(6)]
+        results = list(_in_processes(jobs, [1, 5, 2, 4, 3, 6]))
+        assert [r[0] for r in results] == list(range(6))
+        self.assert_no_child_left()
+
+    def test_value_error_in_a_child_is_a_usage_error(self, two_cpus, monkeypatch, capsys):
+        import cdlab.cli
+
+        monkeypatch.setattr(cdlab.cli, "_valid_rates", self.in_child(ValueError("bad cell")))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "--n", "10", "--delta", "0.5"])
+        assert exit_info.value.code == 2
+        assert "error: bad cell" in capsys.readouterr().err
+        self.assert_no_child_left()
+
+    def test_assertion_error_in_a_child_keeps_its_type(self, two_cpus):
+        job = self.in_child(AssertionError("child assertion"))
+        with pytest.raises(AssertionError, match="child assertion"):
+            list(_in_processes([job, job, job], [3, 2, 1]))
+        self.assert_no_child_left()
+
+    def test_one_cpu_never_forks(self, monkeypatch):
+        def refuse():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", refuse)
+        assert len(cmd_table1(n=10, deltas=(0.5, 0.2), replicates=2)) == 2
+        assert len(figure_different_n(epochs_budget=3)) == 12 * 4
 
 
 class TestPredictorsWithoutDenseC:
@@ -611,6 +684,37 @@ class TestFigures:
         rows = figure_expected(n=30, seed=8, delta=0.2)
         assert len(parsed) == len(rows)
         assert float(parsed[3]["f_expected"]) == rows[3]["f_expected"]
+
+
+_CLI = """
+import os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from cdlab.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("argv", [
+    "table1 --n 30 --replicates 3",
+    "table1 --n 20 --delta 1.0 --delta 0.5 --max-epochs 5",
+    "figure different_n --epochs-budget 40",
+])
+def test_bytes_do_not_depend_on_threads_or_cpus(argv):
+    # default BLAS threads and one forked process per CPU, one BLAS thread,
+    # and one CPU (no fork): the same stdout and stderr bytes
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(src)
+    outputs = []
+    for how, extra in (("default", {}), ("default", {"OPENBLAS_NUM_THREADS": "1"}), ("pinned", {})):
+        proc = subprocess.run([sys.executable, "-c", _CLI, how, *argv.split()], env={**env, **extra},
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, proc.stderr))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][0]
 
 
 def test_no_command_loads_scipy():
