@@ -13,11 +13,11 @@ The predicted columns (rho_C_sq, rho_M and the recurrence coefficients)
 come from (n, delta) through `rates.rho_C` and `recurrence_coeffs`, in
 O(1) and O(n), and build no dense epoch matrix.  Neither does table1's
 cyclic column below delta = 1, which reads the closed-form spectrum of C
-(`engine._cyclic_tail`); only the cells its guard rejects and delta >= 1
-build epoch_map(model), at n <= 256.  table1's cells and figure
-different_n's runs are independent: `_in_processes` spreads them over
-one forked process per available CPU, and no output byte depends on
-how many there are.
+(`engine._cyclic_tail`); the cells its guard rejects and delta >= 1 step
+the cyclic run (`engine.run`), whose block path builds epoch_map(model)
+at n <= 256.  table1's cells and figure different_n's runs are
+independent: `_in_processes` spreads them over one forked process per
+available CPU, and no output byte depends on how many there are.
 
 Each command is a function whose parameters, with their defaults, are
 the flags it reads; it returns its rows as dicts (`cmd_predict` its one
@@ -130,7 +130,7 @@ def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs
 
     The cyclic rate comes from `_cyclic_tail`: the stop epoch and the
     objective over the rate window, from the spectrum of C at any n below
-    delta = 1 (else by squaring the epoch map at n <= 256).  The rcd and
+    delta = 1 (else by stepping the cyclic run with `run`).  The rcd and
     rpcd replicates run in one `_runs` call, each
     drawing its orders from its own seeded generator: rcd one row loop per
     replicate, rpcd one blocked scan per epoch for all of them.

@@ -34,14 +34,14 @@ advances K epochs with one matrix-vector product, stopping at the first
 epoch that reaches the tolerance.
 
 A rate over the last epochs of a cyclic run needs only its stop epoch
-and those epochs, and `_cyclic_tail` finds both without stepping them.
-For the permutation-invariant model at delta < 1 it evaluates f at any
-epoch in O(n^2) from the closed-form eigenvalues and eigenvectors of C
-(`_spectral_tail`), at any n and with no epoch map.  The cells that
-route's guard rejects, the dense model and delta >= 1 take the powers
-M^(2^j), built by squaring, where the block path would run, and `run`
-above.  Table 1's cyclic column uses it, and its random columns one
-`_runs` call per ordering.
+and those epochs, which `_cyclic_tail` returns.  For the
+permutation-invariant model at delta < 1 it finds both without stepping
+the run: it evaluates f at any epoch in O(n^2) from the closed-form
+eigenvalues and eigenvectors of C (`_spectral_tail`), at any n and with
+no epoch map.  The cells that route's guard rejects, the dense model and
+delta >= 1 step the run with `run`, by the block path at n <= 256.
+Table 1's cyclic column uses it, and its random columns one `_runs`
+call per ordering.
 
 Every f recorded here, by the row loop, the rpcd scan, the
 block path and `_cyclic_tail`, is one float: `quadratic.objective`, or
@@ -621,65 +621,30 @@ def _spectral_tail(model, x0, max_epochs, tol):
 def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     """Stop epoch L of the cyclic `run` from x0, and f at epochs max(0, L-10)..L.
 
-    These are all a rate over the last `_RATE_WINDOW` = 10 epochs needs,
-    and they come without stepping the L epochs: from the spectrum of C
-    (`_spectral_tail`) at any n for the permutation-invariant model below
-    delta = 1.  The cells its guard rejects, the dense model and
-    delta >= 1 square M = epoch_map(model) where `run` would take the
-    block path (n <= 256), and run `run` above.  P_j = M^(2^j) is built
-    while 2^j <= max_epochs - 1 and f(P_j x0) > tol (f is nonincreasing;
-    the cap keeps the powers off subnormals): about log2(max_epochs) maps
-    of 8n^2 bytes, 10 MB at n = 256.  A greedy descent over j, largest
-    first, takes every jump x <- P_j x that keeps f > tol, so the run
-    stops at L = e + 1 (or at the budget); the iterate at L - 10 is
-    rebuilt from x0 by the binary digits of L - 10 and stepped with M.
+    These are all a rate over the last `_RATE_WINDOW` = 10 epochs needs.
+    For the permutation-invariant model below delta = 1 they come from the
+    spectrum of C (`_spectral_tail`) at any n, without stepping the L
+    epochs.  The cells its guard rejects, the dense model and delta >= 1
+    run `run` itself, with its block path at n <= 256.
 
     f is `run`'s formula (`_objective_rows`).  L equals `run`'s (the first
-    epoch with f <= tol, or max_epochs) and the returned f its f, up to
-    rounding.  Takes `run`'s inputs and raises as it does; NumericalError
-    also when f at L - 1 and L does not bracket tol, which only rounding
-    can cause.
+    epoch with f <= tol, or max_epochs).  The returned f is `run`'s f
+    exactly where `run` itself ran, and up to rounding on the spectral
+    route.  Takes `run`'s inputs and raises as it does; NumericalError
+    also when the spectral f at L - 1 and L does not bracket tol, which
+    only rounding can cause.
     """
     x0 = _checked_start(model, x0, max_epochs, tol)
-
-    def f(y):
-        value = _objective_rows(model, y)
-        if not np.all(np.isfinite(value)):
-            raise NumericalError(f"nonfinite objective on the cyclic run: {value}")
-        return value
-
-    f0 = f(x0)
+    f0 = _objective_rows(model, x0)
+    if not np.isfinite(f0):
+        raise NumericalError(f"nonfinite objective on the cyclic run: {f0}")
     if f0 <= tol or max_epochs == 0:
         return 0, np.array([f0])
     tail = _spectral_tail(model, x0, max_epochs, tol)
-    if tail is not None:
-        stop, fs = tail
-    elif _block_epochs(model.n) < 2:
+    if tail is None:
         traj = run(model, OrderingPolicy("ccd"), x0, max_epochs, tol)
         return traj.epochs, traj.f_per_epoch[-(_RATE_WINDOW + 1):]
-    else:
-        last = max_epochs - 1  # the largest e whose f the descent may read
-        M = epoch_map(model)
-        powers = [M]
-        while 2 ** len(powers) <= last and f(powers[-1] @ x0) > tol:
-            powers.append(powers[-1] @ powers[-1])
-        e, x = 0, x0
-        for j in reversed(range(len(powers))):
-            if e + 2**j <= last:
-                y = powers[j] @ x
-                if f(y) > tol:
-                    e, x = e + 2**j, y
-        stop = e + 1
-        start = stop - min(_RATE_WINDOW, stop)
-        x = x0
-        for j in reversed(range(len(powers))):
-            if start >> j & 1:
-                x = powers[j] @ x
-        Y = np.empty((stop - start + 1, model.n))
-        Y[0] = x
-        for k in range(stop - start):
-            Y[k + 1] = M @ Y[k]
-        fs = f(Y)
+    stop, fs = tail
     if not (fs[-2] > tol and (fs[-1] <= tol or stop == max_epochs)):
         raise NumericalError(
             f"f at epochs {stop - 1} and {stop} is {fs[-2]}, {fs[-1]}: it does not cross "

@@ -378,26 +378,33 @@ class TestCyclicTail:
         assert (stop < max_epochs) == (max_epochs == 2000)
         assert abs(empirical_rate(f_tail) - empirical_rate(traj)) <= 1e-12 * empirical_rate(traj)
 
-    @pytest.mark.parametrize("n, delta", [(64, 1.0 - 1e-12), (30, 1e-30)])
-    def test_guard_sends_the_cell_to_squaring(self, n, delta, monkeypatch):
+    @pytest.mark.parametrize("n, delta, max_epochs, tol", [
+        (64, 1.0 - 1e-12, 300, 1e-14), (30, 1e-30, 300, 1e-14), (192, 1.005, 500_000, 1e-8),
+        (20, 1.0, 5, 1e-8), (12, None, 5000, 1e-10)])
+    def test_cells_off_the_spectrum_run_run(self, n, delta, max_epochs, tol, monkeypatch):
         # near delta = 1 cond(V) ~ 1/(1 - delta), and below about 1e-16 the
-        # form loses the coordinate sum: f after epoch 1 is off the row
-        # loop's, so the cell squares the epoch map as before
-        model = PermInvariantQuadratic(n, delta)
-        x0 = np.random.default_rng(n).standard_normal(n)
-        assert engine._spectral_tail(model, x0, 300, 1e-14) is None
-        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=300, tol=1e-14)
-        maps = []
-        monkeypatch.setattr(engine, "epoch_map", lambda m: maps.append(m) or epoch_map(m))
-        stop, f_tail = _cyclic_tail(model, x0, 300, 1e-14)
-        assert maps == [model] and stop == traj.epochs
-        assert np.array_equal(f_tail, traj.f_per_epoch[-len(f_tail):])
+        # form loses the coordinate sum, so the guard rejects those cells;
+        # delta >= 1 and the dense model (delta None) have no spectral form.
+        # Each such cell is one cyclic `run`, and its tail that run's exactly
+        if delta is None:
+            model = build_log_uniform_spectrum(n, 1e2, derive_seed(1, 0))
+            x0 = np.random.default_rng(2).standard_normal(n)
+        else:
+            model = PermInvariantQuadratic(n, delta)
+            x0 = np.random.default_rng(n).standard_normal(n)
+        assert engine._spectral_tail(model, x0, max_epochs, tol) is None
+        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=max_epochs, tol=tol)
+        calls = []
+        monkeypatch.setattr(engine, "run", lambda *args: calls.append(args) or run(*args))
+        stop, f_tail = _cyclic_tail(model, x0, max_epochs, tol)
+        assert len(calls) == 1 and stop == traj.epochs
+        assert np.array_equal(f_tail, traj.f_per_epoch[-(min(stop, 10) + 1):])
 
-    def test_spectral_form_against_40_digits(self, monkeypatch):
-        # f over the rate window from stepping (`run`), squaring and the
-        # spectral form, against a 40-digit cyclic run.  The spectral form
-        # is within 2e-14 everywhere, and closest where the run is long:
-        # the others drift with the epoch count (up to 2e-13 here)
+    def test_spectral_form_against_40_digits(self):
+        # f over the rate window from stepping (`run`) and the spectral
+        # form, against a 40-digit cyclic run.  The spectral form is within
+        # 2e-14 everywhere, and closest where the run is long: stepping
+        # drifts with the epoch count (up to 2e-13 here)
         mpmath = pytest.importorskip("mpmath")
         for n, delta, max_epochs in [(5, 1e-6, 3000), (30, 1e-3, 2000), (30, 0.3, 10**5),
                                      (30, 0.5, 10**5), (20, 0.8, 10**5), (30, 0.95, 10**5),
@@ -408,27 +415,15 @@ class TestCyclicTail:
             with mpmath.workdps(40):
                 ref = _mp_f(mpmath, delta, x0, traj.epochs)[-11:]
             spectral = engine._spectral_tail(model, x0, max_epochs, 1e-8)
-            with monkeypatch.context() as patch:
-                patch.setattr(engine, "_spectral_tail", lambda *args: None)
-                squared = _cyclic_tail(model, x0, max_epochs, 1e-8)
             errors = {}
             for name, (stop, f) in [("run", (traj.epochs, traj.f_per_epoch[-11:])),
-                                    ("squaring", squared), ("spectral", spectral)]:
+                                    ("spectral", spectral)]:
                 assert stop == traj.epochs
                 errors[name] = np.abs(f / ref - 1)
             assert errors["spectral"].max() <= 2e-14
             if traj.epochs >= 100:
-                for name in ("run", "squaring"):
-                    assert errors["spectral"][-1] <= errors[name][-1]
-                    assert errors["spectral"].max() <= errors[name].max()
-
-    def test_dense_model_matches_run(self):
-        model = build_log_uniform_spectrum(12, 1e2, derive_seed(1, 0))
-        x0 = np.random.default_rng(2).standard_normal(12)
-        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=5000, tol=1e-10)
-        stop, f_tail = _cyclic_tail(model, x0, 5000, 1e-10)
-        assert stop == traj.epochs
-        assert np.allclose(f_tail, traj.f_per_epoch[-11:], rtol=1e-12, atol=0.0)
+                assert errors["spectral"][-1] <= errors["run"][-1]
+                assert errors["spectral"].max() <= errors["run"].max()
 
 
 class TestRpcdTails:
