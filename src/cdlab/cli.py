@@ -15,9 +15,10 @@ O(1) and O(n), and build no dense epoch matrix.  Neither does table1's
 cyclic column below delta = 1, which reads the closed-form spectrum of C
 (`engine._cyclic_tail`); the cells its guard rejects and delta >= 1 step
 the cyclic run (`engine.run`), whose block path builds epoch_map(model)
-at n <= 256.  table1's cells and figure different_n's runs are
-independent: `_in_processes` spreads them over one forked process per
-available CPU, and no output byte depends on how many there are.
+at n <= 256.  table1's cells, figure different_n's runs and figure lu's
+epoch products are independent: each command spreads them over one
+forked process per available CPU (`_forked`), and the split moves no
+output byte.
 
 Each command is a function whose parameters, with their defaults, are
 the flags it reads; it returns its rows as dicts (`cmd_predict` its one
@@ -37,6 +38,7 @@ i.i.d. standard normal from the derived stream.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import inspect
@@ -46,6 +48,7 @@ import math
 import os
 import pickle
 import re
+import signal
 import sys
 
 import numpy as np
@@ -90,11 +93,16 @@ __all__ = [
 TABLE1_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
 DIFFERENT_N = (10, 20, 40, 80)
 
-# `figure_lu` evaluates its epoch products, the cyclic one too, exactly once a
+# `figure_lu` evaluates each epoch product, the cyclic one too, exactly once its
 # carried E f falls to 1/2 of its last exact value.  Each value stays above half
 # the one it is carried from, so K decrements hold about 2K*eps of it in
 # rounding; a pure decrement drifts to about eps*f0/f, 1.1e-7 relative at the defaults.
 _REANCHOR = 0.5
+
+# `cmd_table1` prices an rcd epoch at 2 rpcd ones: at n = 100 and 20 replicates each default rcd
+# cell took 2.6-3.6x the rpcd cell of its delta (0.8: 13.2 vs 5.1 ms, 0.03: 158 vs 44 ms, 2-core
+# x86), and its two shares came to 199 and 152 ms at 1, 178 and 173 ms at 2 (even: 176).
+_RCD_EPOCH_COST = 2
 
 
 def _seeded_start(n, variant, seed, stream, replicate=0, x0="gaussian"):
@@ -161,20 +169,50 @@ def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs
     return np.array(rates)
 
 
+def _cpus() -> int:
+    """Available CPUs, or 1 without os.fork or os.sched_getaffinity."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+
+
+@contextlib.contextmanager
+def _forked(shares, work):
+    """Run work(share, pipe) in a forked child per share after the first; yield their read ends.
+
+    `pipe` is unbuffered: each write reaches the pipe whole.  A child leaves
+    by os._exit whatever work does, so a dead child's pipe reads short.
+    However the block is left, every child is killed and reaped; with one
+    share nothing forks.
+    """
+    children = []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(r)  # so a child whose parent is gone meets a broken pipe
+                    with open(w, "wb", buffering=0) as pipe:
+                        work(share, pipe)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        yield [pipe for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _in_processes(jobs, costs):
     """Yield the results of the zero-argument `jobs` in job order, as a serial loop would.
 
-    The jobs are split over min(available CPUs, jobs) forked processes,
-    costliest first to the least-loaded; this process runs the first
-    share.  Each child pickles its results, or the exceptions raised,
-    through a pipe and leaves by os._exit.  Every pipe is read before any
-    child is reaped, so a child blocked on a full pipe cannot hang this
-    one.  A job's exception is raised when iteration reaches it, with its
-    type and message.  With one CPU, or no os.fork or os.sched_getaffinity,
-    all jobs run here and nothing forks.
+    The jobs split over min(`_cpus()`, jobs) processes of `_forked`,
+    costliest first to the least-loaded, and this process runs the first
+    share.  A child pickles its results, or the exception a job raised,
+    which is raised here, type and message kept, when iteration reaches it.
     """
-    procs = (max(1, min(len(os.sched_getaffinity(0)), len(jobs)))
-             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    procs = max(1, min(_cpus(), len(jobs)))
     shares, loads = [[] for _ in range(procs)], [0.0] * procs
     for i in sorted(range(len(jobs)), key=lambda i: -costs[i]):
         k = loads.index(min(loads))
@@ -190,31 +228,17 @@ def _in_processes(jobs, costs):
             out[i] = err
         return out
 
-    children = []
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            if (pid := os.fork()) == 0:
-                try:
-                    os.close(r)
-                    try:
-                        data = pickle.dumps(outcomes(share))
-                    except Exception as err:  # an exception that does not pickle
-                        data = pickle.dumps({i: RuntimeError(repr(err)) for i in share})
-                    with open(w, "wb") as pipe:
-                        pipe.write(data)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, r))
+    def send(share, pipe):
+        try:
+            data = pickle.dumps(outcomes(share))
+        except Exception as err:  # an exception that does not pickle
+            data = pickle.dumps({i: RuntimeError(repr(err)) for i in share})
+        pipe.write(data)
+
+    with _forked(shares, send) as pipes:
         results = outcomes(shares[0])
-        for _, r in children:
-            with open(r, "rb", closefd=False) as pipe:
-                results.update(pickle.load(pipe))
-    finally:
-        for pid, r in children:
-            os.close(r)
-            os.waitpid(pid, 0)
+        for pipe in pipes:
+            results.update(pickle.load(pipe))
     for i in range(len(jobs)):
         if isinstance(results[i], Exception):
             raise results[i]
@@ -236,8 +260,9 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
     replicate is NaN and named on stderr; predicted columns are always
     emitted, from the scalar predictors rho_C(n, delta)^2 and rho_M(n, delta).
     The cells run in `_in_processes`, priced by predicted epochs
-    ln(f0/tol)/-ln(rho) times replicates (a ccd cell at 1, a rho outside
-    (0, 1) at the budget); no output byte depends on the CPU count.
+    ln(f0/tol)/-ln(rho) times replicates, an rcd epoch at `_RCD_EPOCH_COST`
+    (a ccd cell at 1, a rho outside (0, 1) at the budget); no output byte
+    depends on the CPU count.
     """
     for delta in deltas:
         PermInvariantQuadratic(n, delta)  # window check
@@ -249,7 +274,8 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
     def cost(d_idx, variant):
         rho = preds[d_idx][ORDERINGS.index(variant)]  # preds follow ORDERINGS
         epochs = math.log(0.5 * n / tol) / -math.log(rho) if 0 < rho < 1 else max_epochs
-        return 1 if variant == "ccd" else min(epochs, max_epochs) * replicates
+        return 1 if variant == "ccd" else min(epochs, max_epochs) * replicates * (
+            _RCD_EPOCH_COST if variant == "rcd" else 1)
 
     jobs = [functools.partial(_valid_rates, n, deltas[d_idx], d_idx, v, seed=seed,
                               replicates=replicates, tol=tol, max_epochs=max_epochs)
@@ -277,21 +303,34 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
     return rows
 
 
+def _lu_values(model, orders, epochs):
+    """Yield after each epoch every product's E f, its last value less its `_epoch_dense` decrease.
+
+    A product whose value falls to `_REANCHOR` of its last exact one is
+    re-evaluated alone, so no product's values depend on the others.
+    """
+    n = len(model.A)
+    G = np.tile(np.eye(n), (len(orders), 1, 1))
+    vals = exact = np.full(len(orders), 0.5 * n)
+    for _ in range(epochs):
+        vals = vals - _epoch_dense(G, model.A, np.array([o.next() for o in orders]))
+        if (low := vals <= _REANCHOR * exact).any():
+            vals[low] = exact[low] = expected_over_x0(model, G[low])
+        yield vals
+
+
 def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int = 5000,
               condition: float = 1e4, sequences: int = 10) -> list[dict]:
     """Expected relative objective per epoch on a log-uniform spectrum.
 
-    Emits, for each epoch, (1/2) trace(G' A G) / (n/2) with G the
-    accumulated epoch product: the cyclic product C^l, and the mean over
-    `sequences` sampled permutation-ordered products with its sample
-    standard deviation (NaN for one sequence).  All of them are one
-    (sequences + 1, n, n) stack that `_epoch_dense` advances in place, a
-    block of coordinate rows at a time, each product in its own orders
-    from `_Orders`: slice 0 cyclic, the others random permutations.  Each
-    product's E f is the previous one minus the decrease of f
-    `_epoch_dense` returns, and is re-anchored by `expected_over_x0` of
-    the stack whenever a value falls to `_REANCHOR` of its last exact
-    one.  Stops at the epoch budget or when both curves fall below tol.
+    Emits, for each epoch, (1/2) trace(G' A G) / (n/2) for the cyclic
+    product C^l and the mean over `sequences` permutation-ordered products
+    (`_Orders`), with its sample standard deviation (NaN for one sequence).
+    `_lu_values` carries each product's E f on its own, so the products
+    split over min(`_cpus()`, sequences + 1) processes of `_forked`: each
+    child writes a float64 record per epoch, and this process, with the
+    smallest share, reads them and stops at the budget or when both curves
+    fall below tol.
     """
     if sequences < 1:
         raise ValueError(f"sequences must be >= 1, got {sequences}")
@@ -300,22 +339,26 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
     orders = [_Orders(OrderingPolicy("ccd"), n, None)] + [
         _Orders(OrderingPolicy("rpcd"), n, np.random.default_rng(derive_seed(seed, 1000 + k)))
         for k in range(sequences)]
+    shares = np.array_split(np.arange(sequences + 1), min(_cpus(), sequences + 1))[::-1]
 
-    def row(epoch, vals):
-        return {"epoch": epoch, "ccd_rel": float(vals[0]) / f0, "rpcd_rel": float(np.mean(vals[1:])) / f0,
-                "rpcd_rel_std": float(np.std(vals[1:] / f0, ddof=1)) if sequences > 1 else math.nan}
+    def send(share, pipe):  # a record per epoch, each written whole by the unbuffered pipe
+        pipe.writelines(v.tobytes() for v in _lu_values(model, [orders[s] for s in share], epochs_budget))
 
-    G = np.tile(np.eye(n), (sequences + 1, 1, 1))
-    vals = exact = np.full(sequences + 1, f0)
-    rows = [row(0, vals)]
-    for epoch in range(1, epochs_budget + 1):
-        vals = vals - _epoch_dense(G, model.A, np.array([o.next() for o in orders]))
-        if np.any(vals <= _REANCHOR * exact):
-            vals = exact = expected_over_x0(model, G)
-        rows.append(row(epoch, vals))
-        if vals[0] <= tol and np.mean(vals[1:]) <= tol:
-            break
-    return rows
+    V = [np.full(sequences + 1, f0)]
+    with _forked(shares, send) as pipes:
+        for mine in _lu_values(model, [orders[s] for s in shares[0]], epochs_budget):
+            V.append(vals := np.empty(sequences + 1))
+            vals[shares[0]] = mine
+            for share, pipe in zip(shares[1:], pipes):
+                if len(record := pipe.read(8 * len(share))) < 8 * len(share):
+                    raise RuntimeError("a figure lu process ended before its last epoch")
+                vals[share] = np.frombuffer(record)
+            if vals[0] <= tol and np.mean(vals[1:]) <= tol:
+                break
+    V = np.array(V)
+    std = np.std(V[:, 1:] / f0, axis=1, ddof=1).tolist() if sequences > 1 else [math.nan] * len(V)
+    return [{"epoch": epoch, "ccd_rel": c, "rpcd_rel": m, "rpcd_rel_std": d} for epoch, (c, m, d)
+            in enumerate(zip((V[:, 0] / f0).tolist(), (np.mean(V[:, 1:], axis=1) / f0).tolist(), std))]
 
 
 def figure_different_n(delta: float = 0.001, seed: int = 0, tol: float = 1e-8,

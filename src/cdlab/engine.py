@@ -256,7 +256,8 @@ def _epoch_dense(G: np.ndarray, A: np.ndarray, orders: np.ndarray) -> np.ndarray
 
     With unit diagonal the exact step on coordinate i is G[s, i] -= A[i] @ G[s],
     and it lowers f of each column by half its squared step: returns each
-    slice's decrease (1/2) sum_t ||r_t||^2 over its steps and columns.  The
+    slice's decrease (1/2) sum_t ||r_t||^2 over its steps and columns, a
+    dot product per slice, so that it does not depend on the stack.  The
     visits are taken `_ROW_BLOCK` at a time.  For the rows R of one block
     the steps r_t = A[R_t] @ (G - sum_{k<t} e_{R_k} r_k) solve
     (I + L_R) r = A[R] @ G, with L_R the strictly lower part of A[R][:, R],
@@ -290,7 +291,7 @@ def _epoch_dense(G: np.ndarray, A: np.ndarray, orders: np.ndarray) -> np.ndarray
             G[slices, Rj] -= r
         else:
             np.subtract.at(G, (slices, Rj), r)
-    return 0.5 * np.einsum("snm,snm->s", steps, steps)
+    return 0.5 * (steps.reshape(S, 1, -1) @ steps.reshape(S, -1, 1))[:, 0, 0]
 
 
 def _lower_toeplitz(v: np.ndarray, k: int) -> np.ndarray:

@@ -448,6 +448,48 @@ class TestInProcesses:
         monkeypatch.setattr(os, "fork", refuse)
         assert len(cmd_table1(n=10, deltas=(0.5, 0.2), replicates=2)) == 2
         assert len(figure_different_n(epochs_budget=3)) == 12 * 4
+        assert len(figure_lu(n=16, epochs_budget=3)) == 4
+
+    @pytest.mark.parametrize("kwargs, epochs", [
+        (dict(n=16, tol=1e-3), 657),  # stops at tol, the child blocked on a full pipe
+        (dict(n=16, epochs_budget=30), 30),  # stops at the budget
+    ])
+    def test_figure_lu_leaves_no_child(self, two_cpus, kwargs, epochs):
+        assert len(figure_lu(**kwargs)) == epochs + 1
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_figure_lu_failure_raises_and_leaves_no_child(self, two_cpus, monkeypatch, where):
+        import cdlab.cli
+
+        parent, epoch_dense, calls = os.getpid(), cdlab.cli._epoch_dense, []
+
+        def fail_at_epoch_5(G, A, orders):
+            calls.append(None)
+            if len(calls) == 5 and (os.getpid() == parent) == (where == "parent"):
+                raise FloatingPointError(f"epoch 5 in the {where}")
+            return epoch_dense(G, A, orders)
+
+        monkeypatch.setattr(cdlab.cli, "_epoch_dense", fail_at_epoch_5)
+        error = (RuntimeError, "ended before its last epoch") if where == "child" else (
+            FloatingPointError, "epoch 5 in the parent")
+        with pytest.raises(error[0], match=error[1]):
+            figure_lu(n=16, epochs_budget=50)
+        self.assert_no_child_left()
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(epochs_budget=300),  # the defaults, over 300 epochs
+    dict(tol=0.1),  # stops at tol after 34 epochs
+    dict(sequences=1, epochs_budget=100),  # one product in each process
+])
+def test_figure_lu_rows_do_not_depend_on_cpus(monkeypatch, kwargs):
+    # each product's values depend only on its own orders, at n = 100 too,
+    # where the stack of every process re-anchors at different epochs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one = figure_lu(n=100, **kwargs)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert figure_lu(n=100, **kwargs) == one
 
 
 class TestPredictorsWithoutDenseC:
@@ -700,6 +742,8 @@ sys.exit(main(sys.argv[2:]))
     "table1 --n 30 --replicates 3",
     "table1 --n 20 --delta 1.0 --delta 0.5 --max-epochs 5",
     "figure different_n --epochs-budget 40",
+    "figure lu --n 16 --epochs-budget 400 --seed 2",
+    "figure lu --n 8 --condition 10 --sequences 3 --epochs-budget 3000",  # stops at tol
 ])
 def test_bytes_do_not_depend_on_threads_or_cpus(argv):
     # default BLAS threads and one forked process per CPU, one BLAS thread,
