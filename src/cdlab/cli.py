@@ -17,8 +17,9 @@ cyclic column below delta = 1, which reads the closed-form spectrum of C
 the cyclic run (`engine.run`), whose block path builds epoch_map(model)
 at n <= 256.  table1's cells, figure different_n's runs and figure lu's
 epoch products are independent: each command spreads them over one
-forked process per available CPU (`_forked`), and the split moves no
-output byte.
+forked process per available CPU (`_forked`), whose children send their
+results as pickled frames and end with the exception they raised, if
+any.  The split moves no output byte.
 
 Each command is a function whose parameters, with their defaults, are
 the flags it reads; it returns its rows as dicts (`cmd_predict` its one
@@ -175,14 +176,32 @@ def _cpus() -> int:
 
 
 @contextlib.contextmanager
-def _forked(shares, work):
-    """Run work(share, pipe) in a forked child per share after the first; yield their read ends.
+def _forked(costs, work):
+    """Split jobs 0..len(costs)-1, costliest first to the least-loaded process; yield (shares, streams).
 
-    `pipe` is unbuffered: each write reaches the pipe whole.  A child leaves
-    by os._exit whatever work does, so a dead child's pipe reads short.
-    However the block is left, every child is killed and reaped; with one
-    share nothing forks.
+    This process runs shares[0].  A forked child per other share pickles each
+    item of work(share) as a frame, then an end frame: None, or the exception
+    work raised (if it does not pickle, a RuntimeError of its repr).
+    streams[k] yields shares[k + 1]'s frames, then raises that exception, or a
+    RuntimeError if the child ended before its end frame.  However the block is
+    left, every child is killed and reaped; with one share nothing forks.
     """
+    procs = max(1, min(_cpus(), len(costs)))
+    shares, loads = [[] for _ in range(procs)], [0.0] * procs
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += costs[i]
+
+    def stream(pipe):  # frames are (done, item) pairs
+        try:
+            while not (frame := pickle.load(pipe))[0]:
+                yield frame[1]
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError("a forked process ended before its end frame") from None
+        if frame[1] is not None:
+            raise frame[1]
+
     children = []
     try:
         for share in shares[1:]:
@@ -190,13 +209,24 @@ def _forked(shares, work):
             if (pid := os.fork()) == 0:
                 try:
                     os.close(r)  # so a child whose parent is gone meets a broken pipe
-                    with open(w, "wb", buffering=0) as pipe:
-                        work(share, pipe)
+                    with open(w, "wb") as pipe:
+                        end = None
+                        try:
+                            for item in work(share):
+                                pipe.write(pickle.dumps((False, item)))
+                                pipe.flush()
+                        except Exception as err:
+                            end = err
+                        try:
+                            frame = pickle.dumps((True, end))
+                        except Exception:  # an exception that does not pickle
+                            frame = pickle.dumps((True, RuntimeError(repr(end))))
+                        pipe.write(frame)
                 finally:
                     os._exit(0)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        yield [pipe for _, pipe in children]
+        yield shares, [stream(pipe) for _, pipe in children]
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -207,38 +237,22 @@ def _forked(shares, work):
 def _in_processes(jobs, costs):
     """Yield the results of the zero-argument `jobs` in job order, as a serial loop would.
 
-    The jobs split over min(`_cpus()`, jobs) processes of `_forked`,
-    costliest first to the least-loaded, and this process runs the first
-    share.  A child pickles its results, or the exception a job raised,
-    which is raised here, type and message kept, when iteration reaches it.
+    The jobs split over the processes of `_forked`.  Each share runs in
+    job order up to its first exception, which is raised here, type and
+    message kept, when iteration reaches that job.
     """
-    procs = max(1, min(_cpus(), len(jobs)))
-    shares, loads = [[] for _ in range(procs)], [0.0] * procs
-    for i in sorted(range(len(jobs)), key=lambda i: -costs[i]):
-        k = loads.index(min(loads))
-        shares[k].append(i)
-        loads[k] += costs[i]
+    def run(share):
+        for i in sorted(share):
+            yield i, jobs[i]()
 
-    def outcomes(share):  # {job: result}, in job order up to the first exception raised
-        out = {}
-        try:
-            for i in sorted(share):
-                out[i] = jobs[i]()
-        except Exception as err:
-            out[i] = err
-        return out
-
-    def send(share, pipe):
-        try:
-            data = pickle.dumps(outcomes(share))
-        except Exception as err:  # an exception that does not pickle
-            data = pickle.dumps({i: RuntimeError(repr(err)) for i in share})
-        pipe.write(data)
-
-    with _forked(shares, send) as pipes:
-        results = outcomes(shares[0])
-        for pipe in pipes:
-            results.update(pickle.load(pipe))
+    results = {}
+    with _forked(costs, run) as (shares, streams):
+        for share, outcomes in zip(shares, [run(shares[0]), *streams]):
+            try:
+                for i, result in outcomes:
+                    results[i] = result
+            except Exception as err:  # at the share's first job with no result, if any
+                results[min(set(share) - results.keys(), default=None)] = err
     for i in range(len(jobs)):
         if isinstance(results[i], Exception):
             raise results[i]
@@ -327,10 +341,9 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
     product C^l and the mean over `sequences` permutation-ordered products
     (`_Orders`), with its sample standard deviation (NaN for one sequence).
     `_lu_values` carries each product's E f on its own, so the products
-    split over min(`_cpus()`, sequences + 1) processes of `_forked`: each
-    child writes a float64 record per epoch, and this process, with the
-    smallest share, reads them and stops at the budget or when both curves
-    fall below tol.
+    split evenly over the processes of `_forked`: each child's frames are
+    its share's values, one per epoch, and this process zips them with
+    its own and stops at the budget or when both curves fall below tol.
     """
     if sequences < 1:
         raise ValueError(f"sequences must be >= 1, got {sequences}")
@@ -339,20 +352,16 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
     orders = [_Orders(OrderingPolicy("ccd"), n, None)] + [
         _Orders(OrderingPolicy("rpcd"), n, np.random.default_rng(derive_seed(seed, 1000 + k)))
         for k in range(sequences)]
-    shares = np.array_split(np.arange(sequences + 1), min(_cpus(), sequences + 1))[::-1]
 
-    def send(share, pipe):  # a record per epoch, each written whole by the unbuffered pipe
-        pipe.writelines(v.tobytes() for v in _lu_values(model, [orders[s] for s in share], epochs_budget))
+    def values(share):
+        return _lu_values(model, [orders[s] for s in share], epochs_budget)
 
     V = [np.full(sequences + 1, f0)]
-    with _forked(shares, send) as pipes:
-        for mine in _lu_values(model, [orders[s] for s in shares[0]], epochs_budget):
+    with _forked([1] * (sequences + 1), values) as (shares, streams):
+        for parts in zip(values(shares[0]), *streams):
             V.append(vals := np.empty(sequences + 1))
-            vals[shares[0]] = mine
-            for share, pipe in zip(shares[1:], pipes):
-                if len(record := pipe.read(8 * len(share))) < 8 * len(share):
-                    raise RuntimeError("a figure lu process ended before its last epoch")
-                vals[share] = np.frombuffer(record)
+            for share, part in zip(shares, parts):
+                vals[share] = part
             if vals[0] <= tol and np.mean(vals[1:]) <= tol:
                 break
     V = np.array(V)

