@@ -13,9 +13,9 @@ The predicted columns (rho_C_sq, rho_M and the recurrence coefficients)
 come from (n, delta) through `rates.rho_C` and `recurrence_coeffs`, in
 O(1) and O(n), and build no dense epoch matrix.  Neither does table1's
 cyclic column below delta = 1, which reads the closed-form spectrum of C
-(`engine._cyclic_tail`); the cells its guard rejects and delta >= 1 step
-the cyclic run (`engine.run`), whose block path builds epoch_map(model)
-at n <= 256.  table1's cells, figure different_n's runs and figure lu's
+(`engine._cyclic_tail`); every cell that route does not take steps the
+cyclic run (`engine.run`), whose block path builds epoch_map(model) at
+n <= 256.  table1's cells, figure different_n's runs and figure lu's
 epoch products are independent: each command spreads them over one
 forked process per available CPU (`_forked`), whose children send their
 results as pickled frames and end with the exception they raised, if
@@ -68,6 +68,7 @@ from .engine import (
 from .errors import NumericalError
 from .quadratic import PermInvariantQuadratic, build_log_uniform_spectrum, quadratic_constants
 from .rates import (
+    _radius,
     ccd_bounds,
     empirical_rate,
     generic_bounds,
@@ -419,7 +420,7 @@ def cmd_predict(n: int, delta: float) -> dict:
         "n": n,
         "delta": delta,
         "rho_C_sq": rho_C(n, delta) ** 2,
-        "rho_M": rho_M(n, delta),
+        "rho_M": _radius(M),
         "rpcd_asymptotic": rpcd_asymptotic_rate(n, delta),
         "ccd_upper": upper,
         "ccd_lower": lower,

@@ -21,25 +21,27 @@ substitution.
 `run` is `_runs` with one start.  `_runs` steps a stack of seeded
 replicates one epoch at a time and holds the one copy of the start
 checks, the stop at f <= tol or the epoch budget and the nonfinite-f
-failure; its docstring lists the kernel each input takes.  For the
-dense model the one epoch kernel, `_epoch_dense`, advances a stack of
-matrices, each slice in its own order, a block of `_ROW_BLOCK` visited
-rows per pair of batched products, with the blocks' triangular inverses
-by squaring, not LAPACK.  It returns each slice's decrease of f, by which
-`figure lu` carries E f of all its epoch products, cyclic and
-permutation-ordered, between exact evaluations.  The cyclic order makes
+failure: its kernels return f and it alone judges it.  Its docstring
+lists the kernel each input takes.  For the dense model the one epoch
+kernel, `_epoch_dense`, advances a stack of matrices, each slice in its
+own order, a block of `_ROW_BLOCK` visited rows per pair of batched
+products, with the blocks' triangular inverses by squaring, not LAPACK.
+It returns each slice's decrease of f, by which `figure lu` carries E f
+of all its epoch products, cyclic and permutation-ordered, between
+exact evaluations.  The cyclic order makes
 every epoch the same map M, so when a block of at least two n x n maps
 fits in about 1 MB (n <= 256) `_runs` builds M, M^2, ..., M^K once and
-advances K epochs with one matrix-vector product, stopping at the first
-epoch that reaches the tolerance.
+advances K epochs with one matrix-vector product, up to the first epoch
+whose f it must judge: at or below the tolerance, nonfinite, or the last.
 
 A rate over the last epochs of a cyclic run needs only its stop epoch
 and those epochs, which `_cyclic_tail` returns.  For the
 permutation-invariant model at delta < 1 it finds both without stepping
 the run: it evaluates f at any epoch in O(n^2) from the closed-form
 eigenvalues and eigenvectors of C (`_spectral_tail`), at any n and with
-no epoch map.  The cells that route's guard rejects, the dense model and
-delta >= 1 step the run with `run`, by the block path at n <= 256.
+no epoch map.  Every cell that route does not take (its guard, the
+dense model, delta >= 1, a start `run` stops or fails at, or a window
+that misses tol) steps the run with `run`, by the block path at n <= 256.
 Table 1's cyclic column uses it, and its random columns one `_runs`
 call per ordering.
 
@@ -305,13 +307,15 @@ def _block_epochs(n: int) -> int:
     return min(_BLOCK_EPOCHS, _BLOCK_BYTES // (8 * n * n))
 
 
-def _run_blocks(model, M, x, max_epochs, tol, fs) -> np.ndarray:
-    """Advance up to max_epochs epochs of the fixed map M, K per product.
+def _run_blocks(model, M, x, max_epochs, tol, fs) -> tuple[np.ndarray, int, float]:
+    """Advance 1..max_epochs epochs of the fixed map M, K per product.
 
     The stack [M; M^2; ...; M^K] is built once, in place; each block
     computes the next K iterates from the current one as rows of
-    (stack @ x) and their objectives in one expression.  Appends to fs
-    up to the first epoch with f <= tol; returns the last iterate.
+    (stack @ x) and their objectives in one expression.  The exit epoch
+    is the first whose f is <= tol or nonfinite, or max_epochs.  Appends
+    to fs the f of every epoch before it; returns its iterate, its number
+    and its f, which `_runs` judges.
     """
     n = model.n
     K = min(_block_epochs(n), max_epochs)
@@ -321,35 +325,17 @@ def _run_blocks(model, M, x, max_epochs, tol, fs) -> np.ndarray:
         np.matmul(M, stack[k - 1], out=stack[k])
     stack = stack.reshape(K * n, n)
     epochs = 0
-    while epochs < max_epochs:
+    while True:
         k = min(K, max_epochs - epochs)
         Y = (stack[: k * n] @ x).reshape(k, n)
         fk = _objective_rows(model, Y)
         stops = np.flatnonzero(~np.isfinite(fk) | (fk <= tol))
         j = int(stops[0]) if stops.size else k - 1
         fs.extend(fk[:j].tolist())
-        if not np.isfinite(fk[j]):
-            raise NumericalError(
-                f"nonfinite objective after {(epochs + j + 1) * n} iterations", fs[-1]
-            )
+        x, epochs = Y[j].copy(), epochs + j + 1
+        if stops.size or epochs == max_epochs:
+            return x, epochs, float(fk[j])
         fs.append(float(fk[j]))
-        x = Y[j].copy()
-        epochs += j + 1
-        if stops.size:
-            break
-    return x
-
-
-def _checked_start(model, x0, max_epochs, tol) -> np.ndarray:
-    """A float copy of x0, after the input checks of `run`."""
-    x = np.array(x0, dtype=float)
-    if x.shape != (model.n,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({model.n},)")
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    if max_epochs < 0:
-        raise ValueError(f"max_epochs must be >= 0, got {max_epochs}")
-    return x
 
 
 def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | NumericalError]:
@@ -359,7 +345,10 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     tol, seed=rngs[r]), or the NumericalError that run would raise (same
     message and last_estimate); run's ValueError for any start is raised.
     Each epoch advances every active replicate once; a replicate leaves at
-    its stop epoch, its first nonfinite f or the budget.  Its orders come
+    its stop epoch, its first nonfinite f or the budget.  One rule after
+    the start, `steps_on`, judges every f a kernel returns, the block
+    path's last included: it records f or builds the NumericalError, and
+    closes the orders of a replicate that leaves.  Its orders come
     from `_Orders`, a chunk of epochs per call of rngs[r]; when it leaves,
     rngs[r] is where drawing its orders one epoch per call leaves it, so
     one that takes no epoch draws nothing.  The kernel follows from the
@@ -389,8 +378,16 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     """
     n = model.n
     perm_invariant = isinstance(model, PermInvariantQuadratic)
-    X = np.array([_checked_start(model, x0, max_epochs, tol) for x0 in starts])
-    X = X.reshape(len(starts), n)
+    X = np.empty((len(starts), n))
+    for r, x0 in enumerate(starts):
+        x = np.asarray(x0, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
+        X[r] = x
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if max_epochs < 0:
+        raise ValueError(f"max_epochs must be >= 0, got {max_epochs}")
     rows = list(X)  # views; indexing a list is cheaper than X[r] in the row loop
     orders = [_Orders(policy, n, rng) for rng in rngs]
     f0 = [objective(model, x) for x in rows]
@@ -439,31 +436,28 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     out = [None if math.isfinite(f) else NumericalError(f"nonfinite objective at start: {f}")
            for f in f0]
     active = [r for r, f in enumerate(f0) if out[r] is None and f > tol and max_epochs > 0]
+
+    def steps_on(r, epoch, f) -> bool:
+        if not math.isfinite(f):
+            out[r] = NumericalError(f"nonfinite objective after {epoch * n} iterations",
+                                    fs[r][-1])
+        else:
+            fs[r].append(f)
+            if f > tol and epoch < max_epochs:
+                return True
+        orders[r].close()
+        return False
+
     if policy.kind == "ccd" and _block_epochs(n) >= 2 and active:
         M = epoch_map(model)
         for r in active:
-            try:
-                rows[r][:] = _run_blocks(model, M, rows[r], max_epochs, tol, fs[r])
-            except NumericalError as err:
-                out[r] = err
+            rows[r][:], epoch, f = _run_blocks(model, M, rows[r], max_epochs, tol, fs[r])
+            steps_on(r, epoch, f)
         active = []
-    for epoch in range(1, max_epochs + 1):
-        if not active:
-            break
-        still = []
-        for r, f in zip(active, step(active)):
-            if not math.isfinite(f):
-                out[r] = NumericalError(f"nonfinite objective after {epoch * n} iterations",
-                                        fs[r][-1])
-            else:
-                fs[r].append(f)
-                if f > tol:
-                    still.append(r)
-                    continue
-            orders[r].close()
-        active = still
-    for r in active:
-        orders[r].close()
+    epoch = 0
+    while active:
+        epoch += 1
+        active = [r for r, f in zip(active, step(active)) if steps_on(r, epoch, f)]
     return [err or Trajectory(f_per_epoch=np.array(f), final_x=x)
             for err, f, x in zip(out, fs, rows)]
 
@@ -504,7 +498,7 @@ def run(
         On dimension mismatch or negative tol or max_epochs, whether or
         not an epoch runs.
     NumericalError
-        If a nonfinite objective value is encountered.
+        If f is nonfinite at the start or after an epoch, on every path.
     """
     (result,) = _runs(model, policy, [x0], [np.random.default_rng(seed)], max_epochs, tol)
     if isinstance(result, NumericalError):
@@ -563,10 +557,18 @@ def _spectral_tail(model, x0, max_epochs, tol):
     r^(n-1-j) ((L+D) x0)_j and u_k'v_k = n r^(n-1) + (1-delta)/(1-r)
     ((1-r^n)/(1-r) - n r^(n-1)).  Any f costs O(n^2), in 8 MB row blocks.
     f is nonincreasing: two Newton steps on log f at the slowest rate,
-    then steps of 1, 2, 4, ... epochs and bisection find L.  None also if
-    f after epoch 1 is over `_SPECTRAL_RTOL` off one row-loop epoch's.
+    then steps of 1, 2, 4, ... epochs and bisection find L.  None, and
+    `run` steps the cell, for any other model or delta >= 1, an input `run`
+    rejects or max_epochs = 0, f(x0) nonfinite or <= tol, f after epoch 1
+    over `_SPECTRAL_RTOL` off one row-loop epoch's, or f at L - 1 and L
+    that does not bracket tol, which only rounding can cause.
     """
-    if not (isinstance(model, PermInvariantQuadratic) and model.delta < 1.0):
+    x0 = np.asarray(x0, dtype=float)
+    if not (isinstance(model, PermInvariantQuadratic) and model.delta < 1.0
+            and x0.shape == (model.n,) and tol >= 0 and max_epochs >= 1):
+        return None
+    f0 = _objective_rows(model, x0[None])
+    if not (math.isfinite(f0[0]) and f0[0] > tol):
         return None
     n, delta = model.n, model.delta
     t = _cyclic_spectrum(n, delta)
@@ -616,7 +618,9 @@ def _spectral_tail(model, x0, max_epochs, tol):
         fe = f([e])[0]
     start = hi - min(_RATE_WINDOW, hi)
     fs = f(np.arange(max(start, 1), hi + 1))
-    return hi, np.concatenate([_objective_rows(model, x0[None]), fs]) if start == 0 else fs
+    fs = np.concatenate([f0, fs]) if start == 0 else fs
+    if fs[-2] > tol and (fs[-1] <= tol or hi == max_epochs):
+        return hi, fs
 
 
 def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
@@ -625,32 +629,20 @@ def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     These are all a rate over the last `_RATE_WINDOW` = 10 epochs needs.
     For the permutation-invariant model below delta = 1 they come from the
     spectrum of C (`_spectral_tail`) at any n, without stepping the L
-    epochs.  The cells its guard rejects, the dense model and delta >= 1
-    run `run` itself, with its block path at n <= 256.
+    epochs.  Every cell it does not take runs `run` itself, with its block
+    path at n <= 256, and returns that run's last `_RATE_WINDOW` + 1 f.
 
     f is `run`'s formula (`_objective_rows`).  L equals `run`'s (the first
     epoch with f <= tol, or max_epochs).  The returned f is `run`'s f
     exactly where `run` itself ran, and up to rounding on the spectral
-    route.  Takes `run`'s inputs and raises as it does; NumericalError
-    also when the spectral f at L - 1 and L does not bracket tol, which
-    only rounding can cause.
+    route.  Inputs `run` rejects and a nonfinite f(x0) reach `run`, so
+    this raises exactly what `run` raises.
     """
-    x0 = _checked_start(model, x0, max_epochs, tol)
-    f0 = _objective_rows(model, x0)
-    if not np.isfinite(f0):
-        raise NumericalError(f"nonfinite objective on the cyclic run: {f0}")
-    if f0 <= tol or max_epochs == 0:
-        return 0, np.array([f0])
     tail = _spectral_tail(model, x0, max_epochs, tol)
-    if tail is None:
-        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs, tol)
-        return traj.epochs, traj.f_per_epoch[-(_RATE_WINDOW + 1):]
-    stop, fs = tail
-    if not (fs[-2] > tol and (fs[-1] <= tol or stop == max_epochs)):
-        raise NumericalError(
-            f"f at epochs {stop - 1} and {stop} is {fs[-2]}, {fs[-1]}: it does not cross "
-            f"tol={tol} there, so rounding decides the stop epoch", fs[-1])
-    return stop, fs
+    if tail is not None:
+        return tail
+    traj = run(model, OrderingPolicy("ccd"), x0, max_epochs, tol)
+    return traj.epochs, traj.f_per_epoch[-(_RATE_WINDOW + 1):]
 
 
 def epoch_map(model: QuadraticModel, order=None) -> np.ndarray:

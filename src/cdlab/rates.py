@@ -144,7 +144,11 @@ def rho_M(n: int, delta: float) -> float:
     modulus is sqrt(d1 m2 - d2 m1).  The coefficients come from
     `recurrence_coeffs` in O(n), so this works at n >= 1e6.
     """
-    M = recurrence_coeffs(n, delta)
+    return _radius(recurrence_coeffs(n, delta))
+
+
+def _radius(M) -> float:
+    """`rho_M` of the coefficients M of `recurrence_coeffs`, for a caller that holds them."""
     s = M.d1 + M.m2
     det = M.d1 * M.m2 - M.d2 * M.m1
     disc = s * s - 4.0 * det

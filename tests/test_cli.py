@@ -23,6 +23,7 @@ from cdlab import (
     epoch_map,
     evolve,
     recurrence_coeffs,
+    rho_M,
     run,
 )
 from cdlab.cli import (
@@ -529,6 +530,24 @@ class TestPredictorsWithoutDenseC:
         assert [row["delta"] for row in rows] == [0.5, 0.2]
         rows = figure_expected(n=300)
         assert rows[-1]["f_realized"] <= 1e-8
+
+    def test_predict_builds_the_recurrence_once(self, monkeypatch):
+        # rho_M and the d1..m2 fields come from one recurrence_coeffs call
+        import cdlab.cli
+        import cdlab.rates
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return recurrence_coeffs(*args)
+
+        for module in (cdlab.cli, cdlab.rates):
+            monkeypatch.setattr(module, "recurrence_coeffs", counted)
+        report = cmd_predict(700, 0.2)
+        assert calls == [(700, 0.2)]
+        monkeypatch.undo()
+        assert report["rho_M"] == rho_M(700, 0.2)
 
     def test_predict_at_a_million_coordinates(self, capsys):
         main(["predict", "--n", "1000000", "--delta", "0.5", "--format", "json"])

@@ -354,14 +354,52 @@ class TestCyclicTail:
             with pytest.raises(ValueError) as theirs:
                 run(model, OrderingPolicy("ccd"), args[0], max_epochs=args[1], tol=args[2])
             assert str(ours.value) == str(theirs.value)
-        with pytest.raises(NumericalError):
-            _cyclic_tail(model, np.array([1.0, np.nan, 0.0, 0.0]), 5, 1e-8)
+        x0 = np.array([1.0, np.nan, 0.0, 0.0])
+        with pytest.raises(NumericalError) as ours:
+            _cyclic_tail(model, x0, 5, 1e-8)
+        with pytest.raises(NumericalError) as theirs:
+            run(model, OrderingPolicy("ccd"), x0, max_epochs=5, tol=1e-8)
+        assert str(ours.value) == str(theirs.value) == "nonfinite objective at start: nan"
+        assert ours.value.last_estimate == theirs.value.last_estimate
 
     def test_converged_start_and_zero_budget_stop_at_epoch_zero(self):
         model = PermInvariantQuadratic(4, 0.5)
         assert _cyclic_tail(model, np.zeros(4), 5, 1e-8)[0] == 0
         stop, f_tail = _cyclic_tail(model, np.ones(4), 0, 1e-8)
         assert stop == 0 and np.array_equal(f_tail, [objective(model, np.ones(4))])
+
+    def test_bracket_miss_is_stepped_not_dropped(self, monkeypatch, capsys):
+        # a spectral window whose f at the stop epoch stays above tol, which
+        # only rounding can cause, makes the cell `run`'s, not a failed one.
+        # Only the spectral window evaluates 11 rows here: the block path
+        # takes 13 epochs per product at n = 100, and the random columns of
+        # two replicates stack two rows.
+        from cdlab.cli import cmd_table1
+
+        model = PermInvariantQuadratic(100, 0.5)
+        x0 = np.random.default_rng(0).standard_normal(100)
+        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=500_000, tol=1e-8)
+        rate = cmd_table1(deltas=(0.5,), replicates=2)[0]["rho_ccd_emp"]
+        rows = engine._objective_rows
+
+        def missed(model, Y):
+            f = rows(model, Y)
+            if len(Y) == engine._RATE_WINDOW + 1:
+                f[-1] = f[-2]
+            return f
+
+        monkeypatch.setattr(engine, "_objective_rows", missed)
+        assert engine._spectral_tail(model, x0, 500_000, 1e-8) is None
+        calls = []
+        monkeypatch.setattr(engine, "run", lambda *args: calls.append(args) or run(*args))
+        stop, f_tail = _cyclic_tail(model, x0, 500_000, 1e-8)
+        assert len(calls) == 1 and stop == traj.epochs
+        assert np.array_equal(f_tail, traj.f_per_epoch[-11:])
+        capsys.readouterr()
+        row = cmd_table1(deltas=(0.5,), replicates=2)[0]
+        assert math.isfinite(row["rho_ccd_emp"])
+        assert row["rho_ccd_emp"] == pytest.approx(rate, rel=1e-12)
+        assert "no valid ccd replicate" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, delta, max_epochs", [(257, 0.9, 2000), (300, 0.5, 400),
                                                       (1000, 0.95, 2000)])

@@ -154,7 +154,10 @@ def test_random_order_run_matches_step_oracle(point, kind, seed, epochs):
 
 @st.composite
 def cyclic_cases(draw):
-    """(model, x0, max_epochs, tol) for table1's cyclic column, up to 1e-12 below the edge."""
+    """(model, x0, max_epochs, tol) for table1's cyclic column, up to 1e-12 below the edge.
+
+    Some starts hold a nan or infinite entry, and some have f(x0) = tol exactly.
+    """
     n = draw(st.integers(2, 64))
     top = (1.0 - 1e-12) * n / (n - 1)
     delta = draw(st.one_of(
@@ -162,9 +165,16 @@ def cyclic_cases(draw):
         st.floats(-300.0, -0.3).map(lambda e: 10.0**e),
         st.sampled_from([5e-324, 1.0, top]),
     ))
+    model = PermInvariantQuadratic(n, delta)
     x0 = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
     max_epochs = draw(st.sampled_from([0, 1, 5, 10, 11, 12, 300]))
-    return PermInvariantQuadratic(n, delta), x0, max_epochs, draw(st.sampled_from([1e-14, 1e-8, 1e-3]))
+    tol = draw(st.sampled_from([1e-14, 1e-8, 1e-3]))
+    start = draw(st.sampled_from(("gaussian",) * 3 + ("nonfinite", "f at tol")))
+    if start == "nonfinite":
+        x0[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif start == "f at tol":
+        tol = objective(model, x0)
+    return model, x0, max_epochs, tol
 
 
 def _rate_or_none(f):
@@ -174,13 +184,26 @@ def _rate_or_none(f):
         return None
 
 
+def _outcome(call, *args):
+    """(call(*args), None), or (None, (type, message, last_estimate)) of its NumericalError."""
+    try:
+        return call(*args), None
+    except NumericalError as err:
+        return None, (type(err), str(err), err.last_estimate)
+
+
 @settings(max_examples=300, deadline=None)
 @given(cyclic_cases())
 def test_cyclic_tail_matches_run(case):
-    # the stop epoch, whether the rate window is usable, and the rate
+    # the error raised, or the stop epoch, whether the rate window is usable, and the rate
     model, x0, max_epochs, tol = case
-    traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=max_epochs, tol=tol)
-    stop, f_tail = _cyclic_tail(model, x0, max_epochs, tol)
+    with np.errstate(invalid="ignore"):  # f of an infinite entry is inf - inf
+        traj, error = _outcome(run, model, OrderingPolicy("ccd"), x0, max_epochs, tol)
+        tail, tail_error = _outcome(_cyclic_tail, model, x0, max_epochs, tol)
+    assert tail_error == error
+    if error is not None:
+        return
+    stop, f_tail = tail
     assert stop == traj.epochs
     assert len(f_tail) == min(stop, 10) + 1
     rate, tail_rate = _rate_or_none(traj), _rate_or_none(f_tail)
