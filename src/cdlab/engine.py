@@ -19,9 +19,9 @@ matrix untouched.  LU is then L+D itself and the solve is the forward
 substitution.
 
 `run` is `_runs` with one start.  `_runs` steps a stack of seeded
-replicates one epoch at a time and holds the one copy of the start
-checks, the stop at f <= tol or the epoch budget and the nonfinite-f
-failure: its kernels return f and it alone judges it.  Its docstring
+replicates one epoch at a time and holds the one copy of the stop at
+f <= tol or the epoch budget and the nonfinite-f failure; its input
+checks, `_checked_starts`, are `_cyclic_tail`'s too.  Its docstring
 lists the kernel each input takes.  For the dense model the one epoch
 kernel, `_epoch_dense`, advances a stack of matrices, each slice in its
 own order, a block of `_ROW_BLOCK` visited rows per pair of batched
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 
@@ -119,7 +120,7 @@ _POWER_FLOOR = 2.0**-960
 _ROW_BLOCK = 8
 
 # Most entries in one replicate's chunk of drawn orders (`_Orders`): a
-# chunk holds up to 2048 // n epochs, 20 at n = 100 and one from n = 1025
+# chunk holds max(1, 2048 // n) epochs, 20 at n = 100 and one from n = 1025
 # on.  On a 2-core host at n = 100 an epoch's order cost 10.3 us (rcd) and
 # 7.2 us (rpcd) drawn one epoch per call, 1.6 and 2.5 us at 1024 entries,
 # 1.2 and 2.3 at 2048 and 0.9-1.1 and 2.0-2.4 at 4096-8192.  Table 1
@@ -181,16 +182,16 @@ class _Orders:
 
     The cyclic order is returned every epoch and draws nothing.  rcd draws
     rng.integers(0, n, size=(k, n)) and rpcd rng.permuted of k rows of
-    arange(n), k = 1, 2, 4, ... up to `_ORDER_CHUNK` // n epochs; numpy
-    gives the same rows, and leaves the same state, as k single-epoch
-    calls.  For a replicate that leaves inside a chunk, `close` restores
-    the state saved before it and redraws the epochs used.
+    arange(n), k = max(1, `_ORDER_CHUNK` // n) epochs from the first call;
+    numpy gives the same rows, and leaves the same state, as k
+    single-epoch calls.  For a replicate that leaves inside a chunk,
+    `close` restores the state saved before it and redraws the epochs used.
     """
 
     def __init__(self, policy: OrderingPolicy, n: int, rng: np.random.Generator):
         self.kind, self.n, self.rng = policy.kind, n, rng
         self.fixed = np.arange(n) if policy.kind == "ccd" else None
-        self.k = 1  # epochs of the next chunk
+        self.k = max(1, _ORDER_CHUNK // n)  # epochs per chunk
         self.chunk, self.used, self.state = None, 0, None
 
     def _draw(self, k: int) -> np.ndarray:
@@ -207,7 +208,6 @@ class _Orders:
             # a one-epoch chunk is used up by its first call, so never restored
             self.state = self.rng.bit_generator.state if self.k > 1 else None
             self.chunk, self.used = self._draw(self.k), 0
-            self.k = min(2 * self.k, max(1, _ORDER_CHUNK // self.n))
         self.used += 1
         return self.chunk[self.used - 1]
 
@@ -338,21 +338,36 @@ def _run_blocks(model, M, x, max_epochs, tol, fs) -> tuple[np.ndarray, int, floa
         fs.append(float(fk[j]))
 
 
+def _checked_starts(n, starts, max_epochs, tol) -> np.ndarray:
+    """`starts` as one float array (len(starts), n); `run`'s ValueError for inputs it rejects."""
+    X = np.empty((len(starts), n))
+    for r, x0 in enumerate(starts):
+        x = np.asarray(x0, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
+        X[r] = x
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if not (isinstance(max_epochs, numbers.Integral) and max_epochs >= 0):
+        raise ValueError(f"max_epochs must be an integer >= 0, got {max_epochs}")
+    return X
+
+
 def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | NumericalError]:
     """`run` from each of `starts`, replicate r drawing its orders from rngs[r].
 
     Entry r is the Trajectory of run(model, policy, starts[r], max_epochs,
     tol, seed=rngs[r]), or the NumericalError that run would raise (same
-    message and last_estimate); run's ValueError for any start is raised.
-    Each epoch advances every active replicate once; a replicate leaves at
-    its stop epoch, its first nonfinite f or the budget.  One rule after
-    the start, `steps_on`, judges every f a kernel returns, the block
-    path's last included: it records f or builds the NumericalError, and
-    closes the orders of a replicate that leaves.  Its orders come
-    from `_Orders`, a chunk of epochs per call of rngs[r]; when it leaves,
-    rngs[r] is where drawing its orders one epoch per call leaves it, so
-    one that takes no epoch draws nothing.  The kernel follows from the
-    input:
+    message and last_estimate); `_checked_starts` raises run's ValueError
+    first, whatever the kernel.  Each epoch advances every active
+    replicate once; a replicate leaves at its stop epoch, its first
+    nonfinite f or the budget.  One rule after the start, `steps_on`,
+    judges every f a kernel returns, the block path's last included: it
+    records f or builds the NumericalError, and closes the orders of a
+    replicate that leaves.  Its orders come from `_Orders`, a chunk of
+    epochs per call of rngs[r]; when it leaves, rngs[r] is where drawing
+    its orders one epoch per call leaves it, so one that takes no epoch
+    draws nothing.  The kernel follows from the input:
 
     - ccd where `_block_epochs(n) >= 2` (n <= 256): `_run_blocks` per
       replicate, K epochs per product with one epoch map;
@@ -378,16 +393,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     """
     n = model.n
     perm_invariant = isinstance(model, PermInvariantQuadratic)
-    X = np.empty((len(starts), n))
-    for r, x0 in enumerate(starts):
-        x = np.asarray(x0, dtype=float)
-        if x.shape != (n,):
-            raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
-        X[r] = x
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    if max_epochs < 0:
-        raise ValueError(f"max_epochs must be >= 0, got {max_epochs}")
+    X = _checked_starts(n, starts, max_epochs, tol)
     rows = list(X)  # views; indexing a list is cheaper than X[r] in the row loop
     orders = [_Orders(policy, n, rng) for rng in rngs]
     f0 = [objective(model, x) for x in rows]
@@ -495,7 +501,8 @@ def run(
     Raises
     ------
     ValueError
-        On dimension mismatch or negative tol or max_epochs, whether or
+        If x0 is not of shape (n,), tol is not >= 0 (nan included) or
+        max_epochs is not an integer >= 0, on every path and whether or
         not an epoch runs.
     NumericalError
         If f is nonfinite at the start or after an epoch, on every path.
@@ -557,15 +564,13 @@ def _spectral_tail(model, x0, max_epochs, tol):
     r^(n-1-j) ((L+D) x0)_j and u_k'v_k = n r^(n-1) + (1-delta)/(1-r)
     ((1-r^n)/(1-r) - n r^(n-1)).  Any f costs O(n^2), in 8 MB row blocks.
     f is nonincreasing: two Newton steps on log f at the slowest rate,
-    then steps of 1, 2, 4, ... epochs and bisection find L.  None, and
-    `run` steps the cell, for any other model or delta >= 1, an input `run`
-    rejects or max_epochs = 0, f(x0) nonfinite or <= tol, f after epoch 1
-    over `_SPECTRAL_RTOL` off one row-loop epoch's, or f at L - 1 and L
-    that does not bracket tol, which only rounding can cause.
+    then steps of 1, 2, 4, ... epochs and bisection find L.  For inputs
+    `_checked_starts` passed.  None, and `run` steps the cell, for any other
+    model or delta >= 1, max_epochs = 0, f(x0) nonfinite or <= tol, f after
+    epoch 1 over `_SPECTRAL_RTOL` off one row-loop epoch's, or f at L - 1
+    and L that does not bracket tol, which only rounding can cause.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not (isinstance(model, PermInvariantQuadratic) and model.delta < 1.0
-            and x0.shape == (model.n,) and tol >= 0 and max_epochs >= 1):
+    if not (isinstance(model, PermInvariantQuadratic) and model.delta < 1.0 and max_epochs >= 1):
         return None
     f0 = _objective_rows(model, x0[None])
     if not (math.isfinite(f0[0]) and f0[0] > tol):
@@ -635,9 +640,10 @@ def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     f is `run`'s formula (`_objective_rows`).  L equals `run`'s (the first
     epoch with f <= tol, or max_epochs).  The returned f is `run`'s f
     exactly where `run` itself ran, and up to rounding on the spectral
-    route.  Inputs `run` rejects and a nonfinite f(x0) reach `run`, so
-    this raises exactly what `run` raises.
+    route.  It first makes `run`'s input checks (`_checked_starts`), and a
+    nonfinite f(x0) reaches `run`, so this raises exactly what `run` raises.
     """
+    (x0,) = _checked_starts(model.n, [x0], max_epochs, tol)
     tail = _spectral_tail(model, x0, max_epochs, tol)
     if tail is not None:
         return tail

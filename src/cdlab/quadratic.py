@@ -13,6 +13,7 @@ line search along coordinate i is always the unit step -(Ax)_i.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,8 @@ class PermInvariantQuadratic:
     delta: float
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.delta < self.n / (self.n - 1):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,10 +207,12 @@ def rcd_rates(n: int, delta: float) -> tuple[float, float]:
     eigenvalue of A (delta for delta <= 1, n(1-delta)+delta above), and
     the sharper R-linear rate (1 - 2*delta/(n(1+delta)))^n.  The
     derivation of the latter takes mu = delta, so it is NaN for
-    delta > 1.  Raises ValueError outside n >= 2, 0 <= delta < n/(n-1).
+    delta > 1.  Raises ValueError unless n is an integer >= 2 and
+    0 <= delta < n/(n-1).
     """
-    if not (n >= 2 and 0.0 <= delta < n / (n - 1)):
-        raise ValueError(f"delta must lie in [0, n/(n-1)) with n >= 2, got n={n}, delta={delta}")
+    if not (isinstance(n, numbers.Integral) and n >= 2 and 0.0 <= delta < n / (n - 1)):
+        raise ValueError(f"delta must lie in [0, n/(n-1)) with n an integer >= 2, "
+                         f"got n={n}, delta={delta}")
     mu = min(delta, n * (1.0 - delta) + delta)
     q_epoch = (1.0 - mu / n) ** n
     r_epoch = (1.0 - 2.0 * delta / (n * (1.0 + delta))) ** n if delta <= 1.0 else math.nan

@@ -67,16 +67,6 @@ class RecurrenceMatrix:
         return np.array([[self.d1, self.m1], [self.d2, self.m2]])
 
 
-@dataclass(frozen=True)
-class EpochMatrixScalars:
-    """The four scalar contractions of C the recurrence coefficients need."""
-
-    one_C_one: float
-    norm_C_one_sq: float
-    norm_Ct_one_sq: float
-    frob_sq: float
-
-
 def symmetrize(Q: np.ndarray) -> SymmetrizedForm:
     """Average Q over all symmetric permutations.
 
@@ -101,11 +91,11 @@ def symmetrize(Q: np.ndarray) -> SymmetrizedForm:
     return SymmetrizedForm(tau1=tau1, tau2=tau2)
 
 
-def _closed_form_scalars(n: int, delta: float) -> tuple[EpochMatrixScalars, float]:
-    """The four contractions of C = closed_form_C(n, delta), in O(n).
+def _closed_form_scalars(n: int, delta: float) -> tuple[float, float, float, float, float]:
+    """ones'C ones, ||C ones||^2, ||C' ones||^2, ||C||_F^2 and a pair sum, in O(n).
 
-    Also returns the pair sum sum_{j<k} (C' ones)_j (C' ones)_k, which is
-    ((ones'C ones)^2 - ||C' ones||^2) / 2 without the cancellation.
+    C = closed_form_C(n, delta).  The pair sum sum_{j<k} (C' ones)_j (C' ones)_k
+    is ((ones'C ones)^2 - ||C' ones||^2) / 2 without the cancellation.
 
     C = (1-delta)(T - p ones') with T_ij = delta^(i-j) for i >= j (zero
     above the diagonal) and p_i = delta^i, indices from 0, so
@@ -123,7 +113,7 @@ def _closed_form_scalars(n: int, delta: float) -> tuple[EpochMatrixScalars, floa
     """
     PermInvariantQuadratic(n, delta)  # validate the (n, delta) window
     if delta == 1.0:
-        return EpochMatrixScalars(0.0, 0.0, 0.0, 0.0), 0.0
+        return 0.0, 0.0, 0.0, 0.0, 0.0
     k = np.arange(n + 1, dtype=float)
     k_log = k * math.log(delta)
     pw = np.exp(k_log)  # delta^k, k = 0..n
@@ -132,13 +122,9 @@ def _closed_form_scalars(n: int, delta: float) -> tuple[EpochMatrixScalars, floa
     c1 = om[1:] - n * (1.0 - delta) * pw[:n]
     g = om[n:0:-1] * (1.0 + pw[n:0:-1]) / (om[1] * (1.0 + pw[1]))
     upper = (n - 1.0 - k[:n]) @ (pw[:n] * pw[:n])
-    scalars = EpochMatrixScalars(
-        one_C_one=float(ct1.sum()),
-        norm_C_one_sq=float(c1 @ c1),
-        norm_Ct_one_sq=float(ct1 @ ct1),
-        frob_sq=float((1.0 - delta) ** 2 * (om[:n] ** 2 @ g + upper)),
-    )
-    return scalars, float(ct1[1:] @ np.cumsum(ct1)[:-1])
+    return (float(ct1.sum()), float(c1 @ c1), float(ct1 @ ct1),
+            float((1.0 - delta) ** 2 * (om[:n] ** 2 @ g + upper)),
+            float(ct1[1:] @ np.cumsum(ct1)[:-1]))
 
 
 def recurrence_coeffs(n: int, delta: float) -> RecurrenceMatrix:
@@ -158,11 +144,11 @@ def recurrence_coeffs(n: int, delta: float) -> RecurrenceMatrix:
     n = 1e6.  m2 comes from the one-sign pair sum, which does not cancel
     as delta -> 0.
     """
-    s, pairs = _closed_form_scalars(n, delta)
-    d2 = (s.norm_C_one_sq - s.frob_sq) / (n * (n - 1))
-    d1 = s.frob_sq / n - d2
+    _, norm_C_one_sq, norm_Ct_one_sq, frob_sq, pairs = _closed_form_scalars(n, delta)
+    d2 = (norm_C_one_sq - frob_sq) / (n * (n - 1))
+    d1 = frob_sq / n - d2
     m2 = 2.0 * pairs / (n * (n - 1))
-    m1 = s.norm_Ct_one_sq / n - m2
+    m1 = norm_Ct_one_sq / n - m2
     return RecurrenceMatrix(d1=d1, d2=d2, m1=m1, m2=m2)
 
 

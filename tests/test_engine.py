@@ -106,6 +106,32 @@ class TestRun:
         traj = run(model, OrderingPolicy("ccd"), np.ones(4), max_epochs=0)
         assert traj.epochs == 0
 
+    @pytest.mark.parametrize("max_epochs, tol, message", [
+        (5, math.nan, "tol must be >= 0, got nan"),
+        (2.5, 1e-8, "max_epochs must be an integer >= 0, got 2.5"),
+        (5.0, 1e-8, "max_epochs must be an integer >= 0, got 5.0"),
+        (math.inf, 1e-8, "max_epochs must be an integer >= 0, got inf")],
+        ids=["tol_nan", "budget_2.5", "budget_5.0", "budget_inf"])
+    def test_nan_tol_and_non_integer_budget_rejected_on_every_kernel(self, max_epochs, tol,
+                                                                     message):
+        # n = 10 takes the ccd block path and n = 300 the row loop; two rpcd
+        # starts take the scan, and the dense model `_epoch_dense`.  Before,
+        # tol = nan returned a zero-epoch run and the budgets ran, or raised
+        # TypeError on the block path
+        dense = build_log_uniform_spectrum(10, 100.0, 3)
+        cases = [(PermInvariantQuadratic(n, 0.5), kind, 1) for n in (10, 300) for kind in ORDERINGS]
+        cases += [(PermInvariantQuadratic(10, 0.5), "rpcd", 2)]
+        cases += [(dense, kind, 1) for kind in ORDERINGS]
+        for model, kind, count in cases:
+            starts = [np.ones(model.n)] * count
+            rngs = [np.random.default_rng(r) for r in range(count)]
+            with pytest.raises(ValueError) as err:
+                if count == 1:
+                    run(model, OrderingPolicy(kind), starts[0], max_epochs=max_epochs, tol=tol)
+                else:
+                    _runs(model, OrderingPolicy(kind), starts, rngs, max_epochs, tol)
+            assert str(err.value) == message
+
     def test_nonfinite_start_raises(self):
         x0 = np.full(4, np.nan)
         with pytest.raises(NumericalError):
@@ -348,7 +374,9 @@ class TestCyclicTail:
 
     def test_inputs_and_nonfinite_start_raise_as_run_does(self):
         model = PermInvariantQuadratic(4, 0.5)
-        for args in [(np.ones(3), 5, 1e-8), (np.ones(4), -1, 1e-8), (np.ones(4), 5, -1.0)]:
+        for args in [(np.ones(3), 5, 1e-8), (np.ones(4), -1, 1e-8), (np.ones(4), 5, -1.0),
+                     (np.ones(4), 5, math.nan), (np.ones(4), 2.5, 1e-8), (np.ones(4), 5.0, 1e-8),
+                     (np.ones(4), math.inf, 1e-8)]:
             with pytest.raises(ValueError) as ours:
                 _cyclic_tail(model, *args)
             with pytest.raises(ValueError) as theirs:
@@ -553,9 +581,8 @@ class TestRpcdTails:
 def _chunk_points(n):
     """Epoch counts around the order chunks of `_runs` at dimension n.
 
-    k = `_ORDER_CHUNK` // n is the full chunk: 0, 1, k-1, k, k+1 and 2k+1,
-    and each end of the first four growing chunks (1, 3, 7, 15) and the
-    epoch after it.
+    k = max(1, `_ORDER_CHUNK` // n) is the chunk: 0, 1, k-1, k, k+1 and
+    2k+1, and 2, 3, 4, 7, 8, 15 and 16, inside the chunk where k > 16.
     """
     k = max(1, _ORDER_CHUNK // n)
     return sorted({0, 1, k - 1, k, k + 1, 2 * k + 1, 2, 3, 4, 7, 8, 15, 16})

@@ -11,6 +11,7 @@ from cdlab import (
     init_state,
     objective,
     quadratic_constants,
+    rho_C,
 )
 
 
@@ -131,6 +132,15 @@ class TestModelValidation:
             PermInvariantQuadratic(100, 0.0)
         with pytest.raises(ValueError):
             PermInvariantQuadratic(1, 0.5)
+
+    def test_rejects_non_integer_n(self):
+        # rho_C(100.5, 0.5) read 0.99623, between its values at n = 100 and 101
+        assert PermInvariantQuadratic(np.int64(100), 0.5).n == 100
+        for n in (100.5, 100.0):
+            with pytest.raises(ValueError, match=f"n must be an integer, got {n}"):
+                PermInvariantQuadratic(n, 0.5)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            rho_C(100.5, 0.5)
 
     def test_dense_rejects_asymmetric(self):
         A = np.eye(3)

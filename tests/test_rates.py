@@ -201,7 +201,7 @@ class TestRcdRates:
         assert rcd_rates(50, 0.2)[0] == pytest.approx((1 - 0.2 / 50) ** 50, abs=1e-15)
 
     @pytest.mark.parametrize("n, delta", [(100, 5.0), (100, -0.5), (100, 100 / 99), (1, 0.5),
-                                          (0, 0.5), (100, math.nan)])
+                                          (0, 0.5), (100, math.nan), (100.5, 0.5)])
     def test_outside_window_rejected(self, n, delta):
         # (100, 5.0) read an epoch rate of 2.9e69 and (100, -0.5) read (1.65, 7.24)
         with pytest.raises(ValueError, match="delta must lie in"):

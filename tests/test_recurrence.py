@@ -88,8 +88,7 @@ class TestClosedFormScalars:
 
     @pytest.mark.parametrize("n, delta", CASES)
     def test_match_exact_rational_evaluation(self, n, delta):
-        s, _ = _closed_form_scalars(n, delta)
-        got = (s.one_C_one, s.norm_C_one_sq, s.norm_Ct_one_sq, s.frob_sq)
+        *got, _ = _closed_form_scalars(n, delta)
         for value, exact in zip(got, _exact_scalars(n, delta)):
             assert abs(Fraction(value) - exact) <= Fraction(1e-13) * abs(exact)
 
@@ -105,8 +104,7 @@ class TestClosedFormScalars:
         assert abs(Fraction(m2) - exact) <= Fraction(1e-13) * abs(exact)
 
     def test_identity_model(self):
-        s, pairs = _closed_form_scalars(40, 1.0)
-        assert s.one_C_one == s.norm_C_one_sq == s.norm_Ct_one_sq == s.frob_sq == pairs == 0.0
+        assert _closed_form_scalars(40, 1.0) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_rejects_delta_outside_window(self):
         with pytest.raises(ValueError):
