@@ -45,9 +45,9 @@ that misses tol) steps the run with `run`, by the block path at n <= 256.
 Table 1's cyclic column uses it, and its random columns one `_runs`
 call per ordering.
 
-Every f recorded here, by the row loop, the rpcd scan, the
-block path and `_cyclic_tail`, is one float: `quadratic.objective`, or
-its row form `_objective_rows` for a stack of iterates.
+Every f recorded here, by the row loop, the rpcd scan, the dense
+kernel, the block path and `_cyclic_tail`, is `quadratic.objective`,
+which gives each iterate of a stack the float it gives alone.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .errors import NumericalError
 from .quadratic import (
     PermInvariantQuadratic,
     QuadraticModel,
-    _objective_rows,
     objective,
 )
 
@@ -147,9 +146,9 @@ class Trajectory:
     """Per-epoch objective values of one run.
 
     f_per_epoch[l] = f(x^{l*n}); entry 0 is f(x^0), each value from
-    `quadratic.objective` or its row form.  For the permutation-invariant
-    model that is a centred form that keeps its relative accuracy up to
-    both edges of the delta window.  Exact line search never increases f
+    `quadratic.objective`.  For the permutation-invariant model that is a
+    centred form that keeps its relative accuracy up to both edges of the
+    delta window.  Exact line search never increases f
     in exact arithmetic, but the iterates and f are floats, so an epoch
     can raise f by rounding, about 2n*eps*||x||_1^2.  That happens on the
     block path and the per-coordinate loop alike, once f nears its
@@ -328,7 +327,7 @@ def _run_blocks(model, M, x, max_epochs, tol, fs) -> tuple[np.ndarray, int, floa
     while True:
         k = min(K, max_epochs - epochs)
         Y = (stack[: k * n] @ x).reshape(k, n)
-        fk = _objective_rows(model, Y)
+        fk = objective(model, Y)
         stops = np.flatnonzero(~np.isfinite(fk) | (fk <= tol))
         j = int(stops[0]) if stops.size else k - 1
         fs.extend(fk[:j].tolist())
@@ -386,17 +385,16 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
       `_epoch_perm_invariant`;
     - a dense model: `_epoch_dense` on an (S, n, 1) stack.
 
-    f at the start is `objective`.  After an epoch the stacked kernels
-    take `_objective_rows` of the stepped rows, and the row loop takes it
-    of two or more rows (one row is faster through `objective`, the same
-    float); the dense kernel takes `objective` per row.
+    Every f is `objective`, one call per epoch: of the stack of starts,
+    then of the stepped rows of every kernel.  The row loop passes one
+    active row as an iterate, which is faster and gives the same float.
     """
     n = model.n
     perm_invariant = isinstance(model, PermInvariantQuadratic)
     X = _checked_starts(n, starts, max_epochs, tol)
     rows = list(X)  # views; indexing a list is cheaper than X[r] in the row loop
     orders = [_Orders(policy, n, rng) for rng in rngs]
-    f0 = [objective(model, x) for x in rows]
+    f0 = objective(model, X).tolist()
     if perm_invariant and policy.kind == "rpcd" and len(X) > 1:
         delta, b = model.delta, math.isqrt(n - 1) + 1  # b = ceil(sqrt(n))
         m = -(-n // b)
@@ -417,7 +415,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
             E[:R, :, 1:] = Y[:R].reshape(R, m, b)
             d = (E[:R].reshape(-1, b + 1) @ PU).reshape(R, -1)[:, :n]
             y = flat[idx] = delta * d - d if delta < 0.5 else (delta - 1.0) * d
-            return _objective_rows(model, y).tolist()
+            return objective(model, y).tolist()
     elif perm_invariant:
         delta = model.delta
         lists = [x.tolist() for x in rows]  # each iterate as floats between epochs
@@ -428,13 +426,13 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
                 rows[r][:] = lists[r]
             if len(active) == 1:
                 return [objective(model, rows[active[0]])]
-            return _objective_rows(model, X[active]).tolist()
+            return objective(model, X[active]).tolist()
     else:
         def step(active):
             G = X[active, :, None]
             _epoch_dense(G, model.A, np.array([orders[r].next() for r in active]))
             X[active] = G[..., 0]
-            return [objective(model, rows[r]) for r in active]
+            return objective(model, G[..., 0]).tolist()
 
     # f as C doubles: lists of float objects, live for a whole stack of
     # runs, raised the peak RSS of a 40-pass table1 process by 0.9 MB
@@ -478,8 +476,8 @@ def run(
 ) -> Trajectory:
     """Run coordinate descent with exact line search.
 
-    Records f after every epoch (`quadratic.objective`, or its row form
-    `_objective_rows`; `_runs` says which) and stops as soon as
+    Records f after every epoch (`quadratic.objective`, which gives an
+    iterate the float it has in any stack) and stops as soon as
     f(x^{l*n}) <= tol or the epoch budget is exhausted.  Deterministic
     for a fixed seed: the only randomness is the per-epoch coordinate
     order drawn from the seeded generator.  Orders are drawn a chunk of
@@ -572,8 +570,8 @@ def _spectral_tail(model, x0, max_epochs, tol):
     """
     if not (isinstance(model, PermInvariantQuadratic) and model.delta < 1.0 and max_epochs >= 1):
         return None
-    f0 = _objective_rows(model, x0[None])
-    if not (math.isfinite(f0[0]) and f0[0] > tol):
+    f0 = objective(model, x0)
+    if not (math.isfinite(f0) and f0 > tol):
         return None
     n, delta = model.n, model.delta
     t = _cyclic_spectrum(n, delta)
@@ -601,7 +599,7 @@ def _spectral_tail(model, x0, max_epochs, tol):
         a, Y = np.hstack([a.real, -a.imag]), np.empty((len(a), n))
         for r, W in blocks():
             Y[:, r] = a @ W.T
-        return _objective_rows(model, Y)
+        return objective(model, Y)
 
     xs = x0.tolist()
     _epoch_perm_invariant(xs, delta, range(n))
@@ -623,7 +621,7 @@ def _spectral_tail(model, x0, max_epochs, tol):
         fe = f([e])[0]
     start = hi - min(_RATE_WINDOW, hi)
     fs = f(np.arange(max(start, 1), hi + 1))
-    fs = np.concatenate([f0, fs]) if start == 0 else fs
+    fs = np.concatenate([[f0], fs]) if start == 0 else fs
     if fs[-2] > tol and (fs[-1] <= tol or hi == max_epochs):
         return hi, fs
 
@@ -637,7 +635,7 @@ def _cyclic_tail(model, x0, max_epochs, tol) -> tuple[int, np.ndarray]:
     epochs.  Every cell it does not take runs `run` itself, with its block
     path at n <= 256, and returns that run's last `_RATE_WINDOW` + 1 f.
 
-    f is `run`'s formula (`_objective_rows`).  L equals `run`'s (the first
+    f is `run`'s (`quadratic.objective`).  L equals `run`'s (the first
     epoch with f <= tol, or max_epochs).  The returned f is `run`'s f
     exactly where `run` itself ran, and up to rounding on the spectral
     route.  It first makes `run`'s input checks (`_checked_starts`), and a

@@ -126,8 +126,11 @@ class SolverState:
     residual: np.ndarray | None = None
 
 
-def objective(model: QuadraticModel, x: np.ndarray) -> float:
-    """Evaluate f(x) = (1/2) x'Ax.
+def objective(model: QuadraticModel, x: np.ndarray) -> float | np.ndarray:
+    """Evaluate f(x) = (1/2) x'Ax of each iterate along the last axis of x.
+
+    x of shape (n,) gives a float; a stack (..., n) gives the array of its
+    iterates' f, each the float that iterate gives alone.
 
     For the permutation-invariant model, in O(n),
 
@@ -137,31 +140,26 @@ def objective(model: QuadraticModel, x: np.ndarray) -> float:
     of the ones vector.  Both terms are nonnegative, so f keeps its
     relative accuracy as A nears singular (delta -> n/(n-1)), where the
     terms of (delta/2)||x||^2 + ((1-delta)/2) s^2 cancel.  Dense models
-    take (1/2) x'Ax as it stands, through `_objective_rows`, so an
-    iterate and a row holding it give the same float.
+    take (1/2) x'Ax as it stands.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({model.n},)")
-    if isinstance(model, PermInvariantQuadratic):
-        # `_objective_rows`' sums, so its float, with less call overhead: a
-        # single run on the row loop takes this once per epoch
-        n, delta = model.n, model.delta
-        s = float(np.add.reduce(x))
-        r = x - s / n
-        return 0.5 * delta * float(r.dot(r)) + 0.5 * (n * (1.0 - delta) + delta) * s * s / n
-    return float(_objective_rows(model, x))
-
-
-def _objective_rows(model: QuadraticModel, Y: np.ndarray) -> np.ndarray:
-    """`objective` of each iterate along the last axis of Y, for any leading shape."""
+    if x.ndim == 0 or x.shape[-1] != model.n:
+        raise ValueError(f"x has shape {x.shape}, expected (..., {model.n})")
     if isinstance(model, PermInvariantQuadratic):
         n, delta = model.n, model.delta
-        s = Y.sum(axis=-1)
-        R = Y - (s / n)[..., None]  # matmul dots a row as r.dot(r) does; einsum sums otherwise
-        return (0.5 * delta * (R[..., None, :] @ R[..., None])[..., 0, 0]
-                + 0.5 * (n * (1.0 - delta) + delta) * s * s / n)
-    return 0.5 * np.einsum("...i,...i->...", Y @ model.A, Y)
+        lam = n * (1.0 - delta) + delta
+        if x.ndim == 1:
+            # the stack's sums below, so its float, with less call overhead:
+            # a single run on the row loop takes this once per epoch
+            s = float(np.add.reduce(x))
+            r = x - s / n
+            return 0.5 * delta * float(r.dot(r)) + 0.5 * lam * s * s / n
+        s = x.sum(axis=-1)
+        R = x - (s / n)[..., None]  # matmul dots a row as r.dot(r) does; einsum sums otherwise
+        return 0.5 * delta * (R[..., None, :] @ R[..., None])[..., 0, 0] + 0.5 * lam * s * s / n
+    # one vector-matrix product per iterate, so a stack's rows are its iterates' floats
+    f = 0.5 * np.einsum("...i,...i->...", (x[..., None, :] @ model.A)[..., 0, :], x)
+    return float(f) if x.ndim == 1 else f
 
 
 def init_state(model: QuadraticModel, x0: np.ndarray) -> SolverState:

@@ -45,6 +45,11 @@ __all__ = [
 _BRUTE_MAX_N = 5
 _BRUTE_MAX_T = 3
 
+# Terms per chunk of `_closed_form_scalars`' sums, which bounds their memory
+# at any n: 88 MiB of arrays at n = 1e7, where arrays of all n terms made
+# `predict` peak at 718 MB.  n <= 2^20, n = 1e6 included, sums in one chunk.
+_SCALAR_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class SymmetrizedForm:
@@ -110,21 +115,33 @@ def _closed_form_scalars(n: int, delta: float) -> tuple[float, float, float, flo
     ||C' ones||^2, ||C||_F^2 and the pair sum share one sign (every
     (C' ones)_j is <= 0) and their sums do not cancel as delta -> 0 or
     delta -> 1.
+
+    The sums run over j = 0..n-1 in chunks of `_SCALAR_CHUNK` terms, so
+    memory stays bounded at any n; the pair sum carries the sum of the
+    chunks before.
     """
     PermInvariantQuadratic(n, delta)  # validate the (n, delta) window
     if delta == 1.0:
         return 0.0, 0.0, 0.0, 0.0, 0.0
-    k = np.arange(n + 1, dtype=float)
-    k_log = k * math.log(delta)
-    pw = np.exp(k_log)  # delta^k, k = 0..n
-    om = -np.expm1(k_log)  # 1 - delta^k
-    ct1 = -pw[n:0:-1] * om[:n]
-    c1 = om[1:] - n * (1.0 - delta) * pw[:n]
-    g = om[n:0:-1] * (1.0 + pw[n:0:-1]) / (om[1] * (1.0 + pw[1]))
-    upper = (n - 1.0 - k[:n]) @ (pw[:n] * pw[:n])
-    return (float(ct1.sum()), float(c1 @ c1), float(ct1 @ ct1),
-            float((1.0 - delta) ** 2 * (om[:n] ** 2 @ g + upper)),
-            float(ct1[1:] @ np.cumsum(ct1)[:-1]))
+    log_d = math.log(delta)
+    g_scale = -np.expm1(log_d) * (1.0 + np.exp(log_d))  # 1 - delta^2
+    total = c1_sq = ct1_sq = frob = pairs = 0.0
+    for start in range(0, n, _SCALAR_CHUNK):
+        j = np.arange(start, min(start + _SCALAR_CHUNK, n), dtype=float)
+        pw, om = np.exp(j * log_d), -np.expm1(j * log_d)  # delta^j, 1 - delta^j
+        c1 = -np.expm1((j + 1.0) * log_d) - n * (1.0 - delta) * pw
+        c1_sq += c1 @ c1
+        upper = (n - 1.0 - j) @ (pw * pw)
+        pw_n, om_n = np.exp((n - j) * log_d), -np.expm1((n - j) * log_d)
+        ct1 = -pw_n * om
+        ct1_sq += ct1 @ ct1
+        g = om_n * (1.0 + pw_n)
+        g /= g_scale  # in place, one array fewer at the peak
+        frob += om**2 @ g + upper
+        part = float(ct1.sum())
+        pairs += ct1[1:] @ np.cumsum(ct1)[:-1] + total * part
+        total += part
+    return total, float(c1_sq), float(ct1_sq), float((1.0 - delta) ** 2 * frob), float(pairs)
 
 
 def recurrence_coeffs(n: int, delta: float) -> RecurrenceMatrix:

@@ -20,9 +20,11 @@ from cdlab import (
     build_log_uniform_spectrum,
     closed_form_C,
     derive_seed,
+    empirical_rate,
     epoch_map,
     evolve,
     recurrence_coeffs,
+    rho_C,
     rho_M,
     run,
 )
@@ -31,6 +33,7 @@ from cdlab.cli import (
     TABLE1_DELTAS,
     _in_processes,
     _parser,
+    _seeded_start,
     _valid_rates,
     cmd_predict,
     cmd_solve,
@@ -40,7 +43,7 @@ from cdlab.cli import (
     figure_lu,
     main,
 )
-from cdlab.engine import _cyclic_tail, _epoch_dense, _runs
+from cdlab.engine import _cyclic_spectrum, _cyclic_tail, _epoch_dense, _runs
 from conftest import eig_radius
 
 SMALL = dict(deltas=(0.5, 0.2), replicates=3, max_epochs=30_000)
@@ -237,6 +240,29 @@ class TestTable1:
             assert abs(row["rho_ccd_emp"] - row["rho_C_sq"]) <= 2e-3
             assert abs(row["rho_rpcd_emp"] - row["rho_M"]) <= 0.03
             assert row["rho_rpcd_emp_std"] >= 0.0
+
+    @pytest.mark.parametrize("delta, window", [(0.8, 40), (0.5, 152)])
+    def test_ccd_rate_over_whole_periods_of_the_slowest_pair_is_rho_C_sq(self, delta, window):
+        # C's slowest eigenvalues are a complex pair |lam| e^(+-i theta), so f
+        # oscillates with a period of pi/theta epochs (13.3 at delta = 0.8,
+        # 50.7 at 0.5): the 10-epoch rate of `rho_ccd_emp` carries its phase,
+        # and a window of three whole periods closes the gap to rho(C)^2.
+        # The default table's cyclic start: CLI seed 0, stream = delta index.
+        n = 100
+        log_lam = n * _cyclic_spectrum(n, delta)
+        theta = abs(log_lam[np.argmax(log_lam.real)].imag)
+        assert round(3 * math.pi / theta) == window
+        stream = TABLE1_DELTAS.index(delta)
+        _, x0 = _seeded_start(n, "ccd", 0, stream)
+        f = run(PermInvariantQuadratic(n, delta), OrderingPolicy("ccd"), x0, 500_000,
+                1e-8).f_per_epoch
+        (printed,) = _valid_rates(n, delta, stream, "ccd", seed=0, replicates=20, tol=1e-8,
+                                  max_epochs=500_000)
+        assert empirical_rate(f) == pytest.approx(printed, rel=1e-12)
+        rho_sq = rho_C(n, delta) ** 2
+        assert abs(empirical_rate(f, window) - rho_sq) <= 1e-5
+        if delta == 0.8:
+            assert abs(printed - rho_sq) > 1e-4
 
     def test_predicted_columns_independent_of_replicates(self):
         a = cmd_table1(deltas=(0.5,), replicates=2, max_epochs=30_000)[0]

@@ -206,18 +206,19 @@ class TestFixedOrderBlocks:
         assert rng.bit_generator.state == state
 
     def test_nonfinite_objective_carries_last_finite_value(self, model, policy, monkeypatch):
-        rows = engine._objective_rows
+        f_of = engine.objective
         bad = _K + 2  # third epoch of the second block
 
-        def poisoned(model, Y):
-            fk = rows(model, Y)
-            if poisoned.calls == 1:
-                fk[bad - _K - 1] = np.nan
-            poisoned.calls += 1
-            return fk
+        def poisoned(model, x):
+            f = f_of(model, x)
+            if np.ndim(f):  # a stack: the start, then one per block
+                poisoned.calls += 1
+                if poisoned.calls == 3:
+                    f[bad - _K - 1] = np.nan
+            return f
 
         poisoned.calls = 0
-        monkeypatch.setattr(engine, "_objective_rows", poisoned)
+        monkeypatch.setattr(engine, "objective", poisoned)
         x0 = np.random.default_rng(25).standard_normal(_N)
         with pytest.raises(NumericalError) as err:
             run(relabel(model, policy), _CCD, x0[policy], max_epochs=3 * _K, tol=0.0)
@@ -408,15 +409,15 @@ class TestCyclicTail:
         x0 = np.random.default_rng(0).standard_normal(100)
         traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=500_000, tol=1e-8)
         rate = cmd_table1(deltas=(0.5,), replicates=2)[0]["rho_ccd_emp"]
-        rows = engine._objective_rows
+        f_of = engine.objective
 
-        def missed(model, Y):
-            f = rows(model, Y)
-            if len(Y) == engine._RATE_WINDOW + 1:
+        def missed(model, x):
+            f = f_of(model, x)
+            if np.ndim(f) and len(f) == engine._RATE_WINDOW + 1:
                 f[-1] = f[-2]
             return f
 
-        monkeypatch.setattr(engine, "_objective_rows", missed)
+        monkeypatch.setattr(engine, "objective", missed)
         assert engine._spectral_tail(model, x0, 500_000, 1e-8) is None
         calls = []
         monkeypatch.setattr(engine, "run", lambda *args: calls.append(args) or run(*args))
@@ -704,21 +705,16 @@ class TestChunkedOrders:
             seen = [0]  # f evaluated so far; every replicate is active until `bad`
             poison = count * bad + 1
 
-            def rows(model, Y, _rows=engine._objective_rows):
-                f = _rows(model, Y)
-                if seen[0] <= poison < seen[0] + len(f):
+            def poisoned(model, x, _objective=engine.objective):
+                f = _objective(model, x)
+                if np.ndim(f) and seen[0] <= poison < seen[0] + len(f):
                     f[poison - seen[0]] = np.nan
-                seen[0] += len(f)
+                seen[0] += np.size(f)
                 return f
-
-            def one(model, x, _one=engine.objective):
-                seen[0] += 1
-                return np.nan if seen[0] - 1 == poison else _one(model, x)
 
             rngs = [np.random.default_rng([n, r]) for r in range(count)]
             with monkeypatch.context() as patch:
-                patch.setattr(engine, "_objective_rows", rows)
-                patch.setattr(engine, "objective", one)
+                patch.setattr(engine, "objective", poisoned)
                 trajs = _runs(run_model, policy, starts, rngs, budget, 0.0)
             exact = not dense and kind == "rcd"
             for r in range(count):

@@ -26,7 +26,6 @@ from cdlab import (
 from cdlab.engine import (
     _ROW_BLOCK, _cyclic_tail, _epoch_dense, _runs, _unit_lower_inverse,
 )
-from cdlab.quadratic import _objective_rows
 from conftest import eig_radius, relabel, simulate_epoch
 
 
@@ -110,23 +109,23 @@ def test_rho_C_matches_eigvals(point):
 
 
 @settings(max_examples=200, deadline=None)
-@given(window_points(), st.booleans(), st.integers(0, 2**32 - 1))
-def test_objective_of_an_iterate_equals_objective_of_its_row(point, dense, seed):
-    # `run` records f through `objective` and `_objective_rows` (`_runs`
-    # says where); both must be the one formula
+@given(window_points(), st.booleans(), st.integers(0, 2**32 - 1), st.integers(2, 6),
+       st.integers(2, 4))
+def test_objective_of_an_iterate_equals_objective_of_its_row(point, dense, seed, rows, blocks):
+    # `run` records f of one iterate and `_runs` of a stack of them, both
+    # through `objective`: each row of any stack must be the float its
+    # iterate gives alone, or a stack would not equal its runs
     n, delta = point
     model = PermInvariantQuadratic(n, delta)
     if dense:
         model = DenseQuadratic(model.matrix())
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    f = objective(model, x)
-    if dense:
-        assert abs(_objective_rows(model, x[None])[0] - f) <= 1e-14 * f
-    else:
-        # and the one float, in any stack, or a row-loop stack would not
-        # equal its runs
-        assert _objective_rows(model, np.stack([rng.standard_normal(n), x]))[1] == f
+    X = np.random.default_rng(seed).standard_normal((blocks, rows, n))
+    for stack in (X[0, :1], X[0], X):
+        f = objective(model, stack)
+        assert f.shape == stack.shape[:-1]
+        for idx in np.ndindex(f.shape):
+            one = objective(model, stack[idx])
+            assert type(one) is float and f[idx] == one
 
 
 @settings(max_examples=300, deadline=None)

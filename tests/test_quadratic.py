@@ -37,6 +37,13 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(PermInvariantQuadratic(4, 0.5), np.zeros(3))
 
+    @pytest.mark.parametrize("x", [1.0, np.zeros(()), np.zeros((4, 3)), np.zeros((2, 4, 5))])
+    def test_rejects_a_scalar_or_a_wrong_last_axis(self, x):
+        # a stack is read along its last axis, on either model
+        for model in (PermInvariantQuadratic(4, 0.5), build_log_uniform_spectrum(4, 10.0, 0)):
+            with pytest.raises(ValueError, match=r"expected \(\.\.\., 4\)"):
+                objective(model, x)
+
     def test_matches_dense_for_random_inputs(self):
         rng = np.random.default_rng(0)
         for n in (2, 5, 17, 50):

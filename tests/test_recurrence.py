@@ -17,6 +17,7 @@ from cdlab import (
     recurrence_coeffs,
     symmetrize,
 )
+from cdlab import recurrence
 from cdlab.recurrence import _closed_form_scalars
 from conftest import batch_rpcd_objectives, permutation_matrices, simulate_epoch
 
@@ -102,6 +103,17 @@ class TestClosedFormScalars:
             assert exact == (one_C_one**2 - norm_Ct_one_sq) / (n * (n - 1))
         m2 = recurrence_coeffs(n, delta).m2
         assert abs(Fraction(m2) - exact) <= Fraction(1e-13) * abs(exact)
+
+    @pytest.mark.parametrize("n", [65, 64 * 3 + 1])
+    @pytest.mark.parametrize("t", [1e-9, 1e-3, 0.5, 0.9, 1 - 1e-9])
+    def test_chunked_sums_match_one_chunk(self, n, t, monkeypatch):
+        # n just past one and three chunks of 64 terms, over the whole window;
+        # the pair sum carries the chunks before
+        delta = t * n / (n - 1)
+        whole = _closed_form_scalars(n, delta)
+        monkeypatch.setattr(recurrence, "_SCALAR_CHUNK", 64)
+        for value, exact in zip(_closed_form_scalars(n, delta), whole):
+            assert abs(value - exact) <= 1e-14 * abs(exact)
 
     def test_identity_model(self):
         assert _closed_form_scalars(40, 1.0) == (0.0, 0.0, 0.0, 0.0, 0.0)
