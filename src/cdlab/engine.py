@@ -37,13 +37,13 @@ whose f it must judge: at or below the tolerance, nonfinite, or the last.
 A rate over the last epochs of a cyclic run needs only its stop epoch
 and those epochs, which `_cyclic_tail` returns.  For the
 permutation-invariant model at delta < 1 it finds both without stepping
-the run: it evaluates f at any epoch in O(n^2) from the closed-form
-eigenvalues and eigenvectors of C (`_spectral_tail`), at any n and with
-no epoch map.  Every cell that route does not take (its guard, the
-dense model, delta >= 1, a start `run` stops or fails at, or a window
-that misses tol) steps the run with `run`, by the block path at n <= 256.
-Table 1's cyclic column uses it, and its random columns one `_runs`
-call per ordering.
+the run: it evaluates f at any epoch in O(n^2) from the eigenvalues of C
+(`spectrum._cyclic_spectrum`) and their closed-form eigenvectors
+(`_spectral_tail`), at any n and with no epoch map.  Every cell that
+route does not take (its guard, the dense model, delta >= 1, a start
+`run` stops or fails at, or a window that misses tol) steps the run with
+`run`, by the block path at n <= 256.  Table 1's cyclic column uses it,
+and its random columns one `_runs` call per ordering.
 
 Every f recorded here, by the row loop, the rpcd scan, the dense
 kernel, the block path and `_cyclic_tail`, is `quadratic.objective`,
@@ -66,6 +66,7 @@ from .quadratic import (
     QuadraticModel,
     objective,
 )
+from .spectrum import _cyclic_spectrum
 
 __all__ = [
     "ORDERINGS",
@@ -90,9 +91,6 @@ _BLOCK_EPOCHS = 16
 # Epochs a rate is read over: the default window of `rates.empirical_rate`
 # and the epochs whose f `_cyclic_tail` returns for it.
 _RATE_WINDOW = 10
-
-# Newton iterations on the branch equation (`_branch_step`) before a root fails.
-_NEWTON_ITERATIONS = 100
 
 # Most f after epoch 1 of `_spectral_tail` may differ, relative, from one row-loop
 # epoch's.  Against a 60-digit loop (n = 3-64, up to 60 epochs) it read under
@@ -509,46 +507,6 @@ def run(
     if isinstance(result, NumericalError):
         raise result
     return result
-
-
-def _branch_step(mu, n, delta, dw):
-    """Newton step on mu^n - dw mu^(n-1) + delta - 1, dw = delta w^k (`rates.rho_C`)."""
-    return (mu ** (n - 1) * (mu - dw) + (delta - 1.0)) / (mu ** (n - 2) * (n * mu - (n - 1) * dw))
-
-
-def _cyclic_spectrum(n: int, delta: float):
-    """t_k = log mu_k, k = 1..n//2, for the cyclic map at delta < 1, or None.
-
-    C's nonzero eigenvalues are e^(n t_k) and their conjugates (branches
-    n - k).  Newton's method (`_branch_step`) from mu = 1, then three steps
-    in long double on expm1(nt) + delta = delta e^(i theta_k + (n-1)t),
-    theta_k = 2 pi k/n: lambda^e = e^(e n t) is then off by about
-    e |log lambda| ulps, not e (f after 70 epochs at (64, 0.9): 2.3e-15
-    off 40 digits, 1.8e-13 with a double polish).  None where a branch does
-    not converge, moves by over an ulp of t in its last step (under 0.32
-    up to n = 1e4; where long double is double, 5 of the 6 default cells
-    fail this), or gives an eigenvalue twice.
-    """
-    pi = np.longdouble("3.14159265358979323846264338327950288")
-    theta = 2 * pi * np.arange(1, n // 2 + 1) / n
-    dw = delta * np.exp(1j * theta.astype(float))
-    mu = np.ones(len(theta), dtype=complex)
-    for _ in range(_NEWTON_ITERATIONS):
-        s = _branch_step(mu, n, delta, dw)
-        mu -= s
-        if np.all(abs(s) <= 1e-14 * abs(mu)):
-            break
-    else:
-        return None
-    t, delta = np.log(mu).astype(np.clongdouble), np.longdouble(delta)
-    for _ in range(3):
-        z, zw = n * t, 1j * theta + (n - 1) * t
-        s = (np.expm1(z) - delta * np.expm1(zw)) / (n * np.exp(z) - delta * (n - 1) * np.exp(zw))
-        t -= s
-    t = t.astype(complex)
-    log_lam = np.sort(np.concatenate([n * t, (n * t[: (n - 1) // 2]).conj()]))
-    if np.all(abs(s) <= 2.0**-52 * abs(t)) and np.all(log_lam[1:] != log_lam[:-1]):
-        return t
 
 
 def _spectral_tail(model, x0, max_epochs, tol):

@@ -8,27 +8,25 @@ measured over the last few recorded epochs of a trajectory to discount
 transients.
 
 For the permutation-invariant model both spectral predictors come from
-(n, delta) alone, without the dense n x n matrix C: `rho_C` solves a
-scalar characteristic equation in O(1), by Newton's method for
-delta < 1 and by bisection above, and `rho_M` takes the 2x2
-coefficients from O(n) sums.  No dense estimator is kept; the tests
+(n, delta) alone, without the dense n x n matrix C: `rho_C` in O(1)
+from C's branch equation (module `spectrum`, its one home), and `rho_M`
+from 2x2 coefficients of O(n) sums.  No dense estimator is kept; the tests
 check both against `np.linalg.eigvals` of `closed_form_C` and of M, and
 `rho_C` against 40-digit roots up to n = 1e6.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _NEWTON_ITERATIONS, _RATE_WINDOW, _branch_step
-from .errors import NumericalError
+from .engine import _RATE_WINDOW
 from .quadratic import PermInvariantQuadratic, QuadraticConstants, quadratic_constants
 from .recurrence import asymptotic_coeffs, recurrence_coeffs
+from .spectrum import rho_C
 
 __all__ = [
     "GenericBounds",
@@ -52,86 +50,6 @@ class GenericBounds:
     beck_tetruashvili: float
     sun_ye: float
     sun_ye_terms: tuple[float, float, float]
-
-
-def rho_C(n: int, delta: float) -> float:
-    """Spectral radius of the cyclic epoch matrix C = closed_form_C(n, delta).
-
-    Apart from the zero eigenvalue of its zero first column, the
-    eigenvalues of C are the roots lambda != 1 of
-
-        (lambda - 1 + delta)^n = delta^n lambda^(n-1),
-
-    so rho(C) needs no matrix:
-
-    - n = 2 gives (1-delta)^2, and delta = 1 gives 0 (C = 0).
-    - For delta < 1, rho(C) = |lambda| on the k = 1 branch,
-      lambda = 1 - delta + delta w lambda^((n-1)/n) with w = e^(2 pi i/n).
-      Newton's method on mu = lambda^(1/n),
-      mu^n - delta w mu^(n-1) + delta - 1 = 0 from mu = 1, finds the
-      root (`_rho_C_newton`).  Against 40-digit roots it is within
-      1e-13 relative for n <= 700 and 1e-10 at n = 1e6, up to
-      delta = 1 - 1e-12.
-    - For delta > 1 the dominant eigenvalue is real in (0, 1).  With
-      lambda = 1 - u it is the root of
-      n log(1 - u/delta) - (n-1) log(1 - u) over u in (0, 1), found by
-      bisection to the last bit.
-
-    Raises ValueError outside the window delta in (0, n/(n-1)), and
-    NumericalError if Newton's method does not converge.
-    """
-    PermInvariantQuadratic(n, delta)  # validate the (n, delta) window
-    if n == 2:
-        return (1.0 - delta) ** 2
-    if delta == 1.0:
-        return 0.0
-    if delta > 1.0:
-        return _rho_C_real_root(n, delta)
-    return _rho_C_newton(n, delta)
-
-
-def _rho_C_newton(n: int, delta: float) -> float:
-    """|lambda| for the root mu of mu^n - delta w mu^(n-1) + delta - 1 reached from mu = 1.
-
-    lambda = mu^n carries the rounding of mu multiplied by n (|mu|^n
-    rounds to 1.0 at n = 1e6, delta = 0.5), so three Newton steps on the
-    branch equation itself, lambda - 1 + delta - delta w
-    lambda^((n-1)/n) = 0 on the same principal branch, polish it.  Both
-    equations add delta - 1 as one term: it is exact for delta >= 0.5,
-    and lambda - 1 would lose lambda's low bits as lambda -> 0.
-    """
-    dw = delta * cmath.exp(2j * math.pi / n)
-    mu = 1.0 + 0j
-    for _ in range(_NEWTON_ITERATIONS):
-        s = _branch_step(mu, n, delta, dw)
-        mu -= s
-        if abs(s) <= 1e-14 * abs(mu):
-            lam = mu ** n
-            for _ in range(3):
-                lam -= ((lam + (delta - 1.0) - dw * lam ** ((n - 1) / n))
-                        / (1.0 - dw * (n - 1) / n * lam ** (-1.0 / n)))
-            return abs(lam)
-    raise NumericalError(
-        f"rho_C did not converge at n={n}, delta={delta}", last_estimate=abs(mu) ** n
-    )
-
-
-def _rho_C_real_root(n: int, delta: float) -> float:
-    """1 - u for the root u in (0, 1) of n log(1 - u/delta) = (n-1) log(1 - u).
-
-    The left side minus the right is negative just above u = 0 (where
-    the spurious root lambda = 1 sits) and positive near u = 1, with one
-    sign change between; bisect until the bracket stops shrinking.
-    """
-    lo, hi = 0.0, 1.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return 1.0 - mid
-        if n * math.log1p(-mid / delta) - (n - 1) * math.log1p(-mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
 
 
 def rho_M(n: int, delta: float) -> float:

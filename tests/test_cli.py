@@ -43,7 +43,8 @@ from cdlab.cli import (
     figure_lu,
     main,
 )
-from cdlab.engine import _cyclic_spectrum, _cyclic_tail, _epoch_dense, _runs
+from cdlab.engine import _cyclic_tail, _epoch_dense, _runs
+from cdlab.spectrum import _cyclic_spectrum
 from conftest import eig_radius
 
 SMALL = dict(deltas=(0.5, 0.2), replicates=3, max_epochs=30_000)

@@ -23,6 +23,7 @@ from cdlab import (
     run,
 )
 import cdlab.engine as engine
+import cdlab.spectrum as spectrum
 from cdlab.engine import (
     _ORDER_CHUNK,
     _block_epochs,
@@ -372,6 +373,20 @@ class TestCyclicTail:
             stop, f_tail = _cyclic_tail(model, x0, 500_000, 1e-8)
             assert stop == traj.epochs
             assert empirical_rate(f_tail) == pytest.approx(empirical_rate(traj), rel=1e-15)
+
+    @pytest.mark.parametrize("stream, delta", [(0, 0.8), (4, 0.1)])
+    def test_plain_double_route_keeps_run(self, stream, delta, monkeypatch):
+        # where long double is plain double (Windows, macOS arm64) the
+        # spectrum's guard rejects most cells, which are then stepped
+        # (delta = 0.8); the default cell it still takes (delta = 0.1)
+        # read 8.5e-13 off `run`'s f
+        monkeypatch.setattr(spectrum, "_EXTENDED", np.float64)
+        model = PermInvariantQuadratic(100, delta)
+        x0 = np.random.default_rng(derive_seed(0, stream, 0, 0)).standard_normal(100)
+        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=500_000, tol=1e-8)
+        stop, f_tail = _cyclic_tail(model, x0, 500_000, 1e-8)
+        assert stop == traj.epochs
+        assert np.allclose(f_tail, traj.f_per_epoch[-11:], rtol=1e-12, atol=0.0)
 
     def test_inputs_and_nonfinite_start_raise_as_run_does(self):
         model = PermInvariantQuadratic(4, 0.5)

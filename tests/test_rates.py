@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from cdlab import (
     Trajectory,
     ccd_bounds,
     closed_form_C,
+    derive_seed,
     empirical_rate,
     generic_bounds,
     quadratic_constants,
@@ -22,6 +25,7 @@ from cdlab import (
     run,
     sd_rate,
 )
+from cdlab import engine, spectrum
 from conftest import eig_radius
 
 TABLE_DELTAS = (0.80, 0.50, 0.33, 0.20, 0.10, 0.03)
@@ -83,11 +87,54 @@ class TestRhoC:
                     rate(n, delta)
 
     def test_nonconvergence_raises(self, monkeypatch):
-        import cdlab.rates as rates
-
-        monkeypatch.setattr(rates, "_NEWTON_ITERATIONS", 2)
+        # one cap governs both callers of the Newton loop: rho_C raises, the
+        # spectrum fails, and the cyclic cell is one stepped `run`
+        model = PermInvariantQuadratic(100, 0.5)
+        x0 = np.random.default_rng(derive_seed(0, 1, 0, 0)).standard_normal(100)
+        traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=500_000, tol=1e-8)
+        monkeypatch.setattr(spectrum, "_NEWTON_ITERATIONS", 2)
         with pytest.raises(NumericalError):
             rho_C(3, 0.95)
+        assert spectrum._cyclic_spectrum(100, 0.5) is None
+        calls = []
+        monkeypatch.setattr(engine, "run", lambda *args: calls.append(args) or run(*args))
+        stop, f_tail = engine._cyclic_tail(model, x0, 500_000, 1e-8)
+        assert len(calls) == 1 and stop == traj.epochs
+        assert np.array_equal(f_tail, traj.f_per_epoch[-11:])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 10, 16, 31, 64, 100, 128, 255, 256, 257, 500,
+                                   700, 1000])
+    def test_agrees_with_the_slowest_branch_of_the_spectrum(self, n):
+        # the two polishes of the branch equation: rho_C's on lambda and the
+        # spectrum's on log mu read within 1.2e-14 here, wherever the
+        # spectrum's guard passes (all but delta = 0.9999 from n = 31 on)
+        covered = 0
+        for delta in (1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.03, 0.1, 0.2, 0.33, 0.5, 0.8, 0.9,
+                      0.95, 0.99, 0.999, 0.9999):
+            t = spectrum._cyclic_spectrum(n, delta)
+            if t is None:
+                continue
+            covered += 1
+            assert np.argmax(t.real) == 0
+            rho = rho_C(n, delta)
+            assert abs(math.exp(n * t.real.max()) - rho) <= 1e-13 * rho
+        assert covered >= 16
+
+
+def test_rates_imports_only_the_rate_window_from_engine():
+    # the branch equation lives in `spectrum`; rates takes nothing private
+    # of engine's but the default rate window
+    import cdlab.rates as rates
+
+    names = set()
+    for node in ast.walk(ast.parse(Path(rates.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "engine"),
+                                                                             (0, "cdlab.engine")):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "engine" not in {alias.name for alias in node.names}
+            assert "cdlab.engine" not in {alias.name for alias in node.names}
+    assert names == {"_RATE_WINDOW"}
 
 
 class TestRhoM:
