@@ -45,9 +45,10 @@ route does not take (its guard, the dense model, delta >= 1, a start
 `run`, by the block path at n <= 256.  Table 1's cyclic column uses it,
 and its random columns one `_runs` call per ordering.
 
-Every f recorded here, by the row loop, the rpcd scan, the dense
-kernel, the block path and `_cyclic_tail`, is `quadratic.objective`,
-which gives each iterate of a stack the float it gives alone.
+Every f recorded here (row loop, rpcd scan, dense kernel, block path,
+`_cyclic_tail`) is `quadratic.objective`: for the permutation-invariant
+model numpy's pairwise sums, which no BLAS kernel changes.  The bounds on
+the block path's drift and the spectral tail hold under SkylakeX BLAS only.
 """
 
 from __future__ import annotations
@@ -383,9 +384,9 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
       `_epoch_perm_invariant`;
     - a dense model: `_epoch_dense` on an (S, n, 1) stack.
 
-    Every f is `objective`, one call per epoch: of the stack of starts,
-    then of the stepped rows of every kernel.  The row loop passes one
-    active row as an iterate, which is faster and gives the same float.
+    Every f is `objective`, numpy's sums for a row as for an iterate, once
+    per epoch of the starts and then of every kernel's stepped rows; the
+    row loop passes one active row as an iterate only as a view, not a copy.
     """
     n = model.n
     perm_invariant = isinstance(model, PermInvariantQuadratic)

@@ -139,8 +139,9 @@ def objective(model: QuadraticModel, x: np.ndarray) -> float | np.ndarray:
     with s = ones'x, xbar = s/n and lam = n(1-delta)+delta the eigenvalue
     of the ones vector.  Both terms are nonnegative, so f keeps its
     relative accuracy as A nears singular (delta -> n/(n-1)), where the
-    terms of (delta/2)||x||^2 + ((1-delta)/2) s^2 cancel.  Dense models
-    take (1/2) x'Ax as it stands.
+    terms of (delta/2)||x||^2 + ((1-delta)/2) s^2 cancel.  Both sums are
+    numpy's pairwise `np.add.reduce` for every shape, which no BLAS kernel
+    changes.  Dense models take (1/2) x'Ax as it stands.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != model.n:
@@ -148,17 +149,13 @@ def objective(model: QuadraticModel, x: np.ndarray) -> float | np.ndarray:
     if isinstance(model, PermInvariantQuadratic):
         n, delta = model.n, model.delta
         lam = n * (1.0 - delta) + delta
-        if x.ndim == 1:
-            # the stack's sums below, so its float, with less call overhead:
-            # a single run on the row loop takes this once per epoch
-            s = float(np.add.reduce(x))
-            r = x - s / n
-            return 0.5 * delta * float(r.dot(r)) + 0.5 * lam * s * s / n
-        s = x.sum(axis=-1)
-        R = x - (s / n)[..., None]  # matmul dots a row as r.dot(r) does; einsum sums otherwise
-        return 0.5 * delta * (R[..., None, :] @ R[..., None])[..., 0, 0] + 0.5 * lam * s * s / n
-    # one vector-matrix product per iterate, so a stack's rows are its iterates' floats
-    f = 0.5 * np.einsum("...i,...i->...", (x[..., None, :] @ model.A)[..., 0, :], x)
+        s = np.add.reduce(x, axis=-1)
+        r = x - (s / n)[..., None]
+        r *= r  # in place: a second temporary took a (20, 3000) stack from 130 to 400 us
+        f = 0.5 * delta * np.add.reduce(r, axis=-1) + 0.5 * lam * s * s / n
+    else:
+        # one BLAS vector-matrix product per iterate, so a stack's rows are its iterates' floats
+        f = 0.5 * np.einsum("...i,...i->...", (x[..., None, :] @ model.A)[..., 0, :], x)
     return float(f) if x.ndim == 1 else f
 
 

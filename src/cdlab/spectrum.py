@@ -52,11 +52,12 @@ def _newton(n, delta, dw):
     all stop together.  NumericalError (last_estimate |mu|^n) after
     `_NEWTON_ITERATIONS` steps.
     """
-    mu = np.ones_like(dw) if isinstance(dw, np.ndarray) else 1.0 + 0j
+    # bool for rho_C's one branch: np.all took rho_C(100, 0.5) from 9 to 26 us (timeit)
+    mu, stop = (np.ones_like(dw), np.all) if isinstance(dw, np.ndarray) else (1.0 + 0j, bool)
     for _ in range(_NEWTON_ITERATIONS):
         s = (mu ** (n - 1) * (mu - dw) + (delta - 1.0)) / (mu ** (n - 2) * (n * mu - (n - 1) * dw))
         mu = mu - s
-        if np.all(abs(s) <= 1e-14 * abs(mu)):
+        if stop(abs(s) <= 1e-14 * abs(mu)):
             return mu
     raise NumericalError(f"the branch equation did not converge at n={n}, delta={delta}",
                          last_estimate=abs(mu) ** n)

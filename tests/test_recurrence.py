@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -114,6 +115,28 @@ class TestClosedFormScalars:
         monkeypatch.setattr(recurrence, "_SCALAR_CHUNK", 64)
         for value, exact in zip(_closed_form_scalars(n, delta), whole):
             assert abs(value - exact) <= 1e-14 * abs(exact)
+
+    @pytest.mark.parametrize("delta", [0.03, 0.5, 0.99])
+    def test_sums_within_ulps_of_exactly_rounded(self, delta):
+        # the docstring's terms summed exactly: math.fsum, and for the pair
+        # sum (S^2 - sum a^2)/2 over the (C' ones)_j as integer multiples of
+        # 2^-1074.  n is past one chunk, so the pair sum's carry is summed
+        # too.  BLAS dots left ||C||_F^2 200-3800 ulps off; pairwise sums 1.7
+        n = recurrence._SCALAR_CHUNK + 3
+        log_d = math.log(delta)
+        j = np.arange(n, dtype=float)
+        pw, om = np.exp(j * log_d), -np.expm1(j * log_d)
+        pw_n, om_n = np.exp((n - j) * log_d), -np.expm1((n - j) * log_d)
+        c1 = -np.expm1((j + 1.0) * log_d) - n * (1.0 - delta) * pw
+        ct1 = -pw_n * om
+        g = om_n * (1.0 + pw_n) / (-np.expm1(log_d) * (1.0 + np.exp(log_d)))
+        frob = math.fsum(np.concatenate([om**2 * g, (n - 1.0 - j) * (pw * pw)]))
+        a = [p << 1075 - q.bit_length() for p, q in map(float.as_integer_ratio, ct1.tolist())]
+        pairs = (sum(a) ** 2 - sum(v * v for v in a)) / 2**2149  # int / int rounds once
+        want = [math.fsum(ct1), math.fsum(c1 * c1), math.fsum(ct1 * ct1),
+                (1.0 - delta) ** 2 * frob, pairs]
+        for got, exact in zip(_closed_form_scalars(n, delta), want):
+            assert abs(got - exact) <= 4 * 2.0**-52 * abs(exact)
 
     def test_identity_model(self):
         assert _closed_form_scalars(40, 1.0) == (0.0, 0.0, 0.0, 0.0, 0.0)
