@@ -59,7 +59,7 @@ from .engine import (
     OrderingPolicy,
     _cyclic_tail,
     _epoch_dense,
-    _Orders,
+    _orders,
     _runs,
     derive_seed,
     expected_over_x0,
@@ -135,8 +135,8 @@ def _trace_rows(traj) -> list[dict]:
             for epoch, f in enumerate(traj.f_per_epoch)]
 
 
-def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs) -> np.ndarray:
-    """Rates of the valid replicates of one variant; cyclic descent runs once.
+def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs):
+    """(rates, transient): rates of the valid replicates of one variant; cyclic descent runs once.
 
     The cyclic rate comes from `_cyclic_tail`: the stop epoch and the
     objective over the rate window, from the spectrum of C at any n below
@@ -148,7 +148,8 @@ def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs
     A replicate is dropped when its run loses numerical meaning (a
     NumericalError) or its rate window is too short or not positive (the
     ValueError of `empirical_rate`).  Any other error, such as a
-    ValueError from the input checks of `run`, propagates.
+    ValueError from the input checks of `run`, propagates.  `transient`: the
+    cyclic run stopped at the budget above tol, so its rate is a transient's.
     """
     model = PermInvariantQuadratic(n, delta)
     tried = 1 if variant == "ccd" else replicates
@@ -168,7 +169,7 @@ def _valid_rates(n, delta, stream, variant, *, seed, replicates, tol, max_epochs
             rates.append(empirical_rate(f))
         except ValueError:
             pass
-    return np.array(rates)
+    return np.array(rates), variant == "ccd" and bool(rates) and fs[0][-1] > tol
 
 
 def _cpus() -> int:
@@ -272,7 +273,8 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
     derived seeds and reported as replicate means (the permutation
     variant also with the replicate standard deviation), one stack of
     replicates per ordering (`engine._runs`).  A cell with no valid
-    replicate is NaN and named on stderr; predicted columns are always
+    replicate is NaN and named on stderr, and so is a cyclic rate read
+    where the run stopped at the budget above tol; predicted columns are always
     emitted, from the scalar predictors rho_C(n, delta)^2 and rho_M(n, delta).
     The cells run in `_in_processes`, priced by predicted epochs
     ln(f0/tol)/-ln(rho) times replicates, an rcd epoch at `_RCD_EPOCH_COST`
@@ -296,11 +298,15 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
                               replicates=replicates, tol=tol, max_epochs=max_epochs)
             for d_idx, v in cells]
     emp = []
-    for (d_idx, v), rates in zip(cells, _in_processes(jobs, [cost(*cell) for cell in cells])):
+    results = _in_processes(jobs, [cost(*cell) for cell in cells])
+    for (d_idx, v), (rates, transient) in zip(cells, results):
         if not rates.size:
             print(f"cdlab table1: no valid {v} replicate at delta={deltas[d_idx]} "
                   f"({1 if v == 'ccd' else replicates} tried); its empirical cells are NaN",
                   file=sys.stderr)
+        if transient:
+            print(f"cdlab table1: the ccd run at delta={deltas[d_idx]} stopped at the {max_epochs}"
+                  "-epoch budget above tol; its rho_ccd_emp is a transient's rate", file=sys.stderr)
         emp.append(rates)
     rows = []
     for d_idx, (delta, (rho_c_sq, rho_rcd, rho_m)) in enumerate(zip(deltas, preds)):
@@ -328,7 +334,7 @@ def _lu_values(model, orders, epochs):
     G = np.tile(np.eye(n), (len(orders), 1, 1))
     vals = exact = np.full(len(orders), 0.5 * n)
     for _ in range(epochs):
-        vals = vals - _epoch_dense(G, model.A, np.array([o.next() for o in orders]))
+        vals = vals - _epoch_dense(G, model.A, np.array([next(o) for o in orders]))
         if (low := vals <= _REANCHOR * exact).any():
             vals[low] = exact[low] = expected_over_x0(model, G[low])
         yield vals
@@ -340,7 +346,7 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
 
     Emits, for each epoch, (1/2) trace(G' A G) / (n/2) for the cyclic
     product C^l and the mean over `sequences` permutation-ordered products
-    (`_Orders`), with its sample standard deviation (NaN for one sequence).
+    (`_orders`), with its sample standard deviation (NaN for one sequence).
     `_lu_values` carries each product's E f on its own, so the products
     split evenly over the processes of `_forked`: each child's frames are
     its share's values, one per epoch, and this process zips them with
@@ -350,8 +356,8 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
         raise ValueError(f"sequences must be >= 1, got {sequences}")
     model = build_log_uniform_spectrum(n, condition, derive_seed(seed, 0))
     f0 = 0.5 * n
-    orders = [_Orders(OrderingPolicy("ccd"), n, None)] + [
-        _Orders(OrderingPolicy("rpcd"), n, np.random.default_rng(derive_seed(seed, 1000 + k)))
+    orders = [_orders(OrderingPolicy("ccd"), n, None)] + [
+        _orders(OrderingPolicy("rpcd"), n, np.random.default_rng(derive_seed(seed, 1000 + k)))
         for k in range(sequences)]
 
     def values(share):

@@ -48,7 +48,7 @@ and its random columns one `_runs` call per ordering.
 Every f recorded here (row loop, rpcd scan, dense kernel, block path,
 `_cyclic_tail`) is `quadratic.objective`: for the permutation-invariant
 model numpy's pairwise sums, which no BLAS kernel changes.  The bounds on
-the block path's drift and the spectral tail hold under SkylakeX BLAS only.
+the block path's drift and the spectral tail hold under five OpenBLAS kernels.
 """
 
 from __future__ import annotations
@@ -101,8 +101,10 @@ _SPECTRAL_RTOL = 1e-13
 
 # Powers of delta below this are 0 in the rpcd scan of `_runs`: they scale a
 # term by under 1e-289, so dropping them moves f only where coordinates
-# differ by some 280 orders of magnitude; kept, their subnormal products
-# made the dense product the scan replaced 3x slower (n = 256, delta = 0.03).
+# differ by some 280 orders of magnitude.  Kept, subnormal products slow the
+# scan: an epoch of 20 replicates took 2.16 ms against 1.56 ms at (n, delta) =
+# (2500, 2e-7) and 8.2 against 7.0 ms at (1e4, 5e-4) (one BLAS thread, min of
+# 3); f was the same, and at n <= 1000 and delta >= 0.03 so was the time.
 _POWER_FLOOR = 2.0**-960
 
 # Visits per row block of the dense epoch kernel `_epoch_dense`.  With the
@@ -117,10 +119,12 @@ _POWER_FLOOR = 2.0**-960
 # where gathering the rows A[R] costs as much as the product.
 _ROW_BLOCK = 8
 
-# Most entries in one replicate's chunk of drawn orders (`_Orders`): a
+# Most entries in one replicate's chunk of drawn orders (`_orders`): a
 # chunk holds max(1, 2048 // n) epochs, 20 at n = 100 and one from n = 1025
-# on.  On a 2-core host at n = 100 an epoch's order cost 10.3 us (rcd) and
-# 7.2 us (rpcd) drawn one epoch per call, 1.6 and 2.5 us at 1024 entries,
+# on.  A run that stops inside a chunk leaves its generator at the chunk's
+# end, past the orders it used; one that takes no epoch draws nothing.  On
+# a 2-core host at n = 100 an epoch's order cost 10.3 us (rcd) and 7.2 us
+# (rpcd) drawn one epoch per call, 1.6 and 2.5 us at 1024 entries,
 # 1.2 and 2.3 at 2048 and 0.9-1.1 and 2.0-2.4 at 4096-8192.  Table 1
 # holds 20 chunks at a time.  Ten default table1 passes in one process
 # peaked at 38.63 MB drawing one epoch per call and at 38.74-38.77 MB with
@@ -175,47 +179,29 @@ def derive_seed(base_seed, *indices) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(base_seed), *[int(i) for i in indices]])
 
 
-class _Orders:
-    """One replicate's coordinate orders, drawn a chunk of epochs per generator call.
+def _orders(policy: OrderingPolicy, n: int, rng: np.random.Generator):
+    """One replicate's coordinate orders: an iterator of one array of n indices per epoch.
 
-    The cyclic order is returned every epoch and draws nothing.  rcd draws
-    rng.integers(0, n, size=(k, n)) and rpcd rng.permuted of k rows of
-    arange(n), k = max(1, `_ORDER_CHUNK` // n) epochs from the first call;
-    numpy gives the same rows, and leaves the same state, as k
-    single-epoch calls.  For a replicate that leaves inside a chunk,
-    `close` restores the state saved before it and redraws the epochs used.
+    The cyclic order repeats arange(n) and draws nothing.  rcd draws
+    rng.integers(0, n, size=(k, n)) and rpcd rng.permuted over k rows of
+    arange(n), k = max(1, `_ORDER_CHUNK` // n) epochs per call, each
+    chunk when its first epoch is needed; numpy gives the same rows as k
+    single-epoch calls.  The generator is left at the end of the last
+    chunk drawn.
     """
+    if policy.kind == "ccd":
+        return itertools.repeat(np.arange(n))
+    k = max(1, _ORDER_CHUNK // n)
 
-    def __init__(self, policy: OrderingPolicy, n: int, rng: np.random.Generator):
-        self.kind, self.n, self.rng = policy.kind, n, rng
-        self.fixed = np.arange(n) if policy.kind == "ccd" else None
-        self.k = max(1, _ORDER_CHUNK // n)  # epochs per chunk
-        self.chunk, self.used, self.state = None, 0, None
+    def drawn():
+        while True:
+            if policy.kind == "rcd":
+                yield from rng.integers(0, n, size=(k, n))
+            else:
+                rows = np.tile(np.arange(n), (k, 1))
+                yield from rng.permuted(rows, axis=1, out=rows)
 
-    def _draw(self, k: int) -> np.ndarray:
-        if self.kind == "rcd":
-            return self.rng.integers(0, self.n, size=(k, self.n))
-        rows = np.tile(np.arange(self.n), (k, 1))
-        return self.rng.permuted(rows, axis=1, out=rows)
-
-    def next(self) -> np.ndarray:
-        """The next epoch's order, as an array of n indices."""
-        if self.fixed is not None:
-            return self.fixed
-        if self.chunk is None or self.used == len(self.chunk):
-            # a one-epoch chunk is used up by its first call, so never restored
-            self.state = self.rng.bit_generator.state if self.k > 1 else None
-            self.chunk, self.used = self._draw(self.k), 0
-        self.used += 1
-        return self.chunk[self.used - 1]
-
-    def close(self) -> None:
-        """Leave the generator where drawing only the orders used leaves it; drop the chunk."""
-        if self.chunk is not None and self.used < len(self.chunk):
-            self.rng.bit_generator.state = self.state
-            if self.used:
-                self._draw(self.used)
-        self.chunk = None
+    return drawn()
 
 
 def _epoch_perm_invariant(xs: list[float], delta: float, order: list[int]) -> None:
@@ -361,11 +347,10 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     replicate once; a replicate leaves at its stop epoch, its first
     nonfinite f or the budget.  One rule after the start, `steps_on`,
     judges every f a kernel returns, the block path's last included: it
-    records f or builds the NumericalError, and closes the orders of a
-    replicate that leaves.  Its orders come from `_Orders`, a chunk of
-    epochs per call of rngs[r]; when it leaves, rngs[r] is where drawing
-    its orders one epoch per call leaves it, so one that takes no epoch
-    draws nothing.  The kernel follows from the input:
+    records f or builds the NumericalError.  Replicate r's orders come
+    from `_orders`, a chunk of epochs per call of rngs[r]; when it leaves,
+    rngs[r] is at the end of the last chunk drawn, so one that takes no
+    epoch draws nothing.  The kernel follows from the input:
 
     - ccd where `_block_epochs(n) >= 2` (n <= 256): `_run_blocks` per
       replicate, K epochs per product with one epoch map;
@@ -392,7 +377,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     perm_invariant = isinstance(model, PermInvariantQuadratic)
     X = _checked_starts(n, starts, max_epochs, tol)
     rows = list(X)  # views; indexing a list is cheaper than X[r] in the row loop
-    orders = [_Orders(policy, n, rng) for rng in rngs]
+    orders = [_orders(policy, n, rng) for rng in rngs]
     f0 = objective(model, X).tolist()
     if perm_invariant and policy.kind == "rpcd" and len(X) > 1:
         delta, b = model.delta, math.isqrt(n - 1) + 1  # b = ceil(sqrt(n))
@@ -407,7 +392,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
 
         def step(active):
             R = len(active)
-            idx = np.array([orders[r].next() for r in active])
+            idx = np.array([next(orders[r]) for r in active])
             idx += n * np.array(active)[:, None]
             Y[:R, :n] = flat[idx]
             E[:R, :, 0] = (Y[:R].reshape(-1, b) @ sums).reshape(R, 2 * m) @ K  # s q - L Y_b v
@@ -421,7 +406,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
 
         def step(active):
             for r in active:
-                _epoch_perm_invariant(lists[r], delta, orders[r].next().tolist())
+                _epoch_perm_invariant(lists[r], delta, next(orders[r]).tolist())
                 rows[r][:] = lists[r]
             if len(active) == 1:
                 return [objective(model, rows[active[0]])]
@@ -429,7 +414,7 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     else:
         def step(active):
             G = X[active, :, None]
-            _epoch_dense(G, model.A, np.array([orders[r].next() for r in active]))
+            _epoch_dense(G, model.A, np.array([next(orders[r]) for r in active]))
             X[active] = G[..., 0]
             return objective(model, G[..., 0]).tolist()
 
@@ -444,12 +429,9 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
         if not math.isfinite(f):
             out[r] = NumericalError(f"nonfinite objective after {epoch * n} iterations",
                                     fs[r][-1])
-        else:
-            fs[r].append(f)
-            if f > tol and epoch < max_epochs:
-                return True
-        orders[r].close()
-        return False
+            return False
+        fs[r].append(f)
+        return f > tol and epoch < max_epochs
 
     if policy.kind == "ccd" and _block_epochs(n) >= 2 and active:
         M = epoch_map(model)
@@ -480,9 +462,10 @@ def run(
     f(x^{l*n}) <= tol or the epoch budget is exhausted.  Deterministic
     for a fixed seed: the only randomness is the per-epoch coordinate
     order drawn from the seeded generator.  Orders are drawn a chunk of
-    epochs per generator call, and each epoch's order, and the state the
-    generator is left in, are those of one rng.integers(0, n, size=n)
-    (rcd) or rng.permutation(n) (rpcd) call per epoch.  The iterate after
+    epochs per generator call (`_orders`), and each epoch's order is that
+    of one rng.integers(0, n, size=n) (rcd) or rng.permutation(n) (rpcd)
+    call per epoch.  A run that stops inside a chunk leaves the generator
+    at the chunk's end, past the orders it used.  The iterate after
     k epochs is run(..., max_epochs=k, tol=0.0).final_x.  This is `_runs`
     with one start, so a seeded replicate of a stacked run is this run.
 
@@ -490,8 +473,8 @@ def run(
     of its epoch map (see the module docstring).  It draws nothing from
     the generator.  Its iterates agree with the per-coordinate loop to
     rounding, but reusing one rounded map lets f drift from the loop's by
-    about 2e-17 relative per epoch (about 1e-12 after 60k epochs at
-    n=100).  Random orders, and the cyclic order at larger n, step one
+    2e-17 to 1.3e-16 relative per epoch, with the BLAS kernel (1e-12 to
+    8e-12 after 60k epochs at n=100).  Random orders, and larger n, step one
     epoch at a time.  Another fixed visit order p is `ccd` on the
     relabelled model A[p][:, p] from x0[p].
 

@@ -2,11 +2,14 @@
 
 numpy's DYNAMIC_ARCH OpenBLAS picks its kernels for the CPU at load
 time, and `OPENBLAS_CORETYPE` overrides that choice for one process.
-Haswell is the family of many AVX2 CPUs without AVX-512; Prescott is
-OpenBLAS's oldest x86-64 target.  Each child process reruns the tests
-whose equalities must not depend on the kernel: an iterate's f against
-its row in a stack, the stacked replicates against `run`, and the
-`predict` golden cases, whose recurrence scalars are numpy sums.
+Besides SkylakeX (AVX-512 CPUs), an x86-64 host can select four more
+families: Haswell (many AVX2 CPUs without AVX-512; `Zen` maps to it),
+Sandybridge (AVX), Nehalem (SSE4.2) and Prescott (OpenBLAS's oldest
+x86-64 target).  Each child process reruns the tests whose equalities
+must not depend on the kernel: an iterate's f against its row in a
+stack, the stacked replicates against `run`, and the `predict` golden
+cases, whose recurrence scalars are numpy sums; and the tests whose
+bounds were measured under all five families.
 """
 
 import os
@@ -19,11 +22,15 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-CORETYPES = ["Haswell", "Prescott"]
+CORETYPES = ["Haswell", "Sandybridge", "Nehalem", "Prescott"]
 PREDICT_CASES = ["predict", "predict_n700_json", "predict_n1e6_json", "predict_delta_above_1_json"]
 TESTS = [
     "tests/test_properties.py::test_objective_of_an_iterate_equals_objective_of_its_row",
     "tests/test_engine.py::TestChunkedOrders",
+    "tests/test_engine.py::TestFixedOrderDrift::test_block_path_drift_is_bounded_per_epoch",
+    "tests/test_engine.py::TestCyclicTail::test_spectral_form_against_40_digits",
+    "tests/test_engine.py::TestCyclicTail::test_budget_next_to_powers_of_two",
+    "tests/test_properties.py::test_rpcd_stack_matches_run_at_every_n",
 ] + [f"tests/test_golden.py::test_output_matches_golden_file[{name}]" for name in PREDICT_CASES]
 
 
@@ -42,7 +49,7 @@ def _dynamic_arch_openblas() -> bool:
 @pytest.mark.skipif(not _dynamic_arch_openblas(),
                     reason="numpy's BLAS is no x86-64 DYNAMIC_ARCH OpenBLAS")
 def test_exactness_tests_pass_under_other_kernels():
-    # both children at once: each takes about 8 s on a 2-core host
+    # every child at once
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     children = {core: subprocess.Popen(

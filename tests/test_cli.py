@@ -50,6 +50,25 @@ from conftest import eig_radius
 SMALL = dict(deltas=(0.5, 0.2), replicates=3, max_epochs=30_000)
 
 
+def _cyclic_expansion(model, x0):
+    """(log lam, c, V): x^e = Re sum_k c_k lam_k^e V[:, k] for e >= 1, over C's n//2 branches.
+
+    The closed forms of `engine._spectral_tail` with a dense V:
+    V[i, k] = r_k^i, r_k = mu_k w^-k, and c_k = u_k'x0 / u_k'v_k, doubled
+    for a conjugate pair.
+    """
+    n, delta = model.n, model.delta
+    t = _cyclic_spectrum(n, delta)
+    k = np.arange(1, len(t) + 1)
+    V = np.exp(t - 2j * np.pi * k / n) ** np.arange(n)[:, None]
+    ldx = x0.copy()
+    ldx[1:] += (1.0 - delta) * np.cumsum(x0)[:-1]  # (L+D) x0
+    one_r = -np.expm1(t - 2j * np.pi * k / n)
+    c = (ldx[::-1] @ V) * np.where(2 * k == n, 1.0, 2.0)
+    c /= n * V[-1] + (1.0 - delta) / one_r * (-np.expm1(n * t) / one_r - n * V[-1])
+    return n * t, c, V
+
+
 class TestConfig:
     def test_negative_epoch_limits_fail_from_cli(self, capsys):
         for argv in (["table1", "--max-epochs", "-3"],
@@ -257,13 +276,47 @@ class TestTable1:
         _, x0 = _seeded_start(n, "ccd", 0, stream)
         f = run(PermInvariantQuadratic(n, delta), OrderingPolicy("ccd"), x0, 500_000,
                 1e-8).f_per_epoch
-        (printed,) = _valid_rates(n, delta, stream, "ccd", seed=0, replicates=20, tol=1e-8,
-                                  max_epochs=500_000)
+        (printed,), _ = _valid_rates(n, delta, stream, "ccd", seed=0, replicates=20, tol=1e-8,
+                                     max_epochs=500_000)
         assert empirical_rate(f) == pytest.approx(printed, rel=1e-12)
         rho_sq = rho_C(n, delta) ** 2
         assert abs(empirical_rate(f, window) - rho_sq) <= 1e-5
         if delta == 0.8:
             assert abs(printed - rho_sq) > 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ccd_rate_is_the_slowest_pairs_rate(self, seed):
+        # For e >= 1, x^e = Re sum_k c_k lam_k^e v_k over C's branches, with
+        # the eigenpairs and coefficients of `engine._spectral_tail` (c_k
+        # doubled for a conjugate pair).  Split x^e = y_e + z_e, y_e the
+        # slowest pair's term: ||z_e||_A <= |lam_2|^e S, S = sum_{k>=2}
+        # |c_k| ||v_k||_A, and ||y_e||_A >= |lam_1|^e m, m^2 the least
+        # eigenvalue of the A-Gram matrix of Re and Im of c_1 v_1.  So with
+        # eta = |lam_2/lam_1|^(L-10) S/m every f in the window is
+        # f(y_e)(1 + eps_e), |eps_e| <= a = 2 eta + eta^2, and the 10-epoch
+        # rate is the two-term one within ((1+a)/(1-a))^(1/10) - 1, plus
+        # 1e-14 for rounding.  The cross term y'Az is first order in eta:
+        # C's eigenvectors are not A-orthogonal.
+        n, tol = 100, 1e-8
+        for stream, (delta, row) in enumerate(zip(TABLE1_DELTAS, cmd_table1(n=n, seed=seed))):
+            model = PermInvariantQuadratic(n, delta)
+            _, x0 = _seeded_start(n, "ccd", seed, stream)
+            stop, f = _cyclic_tail(model, x0, 500_000, tol)
+            assert f[-1] <= tol  # no cell here stops at the budget
+            log_lam, c, V = _cyclic_expansion(model, x0)
+            slow, second = np.argsort(-log_lam.real)[:2]
+            A = model.matrix()
+            re, im = (c[slow] * V[:, slow]).real, (c[slow] * V[:, slow]).imag
+            gram = np.array([[re @ A @ re, re @ A @ im], [re @ A @ im, im @ A @ im]])
+            m = math.sqrt(np.linalg.eigvalsh(gram)[0])
+            S = sum(abs(c[k]) * math.sqrt((V[:, k].conj() @ A @ V[:, k]).real)
+                    for k in range(len(c)) if k != slow)
+            eta = math.exp((log_lam[second] - log_lam[slow]).real * (stop - 10)) * S / m
+            a = 2.0 * eta + eta**2
+            y = [(c[slow] * np.exp(e * log_lam[slow]) * V[:, slow]).real for e in (stop - 10, stop)]
+            predicted = ((y[1] @ A @ y[1]) / (y[0] @ A @ y[0])) ** 0.1
+            bound = ((1.0 + a) / (1.0 - a)) ** 0.1 - 1.0 + 1e-14
+            assert abs(row["rho_ccd_emp"] / predicted - 1.0) <= bound
 
     def test_predicted_columns_independent_of_replicates(self):
         a = cmd_table1(deltas=(0.5,), replicates=2, max_epochs=30_000)[0]
@@ -324,6 +377,27 @@ class TestTable1:
         assert math.isfinite(rows[0]["rho_rpcd_emp_std"])
         assert capsys.readouterr().err == ""
 
+    def test_budget_stopped_cyclic_cell_reported_on_stderr(self, monkeypatch, capsys):
+        # at (1000, 0.03) the cyclic run stops at the 500,000-epoch budget
+        # with f above tol, so its rate is a transient's.  With two CPUs the
+        # cyclic cell, the cheapest, shares the forked child with rpcd.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        _, x0 = _seeded_start(1000, "ccd", 0, 0)
+        stop, f = _cyclic_tail(PermInvariantQuadratic(1000, 0.03), x0, 500_000, 1e-8)
+        assert stop == 500_000 and f[-1] > 1e-8
+        row = cmd_table1(n=1000, deltas=(0.03,), replicates=1)[0]
+        assert math.isfinite(row["rho_ccd_emp"])
+        assert capsys.readouterr().err.splitlines() == [
+            "cdlab table1: the ccd run at delta=0.03 stopped at the 500000-epoch budget above "
+            "tol; its rho_ccd_emp is a transient's rate"]
+
+    def test_cyclic_cell_stopped_at_tol_reports_nothing(self, capsys):
+        _, x0 = _seeded_start(1000, "ccd", 0, 0)
+        stop, f = _cyclic_tail(PermInvariantQuadratic(1000, 0.5), x0, 500_000, 1e-8)
+        assert stop == 223_014 and f[-1] <= 1e-8
+        cmd_table1(n=1000, deltas=(0.5,), replicates=1)
+        assert capsys.readouterr().err == ""
+
     def test_numerical_error_drops_the_replicate(self, monkeypatch, capsys):
         import cdlab.cli
         from cdlab.errors import NumericalError
@@ -346,7 +420,7 @@ class TestTable1:
 
     def test_empty_rpcd_cell_counts_every_replicate(self, capsys):
         # one _runs call runs the cell; stderr names the replicates tried
-        rates = _valid_rates(20, 0.5, 0, "rpcd", seed=0, replicates=20, tol=1e-8, max_epochs=5)
+        rates, _ = _valid_rates(20, 0.5, 0, "rpcd", seed=0, replicates=20, tol=1e-8, max_epochs=5)
         assert rates.size == 0
         row = cmd_table1(n=20, deltas=(0.5,), replicates=20, max_epochs=5)[0]
         assert math.isnan(row["rho_rpcd_emp"])
@@ -361,8 +435,8 @@ class TestTable1:
         deltas = tuple(1.0 + t * (n / (n - 1) - 1.0) for t in (0.1, 0.5, 0.9))
         rows = cmd_table1(n=n, deltas=deltas)
         for stream, (delta, row) in enumerate(zip(deltas, rows)):
-            rates = _valid_rates(n, delta, stream, "rcd", seed=0, replicates=20, tol=1e-8,
-                                 max_epochs=500_000)
+            rates, _ = _valid_rates(n, delta, stream, "rcd", seed=0, replicates=20, tol=1e-8,
+                                    max_epochs=500_000)
             assert rates.mean() == row["rho_rcd_emp"]
             floor = rates.mean() - rates.std(ddof=1)
             for predicted in (cmd_predict(n, delta)["rcd_epoch"], row["rho_rcd_pred"]):
@@ -431,13 +505,13 @@ class TestInProcesses:
 
     @staticmethod
     def in_child(err):
-        """A job that raises `err` in a forked child and returns 0.5 in this process."""
+        """A job that raises `err` in a forked child and returns a cell of rate 0.5 in this process."""
         parent = os.getpid()
 
         def job(*args, **kwargs):
             if os.getpid() != parent:
                 raise err
-            return np.array([0.5])
+            return np.array([0.5]), False
         return job
 
     def test_results_in_job_order_past_the_pipe_buffer(self, two_cpus):

@@ -264,9 +264,13 @@ class TestFixedOrderDrift:
                         reason="longdouble is float64 on this platform")
     def test_block_path_drift_is_bounded_per_epoch(self):
         # Every block reapplies one float64-rounded map, so f drifts from
-        # the exact trajectory linearly in the epoch count (about 1.8e-17
-        # relative per epoch here).  The bound is 4e-17 per epoch on top
-        # of a few ulps of one epoch's own rounding.
+        # the exact trajectory linearly in the epoch count.  Measured over
+        # these 4000 epochs under the OpenBLAS kernel families SkylakeX,
+        # Haswell, Sandybridge, Nehalem and Prescott: the last drift per
+        # epoch is 1.8e-17, 1.7e-17, 1.26e-16, 1.21e-16 and 1.25e-16, and
+        # with 2e-16 per epoch the offset needed is 4.5e-16, 4.5e-16,
+        # 3.1e-15 (epoch 69), 4.5e-16 and 1.3e-15 (epoch 38).  The bound
+        # is 2e-16 per epoch (1.6x the worst) plus 1e-14 (3.2x).
         n, delta, epochs = 100, 0.05, 4000
         x0 = np.random.default_rng(derive_seed(3, 0, 0, 0)).standard_normal(n)  # `solve --seed 3`
         traj = run(PermInvariantQuadratic(n, delta), OrderingPolicy("ccd"), x0,
@@ -274,7 +278,7 @@ class TestFixedOrderDrift:
         assert traj.epochs == epochs
         ref = _longdouble_f(n, delta, x0, epochs)
         drift = np.abs(traj.f_per_epoch - ref) / ref
-        assert np.all(drift <= 4e-17 * np.arange(epochs + 1) + 2e-15)
+        assert np.all(drift <= 2e-16 * np.arange(epochs + 1) + 1e-14)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
                         reason="longdouble is float64 on this platform")
@@ -333,7 +337,11 @@ class TestCyclicTail:
 
     @pytest.mark.parametrize("max_epochs", [1, 2, 3, 4, 15, 16, 17, 31, 32, 33, 1023, 1024, 1025])
     def test_budget_next_to_powers_of_two(self, max_epochs):
-        # delta this small never reaches tol, so the run stops at the budget
+        # delta this small never reaches tol, so the run stops at the budget.
+        # The spectral and the stepped (block-path) tails differ by at most
+        # 5.0e-14 (SkylakeX), 5.5e-14 (Haswell), 2.6e-14 (Sandybridge),
+        # 8.9e-14 (Nehalem) and 1.22e-13 (Prescott, at 1025 epochs) relative
+        # over these budgets; the bound is 2e-13, 1.6x the worst.
         model = PermInvariantQuadratic(10, 1e-3)
         x0 = np.random.default_rng(max_epochs).standard_normal(10)
         traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=max_epochs, tol=1e-8)
@@ -341,7 +349,7 @@ class TestCyclicTail:
         assert stop == traj.epochs == max_epochs
         tail = traj.f_per_epoch[-len(f_tail):]
         assert len(f_tail) == min(stop, 10) + 1
-        assert np.allclose(f_tail, tail, rtol=1e-13, atol=0.0)
+        assert np.allclose(f_tail, tail, rtol=2e-13, atol=0.0)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
                         reason="longdouble is float64 on this platform")
@@ -484,9 +492,14 @@ class TestCyclicTail:
 
     def test_spectral_form_against_40_digits(self):
         # f over the rate window from stepping (`run`) and the spectral
-        # form, against a 40-digit cyclic run.  The spectral form is within
-        # 2e-14 everywhere, and closest where the run is long: stepping
-        # drifts with the epoch count (up to 2e-13 here)
+        # form, against a 40-digit cyclic run.  Under the five OpenBLAS
+        # families (SkylakeX, Haswell, Sandybridge, Nehalem, Prescott) the
+        # spectral form is within 1.7e-14 to 2.1e-14 (Nehalem) everywhere,
+        # bound 3e-14, and within 2.0e-15 (SkylakeX, Haswell) in runs of
+        # 100 epochs or more, bound 3e-15.  Stepping drifts with the epoch
+        # count, 6.4e-15 to 1.9e-13 after 2000-3000 epochs, so the spectral
+        # form is closer from 1000 epochs on; below that stepping can land
+        # closer by chance (Haswell: 6.7e-16 against 1.1e-15 at (30, 0.3))
         mpmath = pytest.importorskip("mpmath")
         for n, delta, max_epochs in [(5, 1e-6, 3000), (30, 1e-3, 2000), (30, 0.3, 10**5),
                                      (30, 0.5, 10**5), (20, 0.8, 10**5), (30, 0.95, 10**5),
@@ -502,8 +515,10 @@ class TestCyclicTail:
                                     ("spectral", spectral)]:
                 assert stop == traj.epochs
                 errors[name] = np.abs(f / ref - 1)
-            assert errors["spectral"].max() <= 2e-14
+            assert errors["spectral"].max() <= 3e-14
             if traj.epochs >= 100:
+                assert errors["spectral"].max() <= 3e-15
+            if traj.epochs >= 1000:
                 assert errors["spectral"][-1] <= errors["run"][-1]
                 assert errors["spectral"].max() <= errors["run"].max()
 
@@ -615,7 +630,7 @@ def _stop_near(fs, e):
 
 
 def _oracle(model, kind, x0, rng, epochs):
-    """f per epoch, iterates and generator states of a run drawing one order per epoch.
+    """f per epoch and iterates of a run drawing one order per epoch.
 
     Each epoch draws rng.integers(0, n, size=n) (rcd) or rng.permutation(n)
     (rpcd) and steps `_epoch_perm_invariant`; entry e of each list is after
@@ -623,7 +638,7 @@ def _oracle(model, kind, x0, rng, epochs):
     """
     n = model.n
     x = np.array(x0, dtype=float)
-    fs, xs, states = [objective(model, x)], [x.copy()], [rng.bit_generator.state]
+    fs, xs = [objective(model, x)], [x.copy()]
     for _ in range(epochs):
         order = rng.integers(0, n, size=n) if kind == "rcd" else rng.permutation(n)
         stepped = x.tolist()
@@ -631,17 +646,17 @@ def _oracle(model, kind, x0, rng, epochs):
         x[:] = stepped
         fs.append(objective(model, x))
         xs.append(x.copy())
-        states.append(rng.bit_generator.state)
-    return fs, xs, states
+    return fs, xs
 
 
 class TestChunkedOrders:
-    """Orders drawn a chunk at a time are the per-epoch draws, and leave the generator there.
+    """Orders drawn a chunk at a time are the per-epoch draws, wherever a replicate stops.
 
     The oracle draws one order per epoch.  Against it, the row loop is
     equal bit for bit; the rpcd scan (more than one start) and the dense
-    kernel equal it to rounding.  The generator state is equal on every
-    path.
+    kernel equal it to rounding.  A replicate that stops or fails inside a
+    chunk leaves its generator at the chunk's end, past the per-epoch
+    draws, so these tests hold its f and iterates, not its generator.
     """
 
     DELTA = 1e-3  # slow enough that f stays far above 0 over 2k+1 epochs at n = 2
@@ -662,17 +677,15 @@ class TestChunkedOrders:
         model, policy = PermInvariantQuadratic(n, self.DELTA), OrderingPolicy(kind)
         x0 = np.random.default_rng(n).standard_normal(n)
         points = _chunk_points(n)
-        fs, xs, states = _oracle(model, kind, x0, np.random.default_rng([n, 1]), points[-1] + 1)
+        fs, xs = _oracle(model, kind, x0, np.random.default_rng([n, 1]), points[-1] + 1)
         for e in points:
             rng = np.random.default_rng([n, 1])
             traj = run(model, policy, x0, max_epochs=e, tol=0.0, seed=rng)
             self.assert_matches(traj, fs[: e + 1], xs[e], exact=True)
-            assert rng.bit_generator.state == states[e]
             stop, tol = _stop_near(fs, e)
             rng = np.random.default_rng([n, 1])
             traj = run(model, policy, x0, max_epochs=len(fs) - 1, tol=tol, seed=rng)
             self.assert_matches(traj, fs[: stop + 1], xs[stop], exact=True)
-            assert rng.bit_generator.state == states[stop]
 
     @pytest.mark.parametrize("kind", ["rcd", "rpcd"])
     @pytest.mark.parametrize("n, dense", [(2, False), (7, False), (100, False),
@@ -700,17 +713,16 @@ class TestChunkedOrders:
         trajs = _runs(run_model, policy, starts, rngs, budget, 1.0)
         exact = not dense and kind == "rcd"
         for r, stop in enumerate(stops):
-            fs, xs, states = _oracle(model, kind, starts[r], np.random.default_rng([n, r]), stop)
+            fs, xs = _oracle(model, kind, starts[r], np.random.default_rng([n, r]), stop)
             assert all(f > 1.0 for f in fs[:-1]) and (fs[-1] <= 1.0 or stop == budget)
             self.assert_matches(trajs[r], fs[: stop + 1], xs[stop], exact)
-            assert rngs[r].bit_generator.state == states[stop]
 
     @pytest.mark.parametrize("kind", ["rcd", "rpcd"])
     @pytest.mark.parametrize("n, dense", [(7, False), (100, False), (300, False),
                                           (7, True), (100, True)])
-    def test_nonfinite_f_leaves_generator_after_its_epoch(self, n, kind, dense, monkeypatch):
-        # the f of replicate 1 after epoch `bad` is NaN: it fails there, and
-        # its generator has drawn exactly `bad` orders
+    def test_nonfinite_f_fails_its_replicate_alone(self, n, kind, dense, monkeypatch):
+        # the f of replicate 1 after epoch `bad` is NaN: it fails there with
+        # the last finite f, and the other replicates run on to the budget
         model, policy = PermInvariantQuadratic(n, self.DELTA), OrderingPolicy(kind)
         k = max(1, _ORDER_CHUNK // n)
         count, budget = 3, 2 * k + 1
@@ -733,16 +745,13 @@ class TestChunkedOrders:
                 trajs = _runs(run_model, policy, starts, rngs, budget, 0.0)
             exact = not dense and kind == "rcd"
             for r in range(count):
-                fs, xs, states = _oracle(model, kind, starts[r], np.random.default_rng([n, r]),
-                                         budget)
+                fs, xs = _oracle(model, kind, starts[r], np.random.default_rng([n, r]), budget)
                 if r == 1:
                     assert isinstance(trajs[r], NumericalError)
                     assert str(trajs[r]) == f"nonfinite objective after {bad * n} iterations"
                     assert trajs[r].last_estimate == pytest.approx(fs[bad - 1], rel=1e-12)
-                    assert rngs[r].bit_generator.state == states[bad]
                 else:
                     self.assert_matches(trajs[r], fs, xs[-1], exact)
-                    assert rngs[r].bit_generator.state == states[-1]
 
 
 class TestEpochMatrix:

@@ -311,18 +311,26 @@ def test_rpcd_stack_matches_run_at_every_n(case):
     # moves f by up to 2 eps' sqrt(cond(A)) f, and two roundings of the same
     # length-n sums differ by some sqrt(n) eps.  cond(A) is large only near
     # the edges: near n/(n-1) the row loop itself is 2e-12 off a 40-digit
-    # run at n = 3, t = 1 - 1e-9
+    # run at n = 3, t = 1 - 1e-9.  Rounding made at an earlier epoch j
+    # shrinks no faster than the iterate, so that term scales with
+    # sqrt(max f_j / f_e): near delta = 1 f can fall 1e3-fold in an epoch.
+    # Over 5500 cases drawn as here, under each of the OpenBLAS families
+    # SkylakeX, Haswell, Sandybridge, Nehalem and Prescott, the former bound
+    # 1e-12 + c read up to 11.3x, 10.4x, 11.7x, 11.7x and 11.7x over; this
+    # one at most 0.031 of itself under every family (n = 2, delta = 1.9994)
     model, starts, seed, max_epochs, tol = case
     n, delta, eps = model.n, model.delta, np.finfo(float).eps
     lam = float(n - (n - 1) * Fraction(delta))  # the eigenvalue along ones, without cancellation
-    rtol = 1e-12 + 2.0 * eps * math.sqrt(n * max(delta, lam) / min(delta, lam))
+    c = 2.0 * eps * math.sqrt(n * max(delta, lam) / min(delta, lam))
     rngs = _rngs([[seed, r] for r in range(len(starts))])
     trajs = _runs(model, OrderingPolicy("rpcd"), starts, rngs, max_epochs, tol)
     for r, (x0, traj) in enumerate(zip(starts, trajs)):
         rng = np.random.default_rng([seed, r])
         ref = run(model, OrderingPolicy("rpcd"), x0, max_epochs=max_epochs, tol=tol, seed=rng)
         assert traj.epochs == ref.epochs
-        assert np.all(np.abs(traj.f_per_epoch - ref.f_per_epoch) <= rtol * ref.f_per_epoch)
+        f = ref.f_per_epoch
+        bound = 1e-12 * f + c * np.sqrt(np.maximum.accumulate(f) * f)
+        assert np.all(np.abs(traj.f_per_epoch - f) <= bound)
         assert rngs[r].bit_generator.state == rng.bit_generator.state
 
 
