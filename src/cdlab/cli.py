@@ -68,7 +68,6 @@ from .engine import (
 from .errors import NumericalError
 from .quadratic import PermInvariantQuadratic, build_log_uniform_spectrum, quadratic_constants
 from .rates import (
-    _radius,
     ccd_bounds,
     empirical_rate,
     generic_bounds,
@@ -277,9 +276,10 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
     where the run stopped at the budget above tol; predicted columns are always
     emitted, from the scalar predictors rho_C(n, delta)^2 and rho_M(n, delta).
     The cells run in `_in_processes`, priced by predicted epochs
-    ln(f0/tol)/-ln(rho) times replicates, an rcd epoch at `_RCD_EPOCH_COST`
-    (a ccd cell at 1, a rho outside (0, 1) at the budget); no output byte
-    depends on the CPU count.
+    ln(f0/tol)/-ln(rho), clamped to [1, max_epochs], times replicates, an
+    rcd epoch at `_RCD_EPOCH_COST` (a ccd cell at 1, a rho outside (0, 1)
+    at the budget; rcd above delta = 1 at its expected-value rate); no
+    output byte depends on the CPU count.
     """
     for delta in deltas:
         PermInvariantQuadratic(n, delta)  # window check
@@ -290,8 +290,10 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
 
     def cost(d_idx, variant):
         rho = preds[d_idx][ORDERINGS.index(variant)]  # preds follow ORDERINGS
+        if math.isnan(rho):  # the R-linear rcd rate above delta = 1
+            rho = rcd_rates(n, deltas[d_idx])[0]
         epochs = math.log(0.5 * n / tol) / -math.log(rho) if 0 < rho < 1 else max_epochs
-        return 1 if variant == "ccd" else min(epochs, max_epochs) * replicates * (
+        return 1 if variant == "ccd" else max(1, min(epochs, max_epochs)) * replicates * (
             _RCD_EPOCH_COST if variant == "rcd" else 1)
 
     jobs = [functools.partial(_valid_rates, n, deltas[d_idx], d_idx, v, seed=seed,
@@ -426,7 +428,7 @@ def cmd_predict(n: int, delta: float) -> dict:
         "n": n,
         "delta": delta,
         "rho_C_sq": rho_C(n, delta) ** 2,
-        "rho_M": _radius(M),
+        "rho_M": M.radius(),
         "rpcd_asymptotic": rpcd_asymptotic_rate(n, delta),
         "ccd_upper": upper,
         "ccd_lower": lower,

@@ -36,10 +36,10 @@ whose f it must judge: at or below the tolerance, nonfinite, or the last.
 
 A rate over the last epochs of a cyclic run needs only its stop epoch
 and those epochs, which `_cyclic_tail` returns.  For the
-permutation-invariant model at delta < 1 it finds both without stepping
-the run: it evaluates f at any epoch in O(n^2) from the eigenvalues of C
-(`spectrum._cyclic_spectrum`) and their closed-form eigenvectors
-(`_spectral_tail`), at any n and with no epoch map.  Every cell that
+permutation-invariant model at delta < 1 `_spectral_tail` finds both
+without stepping the run: it evaluates f at any epoch in O(n^2) from C's
+eigen-expansion (`spectrum._cyclic_iterates`), at any n and with no
+epoch map, and does no arithmetic on C's eigenvalues.  Every cell that
 route does not take (its guard, the dense model, delta >= 1, a start
 `run` stops or fails at, or a window that misses tol) steps the run with
 `run`, by the block path at n <= 256.  Table 1's cyclic column uses it,
@@ -67,7 +67,7 @@ from .quadratic import (
     QuadraticModel,
     objective,
 )
-from .spectrum import _cyclic_spectrum
+from .spectrum import _cyclic_iterates
 
 __all__ = [
     "ORDERINGS",
@@ -496,13 +496,9 @@ def run(
 def _spectral_tail(model, x0, max_epochs, tol):
     """`_cyclic_tail` from the spectrum of C, or None outside its reach.
 
-    For the permutation-invariant model at delta < 1 and e >= 1,
-    x^e = Re sum_k c_k lambda_k^e v_k over `_cyclic_spectrum`'s branches
-    (conjugates doubled; C's zero first column drops out): v_k,i = r_k^i,
-    r_k = mu_k w^-k, and c_k = u_k'x0 / u_k'v_k by the left eigenvector
-    u_k = (L+D)' J v_k, J reversing the order, with u_k'x0 = sum_j
-    r^(n-1-j) ((L+D) x0)_j and u_k'v_k = n r^(n-1) + (1-delta)/(1-r)
-    ((1-r^n)/(1-r) - n r^(n-1)).  Any f costs O(n^2), in 8 MB row blocks.
+    For the permutation-invariant model at delta < 1 the iterate after
+    any epoch e >= 1 comes from C's eigen-expansion
+    (`spectrum._cyclic_iterates`), and its f costs O(n^2).
     f is nonincreasing: two Newton steps on log f at the slowest rate,
     then steps of 1, 2, 4, ... epochs and bisection find L.  For inputs
     `_checked_starts` passed.  None, and `run` steps the cell, for any other
@@ -516,39 +512,18 @@ def _spectral_tail(model, x0, max_epochs, tol):
     if not (math.isfinite(f0) and f0 > tol):
         return None
     n, delta = model.n, model.delta
-    t = _cyclic_spectrum(n, delta)
-    if t is None:
+    if (expansion := _cyclic_iterates(n, delta, x0)) is None:
         return None
-    k, log_lam = np.arange(1, len(t) + 1), n * t
-    unit = np.exp(-2j * np.pi * np.arange(n) / n)  # w^-j
-    b = -(-n // -(-n * len(t) // 2**19))  # rows per block of about 8 MB of r_k^i
-    R = np.exp(np.arange(b)[:, None] * t) * unit[np.arange(b)[:, None] * k % n]  # r_k^j, j < b
-
-    def blocks():  # rows i.. of [Re V, Im V], V[i, k] = r_k^i: a complex gemv
-        for i in range(0, n, b):  # stalled 8 ms in 2 of 10 processes on two threads
-            V = R[: n - i] * (np.exp(i * t) * unit[i * k % n]) if i else R
-            yield slice(i, i + b), np.hstack([V.real, V.imag])
-
-    xt = x0.copy()
-    xt[1:] += (1.0 - delta) * np.cumsum(x0)[:-1]
-    num = sum(xt[::-1][r] @ W for r, W in blocks())
-    r_last, one_r = np.exp((n - 1) * t) * unit[(n - 1) * k % n], -np.expm1(t - 2j * np.pi * k / n)
-    c = (num[: len(t)] + 1j * num[len(t):]) * np.where(2 * k == n, 1.0, 2.0)
-    c /= n * r_last + (1.0 - delta) / one_r * (-np.expm1(log_lam) / one_r - n * r_last)
+    iterates, rate = expansion
 
     def f(epochs):
-        a = c * np.exp(np.multiply.outer(np.asarray(epochs, dtype=float), log_lam))
-        a, Y = np.hstack([a.real, -a.imag]), np.empty((len(a), n))
-        for r, W in blocks():
-            Y[:, r] = a @ W.T
-        return objective(model, Y)
+        return objective(model, iterates(epochs))
 
     xs = x0.tolist()
     _epoch_perm_invariant(xs, delta, range(n))
     f1, fe = objective(model, np.array(xs)), f([1])[0]
     if not abs(fe - f1) <= _SPECTRAL_RTOL * f1:
         return None
-    rate = 2.0 * log_lam.real.max()
     lo, hi, e, step = 0, max_epochs, 1, 1  # f(lo) > tol; the stop epoch is in (lo, hi]
     for probe in itertools.count():
         lo, hi = (e, hi) if fe > tol else (lo, e)

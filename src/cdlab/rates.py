@@ -53,28 +53,11 @@ class GenericBounds:
 
 
 def rho_M(n: int, delta: float) -> float:
-    """Spectral radius of the 2x2 expectation recurrence matrix.
+    """Spectral radius of the 2x2 expectation recurrence matrix (`RecurrenceMatrix.radius`).
 
-    The eigenvalues solve lambda^2 - (d1+m2) lambda + (d1 m2 - d2 m1) = 0:
-
-        lambda = ((d1+m2) +- sqrt((d1+m2)^2 - 4(d1 m2 - d2 m1))) / 2.
-
-    A negative discriminant means a complex-conjugate pair whose common
-    modulus is sqrt(d1 m2 - d2 m1).  The coefficients come from
-    `recurrence_coeffs` in O(n), so this works at n >= 1e6.
+    Its coefficients come from `recurrence_coeffs` in O(n), so this works at n >= 1e6.
     """
-    return _radius(recurrence_coeffs(n, delta))
-
-
-def _radius(M) -> float:
-    """`rho_M` of the coefficients M of `recurrence_coeffs`, for a caller that holds them."""
-    s = M.d1 + M.m2
-    det = M.d1 * M.m2 - M.d2 * M.m1
-    disc = s * s - 4.0 * det
-    if disc >= 0.0:
-        r = math.sqrt(disc)
-        return max(abs((s + r) / 2.0), abs((s - r) / 2.0))
-    return math.sqrt(det)
+    return recurrence_coeffs(n, delta).radius()
 
 
 def rpcd_asymptotic_rate(n: int, delta: float) -> float:

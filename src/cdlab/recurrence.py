@@ -71,6 +71,19 @@ class RecurrenceMatrix:
     def as_array(self) -> np.ndarray:
         return np.array([[self.d1, self.m1], [self.d2, self.m2]])
 
+    def radius(self) -> float:
+        """Spectral radius of M, the larger |root| of lambda^2 - (d1+m2) lambda + d1 m2 - d2 m1.
+
+        A negative discriminant means a conjugate pair, of modulus sqrt(d1 m2 - d2 m1).
+        """
+        s = self.d1 + self.m2
+        det = self.d1 * self.m2 - self.d2 * self.m1
+        disc = s * s - 4.0 * det
+        if disc >= 0.0:
+            r = math.sqrt(disc)
+            return max(abs((s + r) / 2.0), abs((s - r) / 2.0))
+        return math.sqrt(det)
+
 
 def symmetrize(Q: np.ndarray) -> SymmetrizedForm:
     """Average Q over all symmetric permutations.

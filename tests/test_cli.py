@@ -23,6 +23,7 @@ from cdlab import (
     empirical_rate,
     epoch_map,
     evolve,
+    rcd_rates,
     recurrence_coeffs,
     rho_C,
     rho_M,
@@ -53,9 +54,9 @@ SMALL = dict(deltas=(0.5, 0.2), replicates=3, max_epochs=30_000)
 def _cyclic_expansion(model, x0):
     """(log lam, c, V): x^e = Re sum_k c_k lam_k^e V[:, k] for e >= 1, over C's n//2 branches.
 
-    The closed forms of `engine._spectral_tail` with a dense V:
-    V[i, k] = r_k^i, r_k = mu_k w^-k, and c_k = u_k'x0 / u_k'v_k, doubled
-    for a conjugate pair.
+    The closed forms that `spectrum._cyclic_iterates` sums (`spectrum`'s
+    module docstring), evaluated here with a dense V: V[i, k] = r_k^i,
+    r_k = mu_k w^-k, and c_k = u_k'x0 / u_k'v_k, doubled for a conjugate pair.
     """
     n, delta = model.n, model.delta
     t = _cyclic_spectrum(n, delta)
@@ -287,7 +288,7 @@ class TestTable1:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ccd_rate_is_the_slowest_pairs_rate(self, seed):
         # For e >= 1, x^e = Re sum_k c_k lam_k^e v_k over C's branches, with
-        # the eigenpairs and coefficients of `engine._spectral_tail` (c_k
+        # the eigenpairs and coefficients of `spectrum._cyclic_iterates` (c_k
         # doubled for a conjugate pair).  Split x^e = y_e + z_e, y_e the
         # slowest pair's term: ||z_e||_A <= |lam_2|^e S, S = sum_{k>=2}
         # |c_k| ||v_k||_A, and ||y_e||_A >= |lam_1|^e m, m^2 the least
@@ -441,6 +442,36 @@ class TestTable1:
             floor = rates.mean() - rates.std(ddof=1)
             for predicted in (cmd_predict(n, delta)["rcd_epoch"], row["rho_rcd_pred"]):
                 assert math.isnan(predicted) or predicted >= floor
+
+    @pytest.mark.parametrize("n, deltas, tol", [(100, TABLE1_DELTAS, 1e-8),
+                                                (192, (0.03, 1.005), 1e-8),
+                                                (100, TABLE1_DELTAS, 1e10)])
+    def test_cells_priced_by_predicted_epochs(self, n, deltas, tol, monkeypatch):
+        # `_in_processes` gets ln(f0/tol)/-ln(rho) epochs per replicate, kept
+        # in [1, max_epochs]: above delta = 1 rcd's R-linear rate is NaN and
+        # its cell is priced at the expected-value rate, not the budget, and
+        # a tol above f0 = n/2 prices no cell below one epoch
+        import cdlab.cli
+
+        prices = []
+
+        def serial(jobs, costs):
+            prices.extend(costs)
+            return [job() for job in jobs]
+
+        monkeypatch.setattr(cdlab.cli, "_in_processes", serial)
+        rows = cmd_table1(n=n, deltas=deltas, replicates=3, tol=tol, max_epochs=500_000)
+        expected = []
+        for delta, row in zip(deltas, rows):
+            q, r = rcd_rates(n, delta)
+            for rho, epoch_cost in [(q if math.isnan(r) else r, 2), (row["rho_M"], 1)]:
+                epochs = math.log(0.5 * n / tol) / -math.log(rho)
+                expected += [3 * epoch_cost * min(max(epochs, 1), 500_000)]
+        assert prices[0::3] == [1] * len(deltas)
+        assert [p for i, p in enumerate(prices) if i % 3] == pytest.approx(expected, rel=1e-12)
+        assert all(1 <= p <= 3_000_000 for p in prices)
+        if n == 192:  # the rcd cells of golden case table1_n192_bound: 2367 and 3064
+            assert [round(p) for p in prices[1::3]] == [2367, 3064]
 
     def test_default_table_runs_only_the_random_orders(self, monkeypatch):
         # cyclic descent is one call of _cyclic_tail per delta, and the 20

@@ -454,19 +454,22 @@ class TestCyclicTail:
         assert "no valid ccd replicate" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, delta, max_epochs", [(257, 0.9, 2000), (300, 0.5, 400),
-                                                      (1000, 0.95, 2000)])
+                                                      (1000, 0.95, 2000), (1025, 0.9, 400),
+                                                      (1100, 0.95, 2000), (2049, 0.99, 300)])
     def test_spectral_route_above_block_size_limit(self, n, delta, max_epochs, monkeypatch):
         # above n = 256 the cell steps no epoch and builds no map: the stop
-        # epoch of `run` (by tol, or at the capped budget) and its rate
+        # epoch of `run` (by tol, or at the capped budget), its rate and its
+        # f.  From n = 1025 on the basis r_k^i comes in more than one row block
+        stop = {257: 385, 300: 400, 1000: 1354, 1025: 400, 1100: 1637, 2049: 228}[n]
         model = PermInvariantQuadratic(n, delta)
         x0 = np.random.default_rng(n).standard_normal(n)
         traj = run(model, OrderingPolicy("ccd"), x0, max_epochs=max_epochs, tol=1e-8)
         for name in ("run", "epoch_map"):
             monkeypatch.setattr(engine, name, _refuse)
-        stop, f_tail = _cyclic_tail(model, x0, max_epochs, 1e-8)
-        assert stop == traj.epochs
-        assert (stop < max_epochs) == (max_epochs == 2000)
+        tail_stop, f_tail = _cyclic_tail(model, x0, max_epochs, 1e-8)
+        assert tail_stop == traj.epochs == stop
         assert abs(empirical_rate(f_tail) - empirical_rate(traj)) <= 1e-12 * empirical_rate(traj)
+        assert np.allclose(f_tail, traj.f_per_epoch[-11:], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("n, delta, max_epochs, tol", [
         (64, 1.0 - 1e-12, 300, 1e-14), (30, 1e-30, 300, 1e-14), (192, 1.005, 500_000, 1e-8),

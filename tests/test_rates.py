@@ -137,6 +137,28 @@ def test_rates_imports_only_the_rate_window_from_engine():
     assert names == {"_RATE_WINDOW"}
 
 
+def test_each_epoch_operators_spectrum_has_one_home():
+    # C's eigen-expansion lives in `spectrum` and rho(M) on RecurrenceMatrix:
+    # engine takes the expansion alone and evaluates no exponential, and cli
+    # takes no private name of rates
+    import cdlab.cli as cli
+
+    def parsed(module):
+        return list(ast.walk(ast.parse(Path(module.__file__).read_text())))
+
+    def names_from(nodes, source):
+        return {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                and (node.level, node.module) in ((1, source), (0, f"cdlab.{source}"))
+                for alias in node.names}
+
+    engine_nodes = parsed(engine)
+    assert names_from(engine_nodes, "spectrum") == {"_cyclic_iterates"}
+    assert not {node.attr for node in engine_nodes
+                if isinstance(node, ast.Attribute)} & {"exp", "expm1"}
+    from_rates = names_from(parsed(cli), "rates")
+    assert from_rates and not any(name.startswith("_") for name in from_rates)
+
+
 class TestRhoM:
     def test_table_values(self):
         assert rho_M(100, 0.8) == pytest.approx(0.1162, abs=5e-5)
