@@ -116,13 +116,13 @@ def _seeded_start(n, variant, seed, stream, replicate=0, x0="gaussian"):
     return rng, rng.standard_normal(n) if x0 == "gaussian" else np.zeros(n)
 
 
-def _seeded_run(n, delta, variant, seed, stream, *, tol, max_epochs, replicate=0, x0="gaussian"):
+def _seeded_run(n, delta, variant, seed, stream, *, tol, max_epochs, x0="gaussian"):
     """One run of `variant` on the (n, delta) model from a seeded start.
 
     The generator of `_seeded_start` draws the starting point and then
     the run's coordinate orders.
     """
-    rng, start = _seeded_start(n, variant, seed, stream, replicate, x0)
+    rng, start = _seeded_start(n, variant, seed, stream, x0=x0)
     return run(PermInvariantQuadratic(n, delta), OrderingPolicy(variant), start,
                max_epochs=max_epochs, tol=tol, seed=rng)
 
@@ -180,12 +180,13 @@ def _cpus() -> int:
 def _forked(costs, work):
     """Split jobs 0..len(costs)-1, costliest first to the least-loaded process; yield (shares, streams).
 
-    This process runs shares[0].  A forked child per other share pickles each
-    item of work(share) as a frame, then an end frame: None, or the exception
-    work raised (if it does not pickle, a RuntimeError of its repr).
-    streams[k] yields shares[k + 1]'s frames, then raises that exception, or a
-    RuntimeError if the child ended before its end frame.  However the block is
-    left, every child is killed and reaped; with one share nothing forks.
+    streams[k] yields the items of work(shares[k]); streams[0] is work(shares[0]),
+    run in this process as it is read.  A forked child per other share pickles
+    each item as a frame, then an end frame: None, or the exception work raised
+    (if it does not pickle, a RuntimeError of its repr), which its stream raises
+    after the items; a child that ended before its end frame, a RuntimeError.
+    However the block is left, every child is killed and reaped; with one share
+    nothing forks.
     """
     procs = max(1, min(_cpus(), len(costs)))
     shares, loads = [[] for _ in range(procs)], [0.0] * procs
@@ -227,7 +228,7 @@ def _forked(costs, work):
                     os._exit(0)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        yield shares, [stream(pipe) for _, pipe in children]
+        yield shares, [work(shares[0]), *(stream(pipe) for _, pipe in children)]
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -248,7 +249,7 @@ def _in_processes(jobs, costs):
 
     results = {}
     with _forked(costs, run) as (shares, streams):
-        for share, outcomes in zip(shares, [run(shares[0]), *streams]):
+        for share, outcomes in zip(shares, streams):
             try:
                 for i, result in outcomes:
                     results[i] = result
@@ -278,8 +279,8 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
     The cells run in `_in_processes`, priced by predicted epochs
     ln(f0/tol)/-ln(rho), clamped to [1, max_epochs], times replicates, an
     rcd epoch at `_RCD_EPOCH_COST` (a ccd cell at 1, a rho outside (0, 1)
-    at the budget; rcd above delta = 1 at its expected-value rate); no
-    output byte depends on the CPU count.
+    or tol = 0 at the budget; rcd above delta = 1 at its expected-value
+    rate); no output byte depends on the CPU count.
     """
     for delta in deltas:
         PermInvariantQuadratic(n, delta)  # window check
@@ -292,7 +293,7 @@ def cmd_table1(n: int = 100, deltas: tuple[float, ...] = TABLE1_DELTAS, seed: in
         rho = preds[d_idx][ORDERINGS.index(variant)]  # preds follow ORDERINGS
         if math.isnan(rho):  # the R-linear rcd rate above delta = 1
             rho = rcd_rates(n, deltas[d_idx])[0]
-        epochs = math.log(0.5 * n / tol) / -math.log(rho) if 0 < rho < 1 else max_epochs
+        epochs = math.log(0.5 * n / tol) / -math.log(rho) if 0 < rho < 1 and tol > 0 else max_epochs
         return 1 if variant == "ccd" else max(1, min(epochs, max_epochs)) * replicates * (
             _RCD_EPOCH_COST if variant == "rcd" else 1)
 
@@ -350,9 +351,9 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
     product C^l and the mean over `sequences` permutation-ordered products
     (`_orders`), with its sample standard deviation (NaN for one sequence).
     `_lu_values` carries each product's E f on its own, so the products
-    split evenly over the processes of `_forked`: each child's frames are
-    its share's values, one per epoch, and this process zips them with
-    its own and stops at the budget or when both curves fall below tol.
+    split evenly over the processes of `_forked`: each stream yields its
+    share's values, one per epoch, and this process zips the streams and
+    stops at the budget or when both curves fall below tol.
     """
     if sequences < 1:
         raise ValueError(f"sequences must be >= 1, got {sequences}")
@@ -367,7 +368,7 @@ def figure_lu(n: int = 100, seed: int = 0, tol: float = 1e-8, epochs_budget: int
 
     V = [np.full(sequences + 1, f0)]
     with _forked([1] * (sequences + 1), values) as (shares, streams):
-        for parts in zip(values(shares[0]), *streams):
+        for parts in zip(*streams):
             V.append(vals := np.empty(sequences + 1))
             for share, part in zip(shares, parts):
                 vals[share] = part

@@ -19,20 +19,20 @@ matrix untouched.  LU is then L+D itself and the solve is the forward
 substitution.
 
 `run` is `_runs` with one start.  `_runs` steps a stack of seeded
-replicates one epoch at a time and holds the one copy of the stop at
-f <= tol or the epoch budget and the nonfinite-f failure; its input
-checks, `_checked_starts`, are `_cyclic_tail`'s too.  Its docstring
-lists the kernel each input takes.  For the dense model the one epoch
-kernel, `_epoch_dense`, advances a stack of matrices, each slice in its
-own order, a block of `_ROW_BLOCK` visited rows per pair of batched
-products, with the blocks' triangular inverses by squaring, not LAPACK.
-It returns each slice's decrease of f, by which `figure lu` carries E f
-of all its epoch products, cyclic and permutation-ordered, between
-exact evaluations.  The cyclic order makes
-every epoch the same map M, so when a block of at least two n x n maps
-fits in about 1 MB (n <= 256) `_runs` builds M, M^2, ..., M^K once and
-advances K epochs with one matrix-vector product, up to the first epoch
-whose f it must judge: at or below the tolerance, nonfinite, or the last.
+replicates one epoch at a time; its one rule `steps_on` decides at the
+start and after every epoch the stop at f <= tol or the budget and the
+nonfinite-f failure, and its input checks are `_cyclic_tail`'s too.
+Its docstring lists the kernel each input takes.  For the dense model
+the one epoch kernel, `_epoch_dense`, advances a stack of matrices, each
+slice in its own order, a block of `_ROW_BLOCK` visited rows per pair of
+batched products, with the blocks' triangular inverses by squaring, not
+LAPACK.  It returns each slice's decrease of f, by which `figure lu`
+carries E f of all its epoch products, cyclic and permutation-ordered,
+between exact evaluations.  The cyclic order makes every epoch the same
+map M, so when a block of at least two n x n maps fits in about 1 MB
+(n <= 256) `_blocks` builds M, M^2, ..., M^K once and advances K epochs
+with one matrix-vector product; `_runs` cuts a block at its first epoch
+`steps_on` stops.
 
 A rate over the last epochs of a cyclic run needs only its stop epoch
 and those epochs, which `_cyclic_tail` returns.  For the
@@ -291,35 +291,24 @@ def _block_epochs(n: int) -> int:
     return min(_BLOCK_EPOCHS, _BLOCK_BYTES // (8 * n * n))
 
 
-def _run_blocks(model, M, x, max_epochs, tol, fs) -> tuple[np.ndarray, int, float]:
-    """Advance 1..max_epochs epochs of the fixed map M, K per product.
+def _blocks(model, x, max_epochs):
+    """Yield the iterates of epochs 1..max_epochs of the cyclic order from x, K per product.
 
-    The stack [M; M^2; ...; M^K] is built once, in place; each block
-    computes the next K iterates from the current one as rows of
-    (stack @ x) and their objectives in one expression.  The exit epoch
-    is the first whose f is <= tol or nonfinite, or max_epochs.  Appends
-    to fs the f of every epoch before it; returns its iterate, its number
-    and its f, which `_runs` judges.
+    The stack [M; M^2; ...; M^K] of M = epoch_map(model) is built once, in
+    place.  Each block is the next k <= K iterates, the rows of (stack @ x),
+    and their f as one list.
     """
     n = model.n
     K = min(_block_epochs(n), max_epochs)
     stack = np.empty((K, n, n))
-    stack[0] = M
+    stack[0] = M = epoch_map(model)
     for k in range(1, K):
         np.matmul(M, stack[k - 1], out=stack[k])
     stack = stack.reshape(K * n, n)
-    epochs = 0
-    while True:
-        k = min(K, max_epochs - epochs)
-        Y = (stack[: k * n] @ x).reshape(k, n)
-        fk = objective(model, Y)
-        stops = np.flatnonzero(~np.isfinite(fk) | (fk <= tol))
-        j = int(stops[0]) if stops.size else k - 1
-        fs.extend(fk[:j].tolist())
-        x, epochs = Y[j].copy(), epochs + j + 1
-        if stops.size or epochs == max_epochs:
-            return x, epochs, float(fk[j])
-        fs.append(float(fk[j]))
+    for epochs in range(0, max_epochs, K):
+        Y = (stack[: min(K, max_epochs - epochs) * n] @ x).reshape(-1, n)
+        yield Y, objective(model, Y).tolist()
+        x = Y[-1]
 
 
 def _checked_starts(n, starts, max_epochs, tol) -> np.ndarray:
@@ -345,14 +334,14 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     message and last_estimate); `_checked_starts` raises run's ValueError
     first, whatever the kernel.  Each epoch advances every active
     replicate once; a replicate leaves at its stop epoch, its first
-    nonfinite f or the budget.  One rule after the start, `steps_on`,
-    judges every f a kernel returns, the block path's last included: it
+    nonfinite f or the budget.  One rule, `steps_on`, judges f at the
+    start and every f a kernel returns, each of a block's included: it
     records f or builds the NumericalError.  Replicate r's orders come
     from `_orders`, a chunk of epochs per call of rngs[r]; when it leaves,
     rngs[r] is at the end of the last chunk drawn, so one that takes no
     epoch draws nothing.  The kernel follows from the input:
 
-    - ccd where `_block_epochs(n) >= 2` (n <= 256): `_run_blocks` per
+    - ccd where `_block_epochs(n) >= 2` (n <= 256): `_blocks` per
       replicate, K epochs per product with one epoch map;
     - rpcd on the permutation-invariant model with more than one start: a
       blocked scan.  With each iterate in visit order, y_t = x[order[t]],
@@ -378,8 +367,31 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
     X = _checked_starts(n, starts, max_epochs, tol)
     rows = list(X)  # views; indexing a list is cheaper than X[r] in the row loop
     orders = [_orders(policy, n, rng) for rng in rngs]
-    f0 = objective(model, X).tolist()
-    if perm_invariant and policy.kind == "rpcd" and len(X) > 1:
+    # f as C doubles: lists of float objects, live for a whole stack of
+    # runs, raised the peak RSS of a 40-pass table1 process by 0.9 MB
+    fs = [array("d") for _ in rows]
+    out = [None] * len(rows)
+
+    def steps_on(r, epoch, f) -> bool:
+        if not math.isfinite(f):
+            out[r] = (NumericalError(f"nonfinite objective after {epoch * n} iterations", fs[r][-1])
+                      if epoch else NumericalError(f"nonfinite objective at start: {f}"))
+            return False
+        fs[r].append(f)
+        return f > tol and epoch < max_epochs
+
+    active = [r for r, f in enumerate(objective(model, X).tolist()) if steps_on(r, 0, f)]
+    if policy.kind == "ccd" and _block_epochs(n) >= 2:
+        for r in active:
+            epoch = 0
+            for Y, fk in _blocks(model, rows[r], max_epochs):
+                j = next((j for j, f in enumerate(fk) if not steps_on(r, epoch + j + 1, f)), None)
+                epoch += len(fk)
+                if j is not None:  # the last block always stops, at the budget if not before
+                    rows[r][:] = Y[j]
+                    break
+        active = []
+    elif perm_invariant and policy.kind == "rpcd" and len(X) > 1:
         delta, b = model.delta, math.isqrt(n - 1) + 1  # b = ceil(sqrt(n))
         m = -(-n // b)
         powers = delta ** np.concatenate([np.arange(b), np.arange(b, 0, -1), b * np.arange(m)])
@@ -418,27 +430,6 @@ def _runs(model, policy, starts, rngs, max_epochs, tol) -> list[Trajectory | Num
             X[active] = G[..., 0]
             return objective(model, G[..., 0]).tolist()
 
-    # f as C doubles: lists of float objects, live for a whole stack of
-    # runs, raised the peak RSS of a 40-pass table1 process by 0.9 MB
-    fs = [array("d", (f,)) for f in f0]
-    out = [None if math.isfinite(f) else NumericalError(f"nonfinite objective at start: {f}")
-           for f in f0]
-    active = [r for r, f in enumerate(f0) if out[r] is None and f > tol and max_epochs > 0]
-
-    def steps_on(r, epoch, f) -> bool:
-        if not math.isfinite(f):
-            out[r] = NumericalError(f"nonfinite objective after {epoch * n} iterations",
-                                    fs[r][-1])
-            return False
-        fs[r].append(f)
-        return f > tol and epoch < max_epochs
-
-    if policy.kind == "ccd" and _block_epochs(n) >= 2 and active:
-        M = epoch_map(model)
-        for r in active:
-            rows[r][:], epoch, f = _run_blocks(model, M, rows[r], max_epochs, tol, fs[r])
-            steps_on(r, epoch, f)
-        active = []
     epoch = 0
     while active:
         epoch += 1
@@ -459,7 +450,9 @@ def run(
 
     Records f after every epoch (`quadratic.objective`, which gives an
     iterate the float it has in any stack) and stops as soon as
-    f(x^{l*n}) <= tol or the epoch budget is exhausted.  Deterministic
+    f(x^{l*n}) <= tol or the epoch budget is exhausted, x^0 included;
+    one rule of `_runs` decides that at the start and after every epoch,
+    on every kernel.  Deterministic
     for a fixed seed: the only randomness is the per-epoch coordinate
     order drawn from the seeded generator.  Orders are drawn a chunk of
     epochs per generator call (`_orders`), and each epoch's order is that

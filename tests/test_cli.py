@@ -473,6 +473,22 @@ class TestTable1:
         if n == 192:  # the rcd cells of golden case table1_n192_bound: 2367 and 3064
             assert [round(p) for p in prices[1::3]] == [2367, 3064]
 
+    def test_tol_zero_prices_cells_at_the_budget(self, monkeypatch):
+        # a run with tol = 0 stops only at the budget or at an f of exactly 0,
+        # so its random cells are priced at the budget, not by ln(f0/tol)
+        import cdlab.cli
+
+        prices = []
+
+        def serial(jobs, costs):
+            prices.extend(costs)
+            return [job() for job in jobs]
+
+        monkeypatch.setattr(cdlab.cli, "_in_processes", serial)
+        (row,) = cmd_table1(n=10, deltas=(0.5,), replicates=2, tol=0.0, max_epochs=50)
+        assert all(math.isfinite(row[key]) for key in ("rho_C_sq", "rho_rcd_pred", "rho_M"))
+        assert prices == [1, 50 * 2 * 2, 50 * 2]
+
     def test_default_table_runs_only_the_random_orders(self, monkeypatch):
         # cyclic descent is one call of _cyclic_tail per delta, and the 20
         # replicates of each random ordering one call of _runs per delta; no

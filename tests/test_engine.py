@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +228,32 @@ class TestFixedOrderBlocks:
         ref = _oracle_iterates(model, policy, x0, bad - 1)
         assert err.value.last_estimate == pytest.approx(objective(model, ref[-1]), rel=1e-12)
         assert f"after {bad * _N} iterations" in str(err.value)
+
+
+def test_steps_on_is_the_only_exit_rule():
+    # every stop and failure of a stepped run, the start and each epoch of a
+    # block included, is decided in `_runs`' nested `steps_on`: nothing else
+    # in `_runs` compares with tol or hands it on but to the input checks,
+    # and no helper `_runs` calls takes a tol
+    tree = ast.parse(Path(engine.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    runs = defs["_runs"]
+    (rule,) = [node for node in ast.walk(runs)
+               if isinstance(node, ast.FunctionDef) and node.name == "steps_on"]
+    judged = set(map(id, ast.walk(rule)))
+    outside = [node for node in ast.walk(runs) if id(node) not in judged]
+
+    def names(node):
+        return {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+
+    assert not [node for node in outside if isinstance(node, ast.Compare) and "tol" in names(node)]
+    calls = [node for node in outside if isinstance(node, ast.Call)]
+    assert {node.func.id for node in calls if isinstance(node.func, ast.Name)
+            and any("tol" in names(arg) for arg in [*node.args, *node.keywords])} == {"_checked_starts"}
+    helpers = {node.func.id for node in calls if isinstance(node.func, ast.Name)} & defs.keys()
+    assert "_blocks" in helpers
+    for name in helpers - {"_checked_starts"}:
+        assert "tol" not in [arg.arg for arg in defs[name].args.args]
 
 
 class TestFixedOrderOutsideBlocks:

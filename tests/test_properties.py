@@ -226,9 +226,10 @@ def run_stacks(draw, variant="rpcd", dense=False):
     With more than one start, rpcd on the permutation-invariant model takes
     the blocked scan of `_runs`, drawn up to n = 300 (m = 17 blocks of 18,
     the last padded; `test_rpcd_stack_matches_run_at_every_n` goes to
-    3000); rcd takes its row loop, and a dense model `_epoch_dense` on a
-    stack of columns, both at n <= 64.  One start may be nonfinite, so its
-    replicate fails at epoch 0.
+    3000); rcd takes its row loop, ccd the block path on either model, and
+    a dense model `_epoch_dense` on a stack of columns, all at n <= 64.
+    One start may be nonfinite, so its replicate fails at epoch 0.  Budgets
+    of 0-300 epochs cross the block path's block edges.
     """
     stacked = variant == "rpcd" and not dense
     n, delta = draw(edge_points(300 if stacked else 64))
@@ -250,18 +251,19 @@ def _rngs(seeds):
     return [np.random.default_rng(s) for s in seeds]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.one_of(run_stacks(), run_stacks("rcd"), run_stacks("rpcd", dense=True),
-                 run_stacks("rcd", dense=True)))
+                 run_stacks("rcd", dense=True), run_stacks("ccd"), run_stacks("ccd", dense=True)))
 def test_rpcd_batch_matches_run(case):
     # the same generators give the same orders, so each replicate of a stack
     # must stop where its own `run` does, fail as it does and give its rate;
-    # the rcd row loop is `run` bit for bit.  f is compared where rounding
-    # of a different sum cannot dominate it
+    # the rcd row loop and the ccd block path are `run` bit for bit.  f is
+    # compared where rounding of a different sum cannot dominate it
     model, policy, starts, seeds, max_epochs, tol = case
     with np.errstate(invalid="ignore"):  # f of a nonfinite start
         trajs = _runs(model, policy, starts, _rngs(seeds), max_epochs, tol)
-    row_loop = isinstance(model, PermInvariantQuadratic) and policy.kind == "rcd"
+    exact = policy.kind == "ccd" or (isinstance(model, PermInvariantQuadratic)
+                                     and policy.kind == "rcd")
     for x0, rng, traj in zip(starts, _rngs(seeds), trajs):
         try:
             with np.errstate(invalid="ignore"):
@@ -270,7 +272,7 @@ def test_rpcd_batch_matches_run(case):
             assert isinstance(traj, NumericalError) and str(traj) == str(err)
             assert traj.last_estimate == err.last_estimate
             continue
-        if row_loop:
+        if exact:
             assert np.array_equal(traj.f_per_epoch, ref.f_per_epoch)
             assert np.array_equal(traj.final_x, ref.final_x)
             continue
